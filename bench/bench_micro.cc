@@ -63,7 +63,7 @@ BENCHMARK(BM_EventQueueTimerArmCancel);
 static void
 BM_EventQueueExpiryFlood(benchmark::State &state)
 {
-    // Mirrors ClosedLoopFarm: every request arms a long (6 s) expiry
+    // Mirrors SessionFarm: every request arms a long (6 s) expiry
     // timer and the response arrives almost immediately, cancelling
     // it. Cancelled timers must not linger in the heap for the
     // remaining simulated seconds; peak_heap verifies the engine
@@ -492,11 +492,11 @@ BM_SessionClientChurn(benchmark::State &state)
         });
     }
 
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 2000;
     cfg.numFiles = 1000;
-    auto profile = *wl::profileByName("sessions");
-    wl::SessionFarm farm(s, net, servers, clients, cfg, profile);
+    auto profile = *loadgen::profileByName("sessions");
+    loadgen::SessionFarm farm(s, net, servers, clients, cfg, profile);
     farm.start();
     s.runUntil(sim::sec(1)); // warm: pools, slabs, session table
 

@@ -3,7 +3,8 @@
  * Capacity sweep: drive one PRESS version at increasing offered load
  * and print served throughput plus request-level availability — the
  * saturation curve behind "near-peak throughput" in Table 1, and a
- * template for using the workload generator standalone.
+ * template for using the load generators standalone: the open-loop
+ * ClientFarm, then closed-loop session clients with p50/p99 latency.
  *
  *   $ ./capacity_sweep [version 0-4]
  */
@@ -14,7 +15,8 @@
 #include "press/cluster.hh"
 #include "sim/simulation.hh"
 #include "loadgen/client_farm.hh"
-#include "loadgen/closed_loop.hh"
+#include "loadgen/generator.hh"
+#include "loadgen/load_profile.hh"
 
 using namespace performa;
 
@@ -35,12 +37,12 @@ measure(press::Version v, double rate)
     ccfg.press.version = v;
     press::Cluster cluster(sim, ccfg);
 
-    wl::WorkloadConfig wcfg;
+    loadgen::WorkloadConfig wcfg;
     wcfg.requestRate = rate;
     wcfg.numFiles = 60000;
-    wl::ClientFarm farm(sim, cluster.clientNet(),
-                        cluster.serverClientPorts(),
-                        cluster.clientMachinePorts(), wcfg);
+    loadgen::ClientFarm farm(sim, cluster.clientNet(),
+                             cluster.serverClientPorts(),
+                             cluster.clientMachinePorts(), wcfg);
 
     cluster.startAll();
     sim.runUntil(sim::sec(2));
@@ -79,28 +81,34 @@ main(int argc, char **argv)
                     frac >= 1.0 ? "   (saturated)" : "");
     }
 
-    std::printf("\nclosed loop (fixed user population, 50 ms think "
-                "time):\n");
-    std::printf("%10s %10s %14s\n", "users", "served", "mean latency");
+    std::printf("\nclosed loop (session clients, 50 ms think time):\n");
+    std::printf("%10s %10s %10s %10s\n", "sessions", "served", "p50",
+                "p99");
     for (std::size_t users : {50, 200, 400, 800}) {
         sim::Simulation sim(13);
         press::ClusterConfig ccfg;
         ccfg.press.version = v;
         press::Cluster cluster(sim, ccfg);
-        wl::ClosedLoopConfig wcfg;
-        wcfg.users = users;
+        loadgen::WorkloadConfig wcfg;
         wcfg.numFiles = 60000;
-        wl::ClosedLoopFarm farm(sim, cluster.clientNet(),
-                                cluster.serverClientPorts(),
-                                cluster.clientMachinePorts(), wcfg);
+        loadgen::LoadProfileSpec profile =
+            *loadgen::profileByName("sessions");
+        profile.sessionCount = users;
+        profile.meanThink = sim::msec(50);
+        auto farm = loadgen::makeLoadGenerator(
+            sim, cluster.clientNet(), cluster.serverClientPorts(),
+            cluster.clientMachinePorts(), wcfg, profile);
         cluster.startAll();
         sim.runUntil(sim::sec(2));
         cluster.prewarm(wcfg.numFiles);
-        farm.start();
+        farm->start();
         sim.runUntil(sim::sec(40));
-        std::printf("%10zu %7.0f/s %11.2f ms\n", users,
-                    farm.served().meanRate(sim::sec(15), sim::sec(40)),
-                    farm.latency().mean() / 1000.0);
+        const sim::LatencyHistogram &total =
+            farm->timeline().cumulative(sim::LatencyStage::Total);
+        std::printf("%10zu %7.0f/s %7.2f ms %7.2f ms\n", users,
+                    farm->served().meanRate(sim::sec(15), sim::sec(40)),
+                    total.quantile(0.5) / 1000.0,
+                    total.quantile(0.99) / 1000.0);
     }
     std::printf("\n(closed loops self-throttle: latency, not failure "
                 "count, absorbs saturation)\n");

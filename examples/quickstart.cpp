@@ -36,12 +36,12 @@ main(int argc, char **argv)
 
     // 3. Attach the client population (Poisson arrivals, Zipf files,
     //    2s/6s timeouts, round-robin DNS).
-    wl::WorkloadConfig wl_cfg;
+    loadgen::WorkloadConfig wl_cfg;
     wl_cfg.requestRate = 0.9 * press::paperThroughput(version);
     wl_cfg.numFiles = 60000;
-    wl::ClientFarm farm(sim, cluster.clientNet(),
-                        cluster.serverClientPorts(),
-                        cluster.clientMachinePorts(), wl_cfg);
+    loadgen::ClientFarm farm(sim, cluster.clientNet(),
+                             cluster.serverClientPorts(),
+                             cluster.clientMachinePorts(), wl_cfg);
 
     // 4. Cold-start the servers and pre-warm the cooperative cache.
     cluster.startAll();

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/phase1.hh"
 #include "core/scenarios.hh"
 #include "exp/behavior_db.hh"
 
@@ -46,7 +47,7 @@ main(int argc, char **argv)
     std::printf("loading phase-1 behaviours from %s "
                 "(measuring any missing pairs)...\n\n",
                 cache.c_str());
-    db.ensureAll(cache);
+    campaign::ensurePhase1(db, cache);
 
     model::ScenarioOptions opts;
     opts.appMttfSec = 30 * day;

@@ -6,9 +6,9 @@
 #include <memory>
 #include <stdexcept>
 
-#include "campaign/seed.hh"
 #include "exp/experiment.hh"
 #include "exp/stages.hh"
+#include "sim/random.hh"
 
 namespace performa::campaign {
 
@@ -25,15 +25,15 @@ phase1Seed(std::uint64_t campaign_seed, press::Version v,
     // can't masquerade as fresh. The default profile contributes
     // nothing, keeping "" and "steady" identical.
     if (profile.empty() || profile == "steady")
-        return deriveSeed(campaign_seed,
-                          {2ull, static_cast<std::uint64_t>(v),
-                           static_cast<std::uint64_t>(num_nodes),
-                           seedComponent(load_scale)});
-    return deriveSeed(campaign_seed,
-                      {2ull, static_cast<std::uint64_t>(v),
-                       static_cast<std::uint64_t>(num_nodes),
-                       seedComponent(load_scale),
-                       seedComponent(profile)});
+        return sim::deriveSeed(campaign_seed,
+                               {2ull, static_cast<std::uint64_t>(v),
+                                static_cast<std::uint64_t>(num_nodes),
+                                sim::seedComponent(load_scale)});
+    return sim::deriveSeed(campaign_seed,
+                           {2ull, static_cast<std::uint64_t>(v),
+                            static_cast<std::uint64_t>(num_nodes),
+                            sim::seedComponent(load_scale),
+                            sim::seedComponent(profile)});
 }
 
 std::uint64_t
@@ -312,40 +312,3 @@ ensurePhase1(exp::BehaviorDb &db, const std::string &cache_path,
 }
 
 } // namespace performa::campaign
-
-namespace performa::exp {
-
-// BehaviorDb::ensureAll is declared with the database (exp/) but
-// implemented here so the serial fallback and the parallel campaign
-// are one code path. Link performa_campaign (or the `performa`
-// umbrella) to use it.
-void
-BehaviorDb::ensureAll(const std::string &cache_path,
-                      std::function<void(press::Version,
-                                         fault::FaultKind, bool)>
-                          progress)
-{
-    campaign::Phase1Options opts;
-    if (progress) {
-        // Cached pairs are reported up front (in grid order) so the
-        // legacy per-pair callback still sees every grid point;
-        // measured pairs stream in as their jobs complete.
-        BehaviorDb cached;
-        cached.setFingerprint(campaign::phase1Fingerprint(opts));
-        if (!cache_path.empty())
-            cached.load(cache_path);
-        for (press::Version v : press::allVersions)
-            for (fault::FaultKind k : fault::allFaultKinds)
-                if (cached.has(v, k))
-                    progress(v, k, true);
-        opts.progress = [&progress](const campaign::Progress &p) {
-            if (p.last->tag == campaign::kWarmupJobTag)
-                return; // shared warm-ups aren't grid points
-            auto [v, k] = campaign::phase1TagKey(p.last->tag);
-            progress(v, k, false);
-        };
-    }
-    campaign::ensurePhase1(*this, cache_path, opts);
-}
-
-} // namespace performa::exp

@@ -2,8 +2,9 @@
  * @file
  * The phase-1 measurement campaign: every (PRESS version, fault kind)
  * pair of the study, measured as independent fault-injection
- * experiments sharded across a worker pool. This is the parallel
- * engine behind BehaviorDb::ensureAll and the performa_campaign CLI.
+ * experiments sharded across a worker pool. The performa_campaign
+ * CLI, the benches' phase-1 cache and the what-if designer example
+ * all measure through ensurePhase1.
  *
  * Determinism contract: each combination's RNG seed is a pure
  * function of (campaign seed, version, cluster size, load scale,

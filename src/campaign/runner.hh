@@ -31,7 +31,7 @@ struct Job
     std::string label;
     /**
      * The job's RNG seed — derived by the campaign author from the
-     * campaign seed and the job's identity (see seed.hh), never from
+     * campaign seed and the job's identity (sim::deriveSeed), never from
      * its position in the queue.
      */
     std::uint64_t seed = 0;

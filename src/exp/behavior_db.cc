@@ -4,7 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "exp/stages.hh"
 #include "sim/logging.hh"
 
 namespace performa::exp {
@@ -49,17 +48,6 @@ experimentFor(press::Version v, fault::FaultKind k)
     }
     return cfg;
 }
-
-model::MeasuredBehavior
-BehaviorDb::measure(press::Version v, fault::FaultKind k)
-{
-    ExperimentConfig cfg = experimentFor(v, k);
-    ExperimentResult res = runExperiment(cfg);
-    return extractBehavior(res, *cfg.fault);
-}
-
-// ensureAll lives in campaign/phase1.cc: measurement of the missing
-// grid points is sharded across the campaign worker pool.
 
 bool
 BehaviorDb::has(press::Version v, fault::FaultKind k) const

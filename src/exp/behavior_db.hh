@@ -34,25 +34,6 @@ class BehaviorDb
   public:
     using Key = std::pair<press::Version, fault::FaultKind>;
 
-    /** Measure one pair by running the phase-1 experiment. */
-    static model::MeasuredBehavior measure(press::Version v,
-                                           fault::FaultKind k);
-
-    /**
-     * Ensure every (version, fault) pair is present: load cached rows
-     * from @p cache_path when it exists, measure the rest in parallel
-     * on the campaign worker pool (PERFORMA_JOBS workers; see
-     * campaign/phase1.hh for the determinism contract), and rewrite
-     * the cache atomically. @p progress (optional) is invoked per
-     * pair — cached pairs first in grid order, then measured pairs in
-     * completion order. Implemented in campaign/phase1.cc; link
-     * performa_campaign (or the `performa` umbrella).
-     */
-    void ensureAll(const std::string &cache_path,
-                   std::function<void(press::Version,
-                                      fault::FaultKind, bool)>
-                       progress = {});
-
     bool has(press::Version v, fault::FaultKind k) const;
     const model::MeasuredBehavior &get(press::Version v,
                                        fault::FaultKind k) const;

@@ -53,13 +53,13 @@ Experiment::Experiment(ExperimentConfig cfg)
 {
     if (cfg_.profile.pareto.enabled)
         cfg_.cluster.press.fileSizeFn =
-            wl::makeFileSizeFn(cfg_.profile.pareto);
+            loadgen::makeFileSizeFn(cfg_.profile.pareto);
     if (cfg_.profile.reserveSlices == 0)
         cfg_.profile.reserveSlices =
             static_cast<std::size_t>(cfg_.duration / sim::sec(1)) + 2;
 
     cluster_ = std::make_unique<press::Cluster>(sim_, cfg_.cluster);
-    farm_ = wl::makeLoadGenerator(
+    farm_ = loadgen::makeLoadGenerator(
         sim_, cluster_->clientNet(), cluster_->serverClientPorts(),
         cluster_->clientMachinePorts(), cfg_.workload, cfg_.profile);
 

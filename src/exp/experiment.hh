@@ -32,10 +32,10 @@ namespace performa::exp {
 struct ExperimentConfig
 {
     press::ClusterConfig cluster;
-    wl::WorkloadConfig workload;
+    loadgen::WorkloadConfig workload;
     /** Workload shape; the default reproduces the paper's flat load
      *  byte-for-byte (see loadgen/load_profile.hh). */
-    wl::LoadProfileSpec profile;
+    loadgen::LoadProfileSpec profile;
     std::optional<fault::FaultSpec> fault;
     sim::Tick injectAt = sim::sec(60);
     sim::Tick duration = sim::sec(210); ///< total run length
@@ -137,7 +137,7 @@ class Experiment
     ExperimentConfig cfg_;
     sim::Simulation sim_;
     std::unique_ptr<press::Cluster> cluster_;
-    std::unique_ptr<wl::LoadGenerator> farm_;
+    std::unique_ptr<loadgen::LoadGenerator> farm_;
     std::unique_ptr<fault::Injector> injector_;
     MarkerLog markers_;
     sim::SnapshotRegistry registry_;

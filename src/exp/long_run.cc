@@ -102,12 +102,12 @@ validateModel(const LongRunConfig &cfg)
     ccfg.press.robustMembership = cfg.robustMembership;
     press::Cluster cluster(sim, ccfg);
 
-    wl::WorkloadConfig wcfg;
+    loadgen::WorkloadConfig wcfg;
     wcfg.requestRate = press::paperThroughput(cfg.version) * 1.15;
     wcfg.numFiles = 68000;
-    wl::ClientFarm farm(sim, cluster.clientNet(),
-                        cluster.serverClientPorts(),
-                        cluster.clientMachinePorts(), wcfg);
+    loadgen::ClientFarm farm(sim, cluster.clientNet(),
+                             cluster.serverClientPorts(),
+                             cluster.clientMachinePorts(), wcfg);
 
     fault::Injector injector(sim, cluster);
 

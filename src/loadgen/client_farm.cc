@@ -81,7 +81,7 @@ ClientFarm::issueRequest()
     net::PortId client = clientPorts_[rrClient_];
     rrClient_ = (rrClient_ + 1) % clientPorts_.size();
 
-    pending_[id] = Pending{sim_.now()};
+    pending_.insert(id);
     ++totalOffered_;
     offered_.record(sim_.now());
 
@@ -112,12 +112,9 @@ ClientFarm::onResponse(net::Frame &&f)
     if (f.kind != press::ClientResponse || !f.payload)
         return;
     auto *body = f.payload.get<press::ClientResponseBody>();
-    auto it = pending_.find(body->req);
-    if (it == pending_.end())
+    if (pending_.erase(body->req) == 0)
         return; // already expired: the client hung up long ago
-    latency_.add(static_cast<double>(sim_.now() - it->second.sentAt));
     recordResponseLatency(timeline_, sim_.now(), *body);
-    pending_.erase(it);
     ++totalServed_;
     served_.record(sim_.now());
 }
@@ -136,7 +133,6 @@ ClientFarm::save() const
     s.served = served_;
     s.failed = failed_;
     s.offered = offered_;
-    s.latency = latency_;
     s.timeline = timeline_;
     s.totalServed = totalServed_;
     s.totalFailed = totalFailed_;
@@ -157,7 +153,6 @@ ClientFarm::restore(const Saved &s)
     served_ = s.served;
     failed_ = s.failed;
     offered_ = s.offered;
-    latency_ = s.latency;
     timeline_ = s.timeline;
     totalServed_ = s.totalServed;
     totalFailed_ = s.totalFailed;
@@ -179,10 +174,8 @@ ClientFarm::registerWith(sim::SnapshotRegistry &reg)
 void
 ClientFarm::expire(sim::RequestId id)
 {
-    auto it = pending_.find(id);
-    if (it == pending_.end())
+    if (pending_.erase(id) == 0)
         return; // completed in time
-    pending_.erase(it);
     ++totalFailed_;
     failed_.record(sim_.now());
 }

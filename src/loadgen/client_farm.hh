@@ -19,7 +19,7 @@
 #define PERFORMA_LOADGEN_CLIENT_FARM_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "loadgen/generator.hh"
@@ -28,7 +28,6 @@
 #include "sim/latency_histogram.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
-#include "sim/stats.hh"
 #include "sim/time_series.hh"
 #include "sim/types.hh"
 
@@ -74,9 +73,6 @@ class ClientFarm : public LoadGenerator
     /** In-flight (not yet answered or timed out) request count. */
     std::size_t pendingCount() const { return pending_.size(); }
 
-    /** Response-time statistics of served requests (microseconds). */
-    const sim::OnlineStats &latency() const { return latency_; }
-
     /** Per-stage (connect/queue/service/total) latency histograms,
      *  one slice per second. */
     const sim::StageLatencyTimeline &
@@ -103,11 +99,6 @@ class ClientFarm : public LoadGenerator
     void registerWith(sim::SnapshotRegistry &reg) override;
 
   private:
-    struct Pending
-    {
-        sim::Tick sentAt;
-    };
-
     void arrivalTick();
     void issueRequest();
     void onResponse(net::Frame &&f);
@@ -133,12 +124,11 @@ class ClientFarm : public LoadGenerator
     std::size_t rrServer_ = 0;
     std::size_t rrClient_ = 0;
 
-    std::unordered_map<sim::RequestId, Pending> pending_;
+    std::unordered_set<sim::RequestId> pending_;
 
     sim::TimeSeries served_;
     sim::TimeSeries failed_;
     sim::TimeSeries offered_;
-    sim::OnlineStats latency_;
     sim::StageLatencyTimeline timeline_;
     std::uint64_t totalServed_ = 0;
     std::uint64_t totalFailed_ = 0;
@@ -153,11 +143,10 @@ struct ClientFarm::Saved
     sim::RequestId nextReq;
     std::size_t rrServer;
     std::size_t rrClient;
-    std::unordered_map<sim::RequestId, Pending> pending;
+    std::unordered_set<sim::RequestId> pending;
     sim::TimeSeries served;
     sim::TimeSeries failed;
     sim::TimeSeries offered;
-    sim::OnlineStats latency;
     sim::StageLatencyTimeline timeline;
     std::uint64_t totalServed;
     std::uint64_t totalFailed;
@@ -165,10 +154,5 @@ struct ClientFarm::Saved
 };
 
 } // namespace performa::loadgen
-
-namespace performa {
-/** Legacy alias: the workload subsystem grew into loadgen. */
-namespace wl = loadgen;
-} // namespace performa
 
 #endif // PERFORMA_LOADGEN_CLIENT_FARM_HH

@@ -87,8 +87,4 @@ void recordResponseLatency(sim::StageLatencyTimeline &tl, sim::Tick now,
 
 } // namespace performa::loadgen
 
-namespace performa {
-namespace wl = loadgen;
-} // namespace performa
-
 #endif // PERFORMA_LOADGEN_GENERATOR_HH

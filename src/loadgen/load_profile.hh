@@ -109,9 +109,4 @@ makeFileSizeFn(const ParetoSizes &spec);
 
 } // namespace performa::loadgen
 
-namespace performa {
-/** Legacy alias: the workload subsystem grew into loadgen. */
-namespace wl = loadgen;
-} // namespace performa
-
 #endif // PERFORMA_LOADGEN_LOAD_PROFILE_HH

@@ -74,8 +74,18 @@ SessionFarm::stop()
             sim_.events().cancel(sess.expiry);
             sess.inFlight = false;
             ++sess.seq;
+            ++totalAbandoned_;
         }
     }
+}
+
+std::size_t
+SessionFarm::pendingCount() const
+{
+    std::size_t n = 0;
+    for (const auto &sess : sessions_)
+        n += sess.inFlight;
+    return n;
 }
 
 void
@@ -212,6 +222,7 @@ SessionFarm::save() const
     s.totalServed = totalServed_;
     s.totalFailed = totalFailed_;
     s.totalOffered = totalOffered_;
+    s.totalAbandoned = totalAbandoned_;
     s.completedSessions = completedSessions_;
     return s;
 }
@@ -231,6 +242,7 @@ SessionFarm::restore(const Saved &s)
     totalServed_ = s.totalServed;
     totalFailed_ = s.totalFailed;
     totalOffered_ = s.totalOffered;
+    totalAbandoned_ = s.totalAbandoned;
     completedSessions_ = s.completedSessions;
     // Re-reserve series capacity lost by the copy so steady-state
     // recording stays allocation-free after a fork.

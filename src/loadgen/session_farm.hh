@@ -64,6 +64,15 @@ class SessionFarm : public LoadGenerator
         return std::move(timeline_);
     }
 
+    /**
+     * Requests in flight when stop() was called: their expiry timers
+     * are cancelled and late responses dropped, so offered == served
+     * + failed + abandoned + pendingCount() holds at any time.
+     */
+    std::uint64_t totalAbandoned() const { return totalAbandoned_; }
+    /** In-flight (not yet answered or timed out) request count. */
+    std::size_t pendingCount() const;
+
     std::size_t sessionCount() const { return sessions_.size(); }
     /** Sessions ended so far (completed or abandoned on timeout). */
     std::uint64_t completedSessions() const { return completedSessions_; }
@@ -123,6 +132,7 @@ class SessionFarm : public LoadGenerator
     std::uint64_t totalServed_ = 0;
     std::uint64_t totalFailed_ = 0;
     std::uint64_t totalOffered_ = 0;
+    std::uint64_t totalAbandoned_ = 0;
     std::uint64_t completedSessions_ = 0;
 };
 
@@ -140,13 +150,10 @@ struct SessionFarm::Saved
     std::uint64_t totalServed;
     std::uint64_t totalFailed;
     std::uint64_t totalOffered;
+    std::uint64_t totalAbandoned;
     std::uint64_t completedSessions;
 };
 
 } // namespace performa::loadgen
-
-namespace performa {
-namespace wl = loadgen;
-} // namespace performa
 
 #endif // PERFORMA_LOADGEN_SESSION_FARM_HH

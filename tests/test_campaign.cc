@@ -20,9 +20,9 @@
 
 #include "campaign/phase1.hh"
 #include "campaign/runner.hh"
-#include "campaign/seed.hh"
 #include "campaign/thread_pool.hh"
 #include "exp/stages.hh"
+#include "sim/random.hh"
 
 using namespace performa;
 
@@ -50,12 +50,12 @@ fakeBehavior(std::uint64_t seed)
     model::MeasuredBehavior mb;
     std::uint64_t h = seed;
     auto next = [&h] {
-        h = campaign::mix64(h);
+        h = sim::mix64(h);
         return double(h % 100000) / 7.0;
     };
     mb.normalTput = next();
-    mb.detected = (campaign::mix64(h) & 1) != 0;
-    mb.healed = (campaign::mix64(h) & 2) != 0;
+    mb.detected = (sim::mix64(h) & 1) != 0;
+    mb.healed = (sim::mix64(h) & 2) != 0;
     for (int s = 0; s < model::numStages; ++s) {
         mb.tput[static_cast<std::size_t>(s)] = next();
         mb.dur[static_cast<std::size_t>(s)] = next();
@@ -393,32 +393,6 @@ TEST(Phase1, LegacyCacheWithoutFingerprintIsRejected)
     campaign::Phase1Result res = campaign::ensurePhase1(db, path, opts);
     EXPECT_EQ(res.cached, 0u);
     EXPECT_EQ(res.measured, fullGrid().size());
-    std::remove(path.c_str());
-}
-
-TEST(Phase1, EnsureAllRoutesThroughTheCampaign)
-{
-    // Pre-populate the cache via a fake campaign, then check the
-    // legacy BehaviorDb::ensureAll entry point loads it and reports
-    // every pair as cached (measuring nothing).
-    std::string path = tmpPath("campaign_ensureall.csv");
-    std::remove(path.c_str());
-    campaign::Phase1Options opts;
-    opts.measureFn = [](const exp::ExperimentConfig &cfg) {
-        return fakeBehavior(cfg.seed);
-    };
-    exp::BehaviorDb seeded;
-    campaign::ensurePhase1(seeded, path, opts);
-
-    exp::BehaviorDb db;
-    std::size_t cachedCalls = 0, measuredCalls = 0;
-    db.ensureAll(path, [&](press::Version, fault::FaultKind,
-                           bool cached) {
-        (cached ? cachedCalls : measuredCalls)++;
-    });
-    EXPECT_EQ(cachedCalls, fullGrid().size());
-    EXPECT_EQ(measuredCalls, 0u);
-    EXPECT_EQ(db.size(), fullGrid().size());
     std::remove(path.c_str());
 }
 

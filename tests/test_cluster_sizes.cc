@@ -20,7 +20,7 @@ struct Sized
 {
     Simulation s{31};
     press::Cluster cluster;
-    wl::ClientFarm farm;
+    loadgen::ClientFarm farm;
     fault::Injector injector;
 
     explicit Sized(std::uint32_t nodes, press::Version v, double rate)
@@ -44,10 +44,10 @@ struct Sized
         return cfg;
     }
 
-    static wl::WorkloadConfig
+    static loadgen::WorkloadConfig
     makeWl(double rate)
     {
-        wl::WorkloadConfig cfg;
+        loadgen::WorkloadConfig cfg;
         cfg.requestRate = rate;
         cfg.numFiles = 10000;
         return cfg;

@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "exp/behavior_db.hh"
-#include "exp/replicate.hh"
 #include "exp/stages.hh"
 
 using namespace performa;
@@ -223,21 +222,6 @@ TEST(BehaviorDb, LookupAdapterFetchesRows)
         7);
 }
 
-TEST(Replication, AggregatesAcrossSeeds)
-{
-    auto cfg = fastConfig(press::Version::ViaPress0,
-                          fault::FaultKind::LinkDown);
-    exp::BehaviorEnsemble e =
-        exp::replicateBehavior(cfg, {1, 2, 3});
-    EXPECT_EQ(e.runs, 3);
-    EXPECT_TRUE(e.mean.detected);
-    EXPECT_FALSE(e.mean.healed);
-    EXPECT_TRUE(e.unanimous());
-    EXPECT_GT(e.mean.normalTput, 1000);
-    // Seeds jitter throughput by a couple percent at most.
-    EXPECT_LT(e.tnStddev, 0.05 * e.mean.normalTput);
-}
-
 TEST(ServerStats, CountersExplainTheWorkload)
 {
     exp::ExperimentConfig cfg;
@@ -249,9 +233,9 @@ TEST(ServerStats, CountersExplainTheWorkload)
 
     sim::Simulation sim(cfg.seed);
     press::Cluster cluster(sim, cfg.cluster);
-    wl::ClientFarm farm(sim, cluster.clientNet(),
-                        cluster.serverClientPorts(),
-                        cluster.clientMachinePorts(), cfg.workload);
+    loadgen::ClientFarm farm(sim, cluster.clientNet(),
+                             cluster.serverClientPorts(),
+                             cluster.clientMachinePorts(), cfg.workload);
     cluster.startAll();
     sim.runUntil(sec(2));
     cluster.prewarm(cfg.workload.numFiles);

@@ -21,7 +21,7 @@ struct Deployment
 {
     Simulation s{17};
     press::Cluster cluster;
-    wl::ClientFarm farm;
+    loadgen::ClientFarm farm;
     fault::Injector injector;
 
     Deployment(press::Version v, bool robust, bool static_pin)
@@ -48,10 +48,10 @@ struct Deployment
         return cfg;
     }
 
-    static wl::WorkloadConfig
+    static loadgen::WorkloadConfig
     makeWl()
     {
-        wl::WorkloadConfig cfg;
+        loadgen::WorkloadConfig cfg;
         cfg.requestRate = 1500;
         cfg.numFiles = 26000;
         return cfg;

@@ -2,7 +2,8 @@
  * @file
  * Tests for the loadgen subsystem: the profile registry, rate
  * modulation, Pareto file sizes, the split RNG stream contract, the
- * session farm, and latency-stamp recording.
+ * session farm (closed-loop throttling, stop and abandoned-request
+ * accounting, expiry-timer hygiene), and latency-stamp recording.
  */
 
 #include <gtest/gtest.h>
@@ -32,6 +33,9 @@ struct StampWorld
     std::map<net::PortId, int> requestsPerServer;
     bool respond = true;
     Tick serviceDelay = usec(500);
+    /** The reply leaves this long after the request arrives (0 = at
+     *  once); serviceDelay only shapes the stamps. */
+    Tick replyDelay = 0;
 
     StampWorld()
     {
@@ -42,20 +46,28 @@ struct StampWorld
                 ++requestsPerServer[p];
                 if (!respond)
                     return;
-                auto *req = f.payload.get<press::ClientRequestBody>();
-                net::Frame r;
-                r.srcPort = p;
-                r.dstPort = req->replyPort;
-                r.proto = net::Proto::Client;
-                r.kind = press::ClientResponse;
-                r.bytes = 8192;
-                auto body = s.makePayload<press::ClientResponseBody>();
-                body->req = req->req;
-                body->sentAt = req->sentAt;
-                body->acceptedAt = s.now();
-                body->serviceStartAt = s.now() + serviceDelay;
-                r.payload = std::move(body);
-                n.send(std::move(r));
+                auto req = f.payload.cast<press::ClientRequestBody>();
+                Tick arrived = s.now();
+                auto reply = [this, p, req, arrived] {
+                    net::Frame r;
+                    r.srcPort = p;
+                    r.dstPort = req->replyPort;
+                    r.proto = net::Proto::Client;
+                    r.kind = press::ClientResponse;
+                    r.bytes = 8192;
+                    auto body =
+                        s.makePayload<press::ClientResponseBody>();
+                    body->req = req->req;
+                    body->sentAt = req->sentAt;
+                    body->acceptedAt = arrived;
+                    body->serviceStartAt = arrived + serviceDelay;
+                    r.payload = std::move(body);
+                    n.send(std::move(r));
+                };
+                if (replyDelay == 0)
+                    reply();
+                else
+                    s.scheduleIn(replyDelay, reply);
             });
         }
         for (int i = 0; i < 2; ++i)
@@ -63,13 +75,23 @@ struct StampWorld
     }
 };
 
-wl::WorkloadConfig
+loadgen::WorkloadConfig
 smallConfig()
 {
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 500;
     cfg.numFiles = 1000;
     return cfg;
+}
+
+/** The "sessions" profile with a fixed population and think time. */
+loadgen::LoadProfileSpec
+sessionProfile(std::size_t sessions, Tick think)
+{
+    loadgen::LoadProfileSpec p = *loadgen::profileByName("sessions");
+    p.sessionCount = sessions;
+    p.meanThink = think;
+    return p;
 }
 
 } // namespace
@@ -82,45 +104,45 @@ TEST(LoadProfile, RegistryKnowsTheBuiltins)
 {
     for (const char *name :
          {"steady", "sessions", "pareto", "diurnal", "flashcrowd"}) {
-        auto p = wl::profileByName(name);
+        auto p = loadgen::profileByName(name);
         ASSERT_TRUE(p.has_value()) << name;
         EXPECT_EQ(p->name, name);
     }
-    EXPECT_FALSE(wl::profileByName("nosuch").has_value());
-    EXPECT_TRUE(wl::profileByName("steady")->isDefault());
-    EXPECT_FALSE(wl::profileByName("flashcrowd")->isDefault());
-    EXPECT_TRUE(wl::profileByName("sessions")->sessions);
-    EXPECT_TRUE(wl::profileByName("pareto")->pareto.enabled);
+    EXPECT_FALSE(loadgen::profileByName("nosuch").has_value());
+    EXPECT_TRUE(loadgen::profileByName("steady")->isDefault());
+    EXPECT_FALSE(loadgen::profileByName("flashcrowd")->isDefault());
+    EXPECT_TRUE(loadgen::profileByName("sessions")->sessions);
+    EXPECT_TRUE(loadgen::profileByName("pareto")->pareto.enabled);
 }
 
 TEST(LoadProfile, FlashCrowdRampHoldAndDecay)
 {
-    wl::LoadProfileSpec p;
+    loadgen::LoadProfileSpec p;
     p.rateScale = 1.0;
     p.flash.at = sec(100);
     p.flash.ramp = sec(10);
     p.flash.hold = sec(30);
     p.flash.peak = 3.0;
 
-    EXPECT_DOUBLE_EQ(wl::rateMultiplierAt(p, sec(50)), 1.0);
+    EXPECT_DOUBLE_EQ(loadgen::rateMultiplierAt(p, sec(50)), 1.0);
     // Halfway up the ramp: 1 + (3-1)/2.
-    EXPECT_NEAR(wl::rateMultiplierAt(p, sec(105)), 2.0, 1e-9);
-    EXPECT_DOUBLE_EQ(wl::rateMultiplierAt(p, sec(120)), 3.0);
+    EXPECT_NEAR(loadgen::rateMultiplierAt(p, sec(105)), 2.0, 1e-9);
+    EXPECT_DOUBLE_EQ(loadgen::rateMultiplierAt(p, sec(120)), 3.0);
     // Halfway down the back ramp.
-    EXPECT_NEAR(wl::rateMultiplierAt(p, sec(145)), 2.0, 1e-9);
-    EXPECT_DOUBLE_EQ(wl::rateMultiplierAt(p, sec(200)), 1.0);
+    EXPECT_NEAR(loadgen::rateMultiplierAt(p, sec(145)), 2.0, 1e-9);
+    EXPECT_DOUBLE_EQ(loadgen::rateMultiplierAt(p, sec(200)), 1.0);
 }
 
 TEST(LoadProfile, DiurnalOscillatesAroundBase)
 {
-    wl::LoadProfileSpec p;
+    loadgen::LoadProfileSpec p;
     p.diurnal.period = sec(100);
     p.diurnal.amplitude = 0.5;
 
     double lo = 10, hi = 0, sum = 0;
     int nsamples = 100;
     for (int i = 0; i < nsamples; ++i) {
-        double m = wl::rateMultiplierAt(p, sec(i));
+        double m = loadgen::rateMultiplierAt(p, sec(i));
         lo = std::min(lo, m);
         hi = std::max(hi, m);
         sum += m;
@@ -132,18 +154,18 @@ TEST(LoadProfile, DiurnalOscillatesAroundBase)
 
 TEST(LoadProfile, ParetoSizesDeterministicHeavyTailedClamped)
 {
-    wl::ParetoSizes spec;
+    loadgen::ParetoSizes spec;
     spec.enabled = true;
 
     // A property of the file set: independent of any RNG.
-    EXPECT_EQ(wl::paretoFileBytes(spec, 17),
-              wl::paretoFileBytes(spec, 17));
+    EXPECT_EQ(loadgen::paretoFileBytes(spec, 17),
+              loadgen::paretoFileBytes(spec, 17));
 
     double sum = 0;
     std::uint64_t maxSeen = 0;
     const int n = 20000;
     for (int f = 0; f < n; ++f) {
-        std::uint64_t b = wl::paretoFileBytes(spec, f);
+        std::uint64_t b = loadgen::paretoFileBytes(spec, f);
         EXPECT_GE(b, 1u);
         EXPECT_LE(b, spec.maxBytes);
         sum += static_cast<double>(b);
@@ -155,10 +177,10 @@ TEST(LoadProfile, ParetoSizesDeterministicHeavyTailedClamped)
     // Heavy tail: some file is far beyond the mean.
     EXPECT_GT(maxSeen, 10 * spec.meanBytes);
 
-    auto fn = wl::makeFileSizeFn(spec);
+    auto fn = loadgen::makeFileSizeFn(spec);
     ASSERT_TRUE(fn);
-    EXPECT_EQ(fn(99), wl::paretoFileBytes(spec, 99));
-    EXPECT_FALSE(wl::makeFileSizeFn(wl::ParetoSizes{}));
+    EXPECT_EQ(fn(99), loadgen::paretoFileBytes(spec, 99));
+    EXPECT_FALSE(loadgen::makeFileSizeFn(loadgen::ParetoSizes{}));
 }
 
 // ---------------------------------------------------------------------
@@ -170,7 +192,7 @@ TEST(SplitRng, SplitStreamDoesNotPerturbTheSharedStream)
     Simulation a(99), b(99);
 
     // b creates and drains a split stream; a never does.
-    Rng split = b.splitRng(wl::kLoadgenRngSalt);
+    Rng split = b.splitRng(loadgen::kLoadgenRngSalt);
     for (int i = 0; i < 1000; ++i)
         (void)split.uniform();
 
@@ -205,7 +227,7 @@ TEST(RecordResponseLatency, SplitsStagesFromStamps)
     body.serviceStartAt = msec(110);
     Tick now = msec(125);
 
-    wl::recordResponseLatency(tl, now, body);
+    loadgen::recordResponseLatency(tl, now, body);
     EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(), 1u);
     EXPECT_DOUBLE_EQ(tl.cumulative(LatencyStage::Total).quantile(1.0),
                      static_cast<double>(msec(25)));
@@ -223,7 +245,7 @@ TEST(RecordResponseLatency, UnstampedResponsesRecordNothing)
 {
     StageLatencyTimeline tl;
     press::ClientResponseBody body; // sentAt == 0
-    wl::recordResponseLatency(tl, msec(50), body);
+    loadgen::recordResponseLatency(tl, msec(50), body);
     EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(), 0u);
 }
 
@@ -233,8 +255,8 @@ TEST(RecordResponseLatency, ConnectSkippedOnReusedConnections)
     press::ClientResponseBody body;
     body.sentAt = msec(10);
     body.acceptedAt = msec(11);
-    wl::recordResponseLatency(tl, msec(20), body,
-                              /*record_connect=*/false);
+    loadgen::recordResponseLatency(tl, msec(20), body,
+                                   /*record_connect=*/false);
     EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(), 1u);
     EXPECT_EQ(tl.cumulative(LatencyStage::Connect).count(), 0u);
 }
@@ -246,7 +268,7 @@ TEST(RecordResponseLatency, ConnectSkippedOnReusedConnections)
 TEST(ClientFarmLatency, EveryServedRequestLandsInTheTimeline)
 {
     StampWorld w;
-    wl::ClientFarm farm(w.s, w.n, w.servers, w.clients, smallConfig());
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, smallConfig());
     farm.start();
     w.s.runUntil(sec(10));
     farm.stop();
@@ -267,9 +289,9 @@ TEST(ClientFarmLatency, EveryServedRequestLandsInTheTimeline)
 TEST(SessionFarm, ServesAndChurnsSessions)
 {
     StampWorld w;
-    auto profile = *wl::profileByName("sessions");
-    wl::SessionFarm farm(w.s, w.n, w.servers, w.clients, smallConfig(),
-                         profile);
+    auto profile = *loadgen::profileByName("sessions");
+    loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                              smallConfig(), profile);
     EXPECT_GT(farm.sessionCount(), 0u);
     farm.start();
     w.s.runUntil(sec(30));
@@ -295,9 +317,9 @@ TEST(SessionFarm, DeterministicForSameSeed)
 {
     auto run = [] {
         StampWorld w;
-        auto profile = *wl::profileByName("sessions");
-        wl::SessionFarm farm(w.s, w.n, w.servers, w.clients,
-                             smallConfig(), profile);
+        auto profile = *loadgen::profileByName("sessions");
+        loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                                  smallConfig(), profile);
         farm.start();
         w.s.runUntil(sec(20));
         farm.stop();
@@ -311,10 +333,10 @@ TEST(SessionFarm, TimeoutsAbandonTheSessionAndReconnect)
 {
     StampWorld w;
     w.respond = false;
-    auto profile = *wl::profileByName("sessions");
-    wl::WorkloadConfig cfg = smallConfig();
+    auto profile = *loadgen::profileByName("sessions");
+    loadgen::WorkloadConfig cfg = smallConfig();
     cfg.requestRate = 50;
-    wl::SessionFarm farm(w.s, w.n, w.servers, w.clients, cfg, profile);
+    loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients, cfg, profile);
     farm.start();
     w.s.runUntil(sec(30));
     farm.stop();
@@ -326,6 +348,140 @@ TEST(SessionFarm, TimeoutsAbandonTheSessionAndReconnect)
     EXPECT_GT(farm.completedSessions(), 0u);
 }
 
+TEST(SessionFarm, SelfThrottlesWhenServerIsSilent)
+{
+    // Each session has one request outstanding, and a timeout ends
+    // the session: failures are bounded by sessions x (run / connect
+    // timeout), unlike the open-loop farm which keeps firing.
+    StampWorld w;
+    w.respond = false;
+    loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                              smallConfig(), sessionProfile(30, msec(10)));
+    farm.start();
+    w.s.runUntil(sec(20));
+    EXPECT_LE(farm.totalFailed(), 30u * 11u);
+    EXPECT_GT(farm.totalFailed(), 30u * 5u);
+    EXPECT_EQ(farm.totalServed(), 0u);
+}
+
+TEST(SessionFarm, StopCeasesActivity)
+{
+    StampWorld w;
+    loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                              smallConfig(), sessionProfile(10, msec(10)));
+    farm.start();
+    w.s.runUntil(sec(2));
+    farm.stop();
+    std::uint64_t served = farm.totalServed();
+    std::uint64_t offered = farm.totalOffered();
+    ASSERT_GT(served, 0u);
+    w.s.runUntil(sec(10));
+    EXPECT_EQ(farm.totalServed(), served);
+    EXPECT_EQ(farm.totalOffered(), offered);
+}
+
+TEST(SessionFarm, ServedRequestsDoNotLeakExpiryTimers)
+{
+    // Every request arms a 2 s or 6 s expiry that its response
+    // cancels; none may linger in the event heap until its due time.
+    StampWorld w;
+    loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                              smallConfig(), sessionProfile(50, msec(10)));
+    farm.start();
+    w.s.runUntil(sec(5));
+    ASSERT_GT(farm.totalServed(), 10000u);
+    // Live events: one think or expiry timer per session plus a
+    // handful of in-flight frames — nothing proportional to requests
+    // served. The heap is bounded too: cancelled entries are
+    // compacted away.
+    EXPECT_LT(w.s.events().pending(), farm.sessionCount() * 3);
+    EXPECT_LT(w.s.events().heapSize(), farm.sessionCount() * 6);
+}
+
+TEST(SessionFarm, StopMidFlightCountsAbandonedRequests)
+{
+    // Requests in flight at stop() are neither served nor failed; they
+    // count as abandoned so the accounting still sums to the offered
+    // load.
+    StampWorld w;
+    w.replyDelay = msec(50); // long enough to guarantee in-flight
+    loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                              smallConfig(), sessionProfile(20, msec(10)));
+    farm.start();
+    w.s.runUntil(msec(500) + msec(25)); // mid service window
+    ASSERT_GT(farm.pendingCount(), 0u);
+    farm.stop();
+    EXPECT_EQ(farm.pendingCount(), 0u);
+    EXPECT_GT(farm.totalAbandoned(), 0u);
+    EXPECT_EQ(farm.totalOffered(), farm.totalServed() +
+                                       farm.totalFailed() +
+                                       farm.totalAbandoned());
+    // Abandoned expiries were cancelled and late responses dropped:
+    // running past the timeout window changes nothing.
+    std::uint64_t served = farm.totalServed();
+    std::uint64_t failed = farm.totalFailed();
+    w.s.runUntil(sec(30));
+    EXPECT_EQ(farm.totalServed(), served);
+    EXPECT_EQ(farm.totalFailed(), failed);
+}
+
+TEST(SessionFarm, AccountingSumsWhileRunning)
+{
+    StampWorld w;
+    w.replyDelay = msec(1);
+    loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                              smallConfig(), sessionProfile(30, msec(10)));
+    farm.start();
+    w.s.runUntil(sec(3));
+    EXPECT_GT(farm.totalServed(), 0u);
+    EXPECT_EQ(farm.totalOffered(),
+              farm.totalServed() + farm.totalFailed() +
+                  farm.totalAbandoned() + farm.pendingCount());
+}
+
+TEST(SessionFarm, UsersCycleThroughRequests)
+{
+    StampWorld w;
+    loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                              smallConfig(), sessionProfile(50, msec(10)));
+    farm.start();
+    w.s.runUntil(sec(10));
+    // ~50 sessions / (10ms think + ~0.5ms service) ~ 4700 req/s; allow
+    // broad slack, the point is sustained cycling.
+    EXPECT_GT(farm.totalServed(), 20000u);
+    EXPECT_EQ(farm.totalFailed(), 0u);
+}
+
+TEST(SessionFarm, ThroughputScalesWithSessions)
+{
+    double rates[2];
+    int idx = 0;
+    for (std::size_t sessions : {20, 80}) {
+        StampWorld w;
+        loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                                  smallConfig(),
+                                  sessionProfile(sessions, msec(20)));
+        farm.start();
+        w.s.runUntil(sec(10));
+        rates[idx++] = farm.served().meanRate(sec(2), sec(10));
+    }
+    EXPECT_GT(rates[1], 3.0 * rates[0]);
+}
+
+TEST(SessionFarm, LatencyReflectsServiceDelay)
+{
+    StampWorld w;
+    w.replyDelay = msec(5);
+    loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                              smallConfig(), sessionProfile(10, msec(20)));
+    farm.start();
+    w.s.runUntil(sec(10));
+    const auto &total = farm.timeline().cumulative(LatencyStage::Total);
+    ASSERT_EQ(total.count(), farm.totalServed());
+    EXPECT_GT(total.mean(), 5000.0); // >= the 5 ms service
+    EXPECT_LT(total.mean(), 8000.0);
+}
+
 // ---------------------------------------------------------------------
 // makeLoadGenerator
 // ---------------------------------------------------------------------
@@ -333,22 +489,22 @@ TEST(SessionFarm, TimeoutsAbandonTheSessionAndReconnect)
 TEST(MakeLoadGenerator, PicksTheGeneratorForTheProfile)
 {
     StampWorld w;
-    auto open = wl::makeLoadGenerator(w.s, w.n, w.servers, w.clients,
-                                      smallConfig(),
-                                      *wl::profileByName("steady"));
-    auto sess = wl::makeLoadGenerator(w.s, w.n, w.servers, w.clients,
-                                      smallConfig(),
-                                      *wl::profileByName("sessions"));
-    EXPECT_NE(dynamic_cast<wl::ClientFarm *>(open.get()), nullptr);
-    EXPECT_NE(dynamic_cast<wl::SessionFarm *>(sess.get()), nullptr);
+    auto open = loadgen::makeLoadGenerator(
+        w.s, w.n, w.servers, w.clients, smallConfig(),
+        *loadgen::profileByName("steady"));
+    auto sess = loadgen::makeLoadGenerator(
+        w.s, w.n, w.servers, w.clients, smallConfig(),
+        *loadgen::profileByName("sessions"));
+    EXPECT_NE(dynamic_cast<loadgen::ClientFarm *>(open.get()), nullptr);
+    EXPECT_NE(dynamic_cast<loadgen::SessionFarm *>(sess.get()), nullptr);
 }
 
 TEST(MakeLoadGenerator, FlashCrowdRaisesOfferedRateDuringBurst)
 {
     StampWorld w;
-    auto profile = *wl::profileByName("flashcrowd");
-    auto gen = wl::makeLoadGenerator(w.s, w.n, w.servers, w.clients,
-                                     smallConfig(), profile);
+    auto profile = *loadgen::profileByName("flashcrowd");
+    auto gen = loadgen::makeLoadGenerator(w.s, w.n, w.servers, w.clients,
+                                          smallConfig(), profile);
     gen->start();
     w.s.runUntil(sec(80));
     gen->stop();

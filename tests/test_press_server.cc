@@ -25,7 +25,7 @@ struct Deployment
 {
     Simulation s{7};
     press::Cluster cluster;
-    wl::ClientFarm farm;
+    loadgen::ClientFarm farm;
     fault::Injector injector;
 
     explicit Deployment(press::Version v, double rate = 1500)
@@ -47,10 +47,10 @@ struct Deployment
         return cfg;
     }
 
-    static wl::WorkloadConfig
+    static loadgen::WorkloadConfig
     makeWorkloadCfg(double rate)
     {
-        wl::WorkloadConfig cfg;
+        loadgen::WorkloadConfig cfg;
         cfg.requestRate = rate;
         cfg.numFiles = 20000;
         return cfg;

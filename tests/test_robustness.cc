@@ -24,7 +24,7 @@ struct Storm
 {
     Simulation s{23};
     press::Cluster cluster;
-    wl::ClientFarm farm;
+    loadgen::ClientFarm farm;
     fault::Injector injector;
 
     explicit Storm(press::Version v, bool robust = false)
@@ -48,10 +48,10 @@ struct Storm
         return cfg;
     }
 
-    static wl::WorkloadConfig
+    static loadgen::WorkloadConfig
     makeWl()
     {
-        wl::WorkloadConfig cfg;
+        loadgen::WorkloadConfig cfg;
         cfg.requestRate = 1500;
         cfg.numFiles = 24000;
         return cfg;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the client farm: Poisson arrival rate, round-robin DNS,
- * timeout accounting, and interaction with unresponsive servers.
+ * timeout accounting, interaction with unresponsive servers, and the
+ * latency timeline.
  */
 
 #include <gtest/gtest.h>
@@ -45,6 +46,8 @@ struct FarmWorld
                 r.bytes = 8192;
                 auto body = s.makePayload<press::ClientResponseBody>();
                 body->req = req->req;
+                body->sentAt = req->sentAt;
+                body->acceptedAt = s.now();
                 r.payload = std::move(body);
                 n.send(std::move(r));
             });
@@ -59,10 +62,10 @@ struct FarmWorld
 TEST(ClientFarm, OfferedRateTracksTarget)
 {
     FarmWorld w;
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 2000;
     cfg.numFiles = 1000;
-    wl::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
     farm.start();
     w.s.runUntil(sec(20));
     double rate = farm.offered().meanRate(sec(0), sec(20));
@@ -72,10 +75,10 @@ TEST(ClientFarm, OfferedRateTracksTarget)
 TEST(ClientFarm, AllServedWhenServersRespond)
 {
     FarmWorld w;
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 500;
     cfg.numFiles = 100;
-    wl::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
     farm.start();
     w.s.runUntil(sec(10));
     farm.stop();
@@ -88,10 +91,10 @@ TEST(ClientFarm, AllServedWhenServersRespond)
 TEST(ClientFarm, RoundRobinSpreadsAcrossServers)
 {
     FarmWorld w;
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 1000;
     cfg.numFiles = 100;
-    wl::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
     farm.start();
     w.s.runUntil(sec(8));
     int min = 1 << 30, max = 0;
@@ -107,11 +110,11 @@ TEST(ClientFarm, SilentServerMeansTimeoutFailures)
 {
     FarmWorld w;
     w.respond = false;
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 500;
     cfg.numFiles = 100;
     cfg.requestTimeout = sec(6);
-    wl::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
     farm.start();
     w.s.runUntil(sec(5));
     EXPECT_EQ(farm.totalFailed(), 0u); // nothing expired yet
@@ -126,11 +129,11 @@ TEST(ClientFarm, LateResponseCountsAsFailure)
 {
     FarmWorld w;
     w.respond = false;
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 100;
     cfg.numFiles = 10;
     cfg.requestTimeout = sec(2);
-    wl::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
 
     // Respond manually after the deadline.
     std::vector<net::Frame> pending;
@@ -166,11 +169,11 @@ TEST(ClientFarm, LateResponseCountsAsFailure)
 TEST(ClientFarm, PopularityFollowsZipf)
 {
     FarmWorld w;
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 4000;
     cfg.numFiles = 1000;
     cfg.zipfAlpha = 0.8;
-    wl::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
 
     std::map<sim::FileId, int> hits;
     for (auto p : w.servers) {
@@ -188,17 +191,18 @@ TEST(ClientFarm, PopularityFollowsZipf)
 TEST(ClientFarm, LatencyStatsTrackServedRequests)
 {
     FarmWorld w;
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 500;
     cfg.numFiles = 100;
-    wl::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
     farm.start();
     w.s.runUntil(sec(5));
     farm.stop();
     w.s.runUntil(sec(10));
-    EXPECT_EQ(farm.latency().count(), farm.totalServed());
+    const auto &total = farm.timeline().cumulative(LatencyStage::Total);
+    EXPECT_EQ(total.count(), farm.totalServed());
     // Round trip over the ideal network: sub-millisecond.
-    EXPECT_GT(farm.latency().mean(), 0.0);
-    EXPECT_LT(farm.latency().mean(), 1000.0);
-    EXPECT_LE(farm.latency().min(), farm.latency().mean());
+    EXPECT_GT(total.mean(), 0.0);
+    EXPECT_LT(total.mean(), 1000.0);
+    EXPECT_LE(total.mean(), static_cast<double>(total.maxRecorded()));
 }

@@ -275,12 +275,12 @@ TEST(ZeroAlloc, SessionClientFloodSteadyStateAllocatesNothing)
         });
     }
 
-    wl::WorkloadConfig cfg;
+    loadgen::WorkloadConfig cfg;
     cfg.requestRate = 2000;
     cfg.numFiles = 500;
-    auto profile = *wl::profileByName("sessions");
+    auto profile = *loadgen::profileByName("sessions");
     profile.reserveSlices = 128; // covers the whole run below
-    wl::SessionFarm farm(s, net, servers, clients, cfg, profile);
+    loadgen::SessionFarm farm(s, net, servers, clients, cfg, profile);
     farm.start();
 
     // Warm-up: session table live, payload pool and event slab at

@@ -81,7 +81,7 @@ ClientFarm::issueRequest()
     net::PortId client = clientPorts_[rrClient_];
     rrClient_ = (rrClient_ + 1) % clientPorts_.size();
 
-    pending_.insert(id);
+    ++pending_;
     ++totalOffered_;
     offered_.record(sim_.now());
 
@@ -102,8 +102,20 @@ ClientFarm::issueRequest()
 
     // A single expiry at the completion deadline covers both the
     // connect (2 s) and the request (6 s) timeout: an unanswered
-    // request is failed either way.
-    sim_.scheduleIn(cfg_.requestTimeout, [this, id] { expire(id); });
+    // request is failed either way. Its event is armed only when it
+    // reaches the head of the FIFO, but under the seq reserved here,
+    // so it fires exactly where a per-request event would have.
+    deadlines_.push_back(Deadline{sim_.now() + cfg_.requestTimeout,
+                                  sim_.events().reserveSeq(), false});
+    if (deadlines_.size() == 1)
+        armHead();
+}
+
+void
+ClientFarm::armHead()
+{
+    const Deadline &d = deadlines_.front();
+    sim_.events().schedule(d.when, d.seq, [this] { expire(); });
 }
 
 void
@@ -112,8 +124,15 @@ ClientFarm::onResponse(net::Frame &&f)
     if (f.kind != press::ClientResponse || !f.payload)
         return;
     auto *body = f.payload.get<press::ClientResponseBody>();
-    if (pending_.erase(body->req) == 0)
+    // Request nextReq_ - k is the k-th entry from the back of the FIFO.
+    sim::RequestId age = nextReq_ - body->req;
+    if (age == 0 || age > deadlines_.size())
         return; // already expired: the client hung up long ago
+    Deadline &d = deadlines_[deadlines_.size() - age];
+    if (d.answered)
+        return;
+    d.answered = true;
+    --pending_;
     recordResponseLatency(timeline_, sim_.now(), *body);
     ++totalServed_;
     served_.record(sim_.now());
@@ -129,6 +148,7 @@ ClientFarm::save() const
     s.nextReq = nextReq_;
     s.rrServer = rrServer_;
     s.rrClient = rrClient_;
+    s.deadlines = deadlines_.clone();
     s.pending = pending_;
     s.served = served_;
     s.failed = failed_;
@@ -149,6 +169,12 @@ ClientFarm::restore(const Saved &s)
     nextReq_ = s.nextReq;
     rrServer_ = s.rrServer;
     rrClient_ = s.rrClient;
+    // Refill in place: the ring keeps its warmed-up capacity, so a
+    // fork does not allocate here.
+    deadlines_.clear();
+    deadlines_.reserve(s.deadlines.size());
+    for (std::size_t i = 0; i < s.deadlines.size(); ++i)
+        deadlines_.push_back(s.deadlines[i]);
     pending_ = s.pending;
     served_ = s.served;
     failed_ = s.failed;
@@ -172,10 +198,15 @@ ClientFarm::registerWith(sim::SnapshotRegistry &reg)
 }
 
 void
-ClientFarm::expire(sim::RequestId id)
+ClientFarm::expire()
 {
-    if (pending_.erase(id) == 0)
+    bool answered = deadlines_.front().answered;
+    deadlines_.pop_front();
+    if (!deadlines_.empty())
+        armHead();
+    if (answered)
         return; // completed in time
+    --pending_;
     ++totalFailed_;
     failed_.record(sim_.now());
 }

@@ -19,7 +19,6 @@
 #define PERFORMA_LOADGEN_CLIENT_FARM_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "loadgen/generator.hh"
@@ -27,6 +26,7 @@
 #include "net/network.hh"
 #include "sim/latency_histogram.hh"
 #include "sim/random.hh"
+#include "sim/ring_buffer.hh"
 #include "sim/simulation.hh"
 #include "sim/time_series.hh"
 #include "sim/types.hh"
@@ -71,7 +71,7 @@ class ClientFarm : public LoadGenerator
     std::uint64_t totalOffered() const override { return totalOffered_; }
 
     /** In-flight (not yet answered or timed out) request count. */
-    std::size_t pendingCount() const { return pending_.size(); }
+    std::size_t pendingCount() const { return pending_; }
 
     /** Per-stage (connect/queue/service/total) latency histograms,
      *  one slice per second. */
@@ -102,7 +102,10 @@ class ClientFarm : public LoadGenerator
     void arrivalTick();
     void issueRequest();
     void onResponse(net::Frame &&f);
-    void expire(sim::RequestId id);
+    /** The head request's deadline: fail it if still unanswered. */
+    void expire();
+    /** Schedule expire() for the head of deadlines_. */
+    void armHead();
 
     /** Profile draws come from the split stream; the default profile
      *  keeps drawing from the shared, historical stream. */
@@ -124,7 +127,21 @@ class ClientFarm : public LoadGenerator
     std::size_t rrServer_ = 0;
     std::size_t rrClient_ = 0;
 
-    std::unordered_set<sim::RequestId> pending_;
+    /**
+     * One issued request awaiting its deadline. Every request has the
+     * same timeout, so deadlines come due in issue order: a FIFO with
+     * one armed event for its head replaces a heap entry per request.
+     */
+    struct Deadline
+    {
+        sim::Tick when;
+        std::uint64_t seq; ///< reserved event seq the expiry fires under
+        bool answered;
+    };
+    /** Issued requests not yet past their deadline, oldest first;
+     *  the newest is request nextReq_ - 1. */
+    sim::RingBuffer<Deadline> deadlines_;
+    std::size_t pending_ = 0; ///< unanswered entries of deadlines_
 
     sim::TimeSeries served_;
     sim::TimeSeries failed_;
@@ -143,7 +160,8 @@ struct ClientFarm::Saved
     sim::RequestId nextReq;
     std::size_t rrServer;
     std::size_t rrClient;
-    std::unordered_set<sim::RequestId> pending;
+    sim::RingBuffer<Deadline> deadlines;
+    std::size_t pending;
     sim::TimeSeries served;
     sim::TimeSeries failed;
     sim::TimeSeries offered;

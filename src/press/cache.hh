@@ -10,10 +10,10 @@
 #ifndef PERFORMA_PRESS_CACHE_HH
 #define PERFORMA_PRESS_CACHE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/types.hh"
 
@@ -21,6 +21,13 @@ namespace performa::press {
 
 /**
  * LRU cache of uniformly sized files.
+ *
+ * File ids are dense in [0, numFiles), so the LRU list is intrusive:
+ * prev/next links and an in-cache flag live in arrays indexed by file
+ * id. A lookup, touch, insert or eviction is a few array accesses —
+ * no hashing and no per-entry allocation. The arrays double on the
+ * first sight of a larger id, which happens only while the cache
+ * first fills.
  */
 class FileCache
 {
@@ -45,16 +52,20 @@ class FileCache
         unpin_ = std::move(unpin);
     }
 
-    bool contains(sim::FileId f) const { return index_.count(f) != 0; }
+    bool
+    contains(sim::FileId f) const
+    {
+        return f < inCache_.size() && inCache_[f];
+    }
 
     /** LRU bump on a cache hit. */
     void
     touch(sim::FileId f)
     {
-        auto it = index_.find(f);
-        if (it == index_.end())
+        if (!contains(f) || f == head_)
             return;
-        lru_.splice(lru_.begin(), lru_, it->second);
+        unlink(f);
+        linkFront(f);
     }
 
     /**
@@ -74,20 +85,20 @@ class FileCache
             touch(f);
             return true;
         }
-        while (index_.size() >= capacityFiles_)
+        while (size_ >= capacityFiles_)
             evictLru(on_evict);
         if (pin_) {
             // Zero-copy requires the file's pages pinned; shed LRU
             // files until the pin succeeds ("it drops files from its
             // cache to free up memory").
             while (!pin_(fileBytes_)) {
-                if (index_.empty())
+                if (size_ == 0)
                     return false;
                 evictLru(on_evict);
             }
         }
-        lru_.push_front(f);
-        index_[f] = lru_.begin();
+        growFor(f);
+        linkFront(f);
         return true;
     }
 
@@ -95,11 +106,10 @@ class FileCache
     void
     evictLru(const EvictCb &on_evict)
     {
-        if (lru_.empty())
+        if (size_ == 0)
             return;
-        sim::FileId victim = lru_.back();
-        lru_.pop_back();
-        index_.erase(victim);
+        sim::FileId victim = tail_;
+        unlink(victim);
         if (unpin_)
             unpin_(fileBytes_);
         if (on_evict)
@@ -111,19 +121,26 @@ class FileCache
     clear()
     {
         if (unpin_) {
-            for (std::size_t i = 0; i < lru_.size(); ++i)
+            for (std::size_t i = 0; i < size_; ++i)
                 unpin_(fileBytes_);
         }
-        lru_.clear();
-        index_.clear();
+        dropAll();
     }
 
-    std::size_t size() const { return index_.size(); }
+    std::size_t size() const { return size_; }
     std::size_t capacityFiles() const { return capacityFiles_; }
     std::uint64_t fileBytes() const { return fileBytes_; }
 
-    /** Iterate cached files in MRU-to-LRU order. */
-    const std::list<sim::FileId> &files() const { return lru_; }
+    /** The cached files in MRU-to-LRU order. */
+    std::vector<sim::FileId>
+    files() const
+    {
+        std::vector<sim::FileId> out;
+        out.reserve(size_);
+        for (sim::FileId f = head_; f != none; f = next_[f])
+            out.push_back(f);
+        return out;
+    }
 
     /**
      * Snapshot support: rebuild the contents from a saved MRU-to-LRU
@@ -132,20 +149,77 @@ class FileCache
      * state, so re-running the hooks would double-count it.
      */
     void
-    restoreFiles(const std::list<sim::FileId> &mru_to_lru)
+    restoreFiles(const std::vector<sim::FileId> &mru_to_lru)
     {
-        lru_ = mru_to_lru;
-        index_.clear();
-        for (auto it = lru_.begin(); it != lru_.end(); ++it)
-            index_[*it] = it;
+        dropAll();
+        for (auto it = mru_to_lru.rbegin(); it != mru_to_lru.rend(); ++it) {
+            growFor(*it);
+            linkFront(*it);
+        }
     }
 
   private:
+    static constexpr sim::FileId none = ~sim::FileId(0);
+
+    /** Size the link arrays to cover file id @p f. */
+    void
+    growFor(sim::FileId f)
+    {
+        if (f < inCache_.size())
+            return;
+        std::size_t n = std::max<std::size_t>(inCache_.size() * 2, 64);
+        while (n <= f)
+            n *= 2;
+        prev_.resize(n, none);
+        next_.resize(n, none);
+        inCache_.resize(n, 0);
+    }
+
+    /** Make @p f (not cached, within the arrays) the MRU file. */
+    void
+    linkFront(sim::FileId f)
+    {
+        prev_[f] = none;
+        next_[f] = head_;
+        if (head_ != none)
+            prev_[head_] = f;
+        else
+            tail_ = f;
+        head_ = f;
+        inCache_[f] = 1;
+        ++size_;
+    }
+
+    /** Take the cached file @p f out of the list. */
+    void
+    unlink(sim::FileId f)
+    {
+        sim::FileId p = prev_[f];
+        sim::FileId n = next_[f];
+        (p != none ? next_[p] : head_) = n;
+        (n != none ? prev_[n] : tail_) = p;
+        inCache_[f] = 0;
+        --size_;
+    }
+
+    /** Empty the list without firing hooks; the arrays keep their size. */
+    void
+    dropAll()
+    {
+        for (sim::FileId f = head_; f != none; f = next_[f])
+            inCache_[f] = 0;
+        head_ = tail_ = none;
+        size_ = 0;
+    }
+
     std::size_t capacityFiles_;
     std::uint64_t fileBytes_;
-    std::list<sim::FileId> lru_;
-    std::unordered_map<sim::FileId, std::list<sim::FileId>::iterator>
-        index_;
+    std::vector<sim::FileId> prev_;     ///< towards MRU, by file id
+    std::vector<sim::FileId> next_;     ///< towards LRU, by file id
+    std::vector<std::uint8_t> inCache_; ///< 1 while cached, by file id
+    sim::FileId head_ = none;           ///< MRU file
+    sim::FileId tail_ = none;           ///< LRU file
+    std::size_t size_ = 0;
     PinHook pin_;
     UnpinHook unpin_;
 };

@@ -12,7 +12,7 @@ Server::Server(osim::Node &node, const PressConfig &cfg,
                std::unique_ptr<proto::FaultInterposer> comm,
                std::vector<sim::NodeId> all_nodes)
     : node_(node), cfg_(cfg), comm_(std::move(comm)),
-      allNodes_(std::move(all_nodes))
+      allNodes_(std::move(all_nodes)), directory_(allNodes_.size())
 {
     disk_ = std::make_unique<DiskArray>(node_.simulation(),
                                         cfg_.disksPerNode, cfg_.diskSeek,
@@ -262,21 +262,20 @@ Server::dispatch(const ClientRequestBody &req)
 
     // Locality-conscious distribution: forward to a node caching the
     // file, least-loaded first.
-    std::vector<sim::NodeId> candidates;
-    for (sim::NodeId n : directory_.nodesFor(req.file)) {
-        if (n != node_.id() && members_.count(n))
-            candidates.push_back(n);
-    }
-    if (!candidates.empty()) {
+    sim::NodeId holder = leastLoaded(
+        directory_.nodesFor(req.file), [this](sim::NodeId n) {
+            return n != node_.id() && members_.count(n) != 0;
+        });
+    if (holder != sim::invalidNode) {
         ++stats_.forwarded;
-        forwardRequest(req, leastLoaded(candidates));
+        forwardRequest(req, holder);
         return;
     }
 
     // Nobody caches it: the least-loaded member fetches it from disk
     // and becomes its caching node.
-    std::vector<sim::NodeId> all(members_.begin(), members_.end());
-    sim::NodeId svc = leastLoaded(all);
+    sim::NodeId svc =
+        leastLoaded(members_, [](sim::NodeId) { return true; });
     if (svc == node_.id()) {
         ++stats_.localMisses;
         serveFromDisk(req);
@@ -913,11 +912,10 @@ Server::sendCacheInfoTo(sim::NodeId peer)
     std::size_t per_chunk =
         std::max<std::size_t>(1, cfg_.cacheInfoChunkBytes /
                                      cfg_.cacheInfoEntryBytes);
-    // Snapshot the cache contents: a send below can fail fatally (an
-    // armed bad-parameter fault), which terminates the process and
-    // clears the cache out from under a live iterator.
-    std::vector<sim::FileId> files(cache_->files().begin(),
-                                   cache_->files().end());
+    // Walk a copy of the cache contents: a send below can fail fatally
+    // (an armed bad-parameter fault), which terminates the process and
+    // clears the cache mid-loop.
+    std::vector<sim::FileId> files = cache_->files();
     CacheInfoBody chunk;
     chunk.node = node_.id();
     for (sim::FileId f : files) {
@@ -978,12 +976,15 @@ Server::prewarmFile(sim::FileId f, sim::NodeId owner)
     directory_.add(f, owner);
 }
 
+template <typename Nodes, typename Keep>
 sim::NodeId
-Server::leastLoaded(const std::vector<sim::NodeId> &candidates) const
+Server::leastLoaded(const Nodes &nodes, Keep keep) const
 {
     sim::NodeId best = sim::invalidNode;
     std::uint32_t best_load = 0;
-    for (sim::NodeId n : candidates) {
+    for (sim::NodeId n : nodes) {
+        if (!keep(n))
+            continue;
         std::uint32_t l = loadOf(n);
         if (best == sim::invalidNode || l < best_load ||
             (l == best_load && n < best)) {

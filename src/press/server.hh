@@ -38,12 +38,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "os/node.hh"
@@ -197,8 +195,10 @@ class Server : public osim::Service
     // -- cache helpers ------------------------------------------------------
     /** Insert into the local cache, broadcasting insert + evictions. */
     void cacheInsert(sim::FileId f);
-    sim::NodeId leastLoaded(const std::vector<sim::NodeId> &candidates)
-        const;
+    /** The node of @p nodes passing @p keep with the minimum (load,
+     *  node id) pair, or invalidNode when none passes. */
+    template <typename Nodes, typename Keep>
+    sim::NodeId leastLoaded(const Nodes &nodes, Keep keep) const;
     std::uint32_t loadOf(sim::NodeId n) const;
 
     // -- main loop ---------------------------------------------------------
@@ -300,7 +300,7 @@ struct Server::Saved
     std::map<sim::NodeId, std::uint32_t> loads;
     Directory directory;
     bool hasCache;                      ///< cache_ existed (post-start)
-    std::list<sim::FileId> cacheFiles;  ///< MRU-to-LRU contents
+    std::vector<sim::FileId> cacheFiles; ///< MRU-to-LRU contents
     DiskArray::Saved disk;
 
     // request state

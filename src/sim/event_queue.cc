@@ -16,8 +16,16 @@ EventHandle::pending() const
 EventHandle
 EventQueue::schedule(Tick when, Handler fn)
 {
+    return schedule(when, nextSeq_++, std::move(fn));
+}
+
+EventHandle
+EventQueue::schedule(Tick when, std::uint64_t seq, Handler fn)
+{
     if (when < now_)
         PANIC("scheduling event in the past: ", when, " < ", now_);
+    if (seq >= nextSeq_)
+        PANIC("scheduling under an unreserved sequence number: ", seq);
     std::uint32_t slot;
     if (!freeSlots_.empty()) {
         slot = freeSlots_.back();
@@ -28,7 +36,7 @@ EventQueue::schedule(Tick when, Handler fn)
     }
     Record &r = records_[slot];
     r.fn = std::move(fn);
-    heap_.push_back(HeapEntry{when, nextSeq_++, slot, r.gen});
+    heap_.push_back(HeapEntry{when, seq, slot, r.gen});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
     ++live_;
     return EventHandle(this, slot, r.gen);

@@ -70,7 +70,8 @@ class EventHandle
  * A deterministic priority queue of timed callbacks.
  *
  * Two events scheduled for the same tick fire in the order they were
- * scheduled (FIFO tie-break on a sequence number).
+ * scheduled (FIFO tie-break on a sequence number); an event scheduled
+ * under a reserved number takes its place at reservation time.
  */
 class EventQueue
 {
@@ -92,6 +93,20 @@ class EventQueue
 
     /** Schedule @p fn to run @p delay ticks from now. */
     EventHandle scheduleIn(Tick delay, Handler fn);
+
+    /**
+     * Take the sequence number a schedule() call made now would use,
+     * without scheduling anything. An event later scheduled under it
+     * with schedule(when, seq, fn) fires in the same-tick position it
+     * would have had if it had been scheduled at reservation time.
+     */
+    std::uint64_t reserveSeq() { return nextSeq_++; }
+
+    /**
+     * Schedule @p fn at @p when under a sequence number from
+     * reserveSeq(). Passing a number that was never reserved panics.
+     */
+    EventHandle schedule(Tick when, std::uint64_t seq, Handler fn);
 
     /**
      * Cancel a previously scheduled event and clear @p h. Cancelling

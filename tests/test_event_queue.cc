@@ -331,12 +331,50 @@ TEST(EventQueue, LargeCaptureHandlersStillWork)
     EXPECT_EQ(seen, 42u);
 }
 
+TEST(EventQueue, ReservedSeqFiresWhereItWasReserved)
+{
+    // Two runs of the same script: in one the middle event is
+    // scheduled at once, in the other only its seq is reserved at that
+    // point and the event is scheduled later, from inside another
+    // handler. Same-tick order must be the same.
+    auto run = [](bool deferred) {
+        EventQueue q;
+        std::vector<int> order;
+        q.schedule(100, [&] { order.push_back(1); });
+        if (deferred) {
+            std::uint64_t seq = q.reserveSeq();
+            q.schedule(40, [&q, &order, seq] {
+                q.schedule(100, seq, [&] { order.push_back(2); });
+            });
+        } else {
+            q.schedule(100, [&] { order.push_back(2); });
+            q.schedule(40, [] {});
+        }
+        q.schedule(100, [&] { order.push_back(3); });
+        q.schedule(60, [&q, &order] {
+            q.schedule(100, [&] { order.push_back(4); });
+        });
+        q.runAll();
+        EXPECT_EQ(q.executed(), 6u);
+        return order;
+    };
+    EXPECT_EQ(run(false), (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(run(true), (std::vector<int>{1, 2, 3, 4}));
+}
+
 TEST(EventQueueDeath, SchedulingInThePastPanics)
 {
     EventQueue q;
     q.schedule(100, [] {});
     q.runAll();
     EXPECT_DEATH(q.schedule(50, [] {}), "past");
+}
+
+TEST(EventQueueDeath, SchedulingUnderAnUnreservedSeqPanics)
+{
+    EventQueue q;
+    std::uint64_t seq = q.reserveSeq();
+    EXPECT_DEATH(q.schedule(10, seq + 1, [] {}), "unreserved");
 }
 
 /** Property sweep: N events at random times always run sorted. */

@@ -2,12 +2,16 @@
  * @file
  * Tests for the loadgen subsystem: the profile registry, rate
  * modulation, Pareto file sizes, the split RNG stream contract, the
- * session farm (closed-loop throttling, stop and abandoned-request
- * accounting, expiry-timer hygiene), and latency-stamp recording.
+ * client farm's deadline FIFO (constant heap under a flood, request
+ * accounting, same-tick expiry order, fork), the session farm
+ * (closed-loop throttling, stop and abandoned-request accounting,
+ * expiry-timer hygiene), and latency-stamp recording.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
 
 #include "loadgen/client_farm.hh"
@@ -16,6 +20,7 @@
 #include "loadgen/session_farm.hh"
 #include "press/messages.hh"
 #include "sim/simulation.hh"
+#include "sim/snapshot.hh"
 
 using namespace performa;
 using namespace performa::sim;
@@ -280,6 +285,127 @@ TEST(ClientFarmLatency, EveryServedRequestLandsInTheTimeline)
               farm.totalServed());
     EXPECT_EQ(tl.cumulative(LatencyStage::Connect).count(),
               farm.totalServed());
+}
+
+// ---------------------------------------------------------------------
+// ClientFarm request expiry
+// ---------------------------------------------------------------------
+
+TEST(ClientFarm, UnansweredFloodKeepsTheHeapConstant)
+{
+    // 5000 req/s against silent servers for 10 s: 30 000 requests are
+    // awaiting their 6 s deadline at once. Their expiries wait in the
+    // farm's deadline FIFO; the event heap holds only the armed head,
+    // the next arrival and a few frames in flight.
+    StampWorld w;
+    w.respond = false;
+    loadgen::WorkloadConfig cfg = smallConfig();
+    cfg.requestRate = 5000;
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
+    farm.start();
+    std::size_t peak_heap = 0;
+    for (Tick t = msec(100); t <= sec(10); t += msec(100)) {
+        w.s.runUntil(t);
+        peak_heap = std::max(peak_heap, w.s.events().heapSize());
+        ASSERT_EQ(farm.totalOffered(), farm.totalServed() +
+                                           farm.totalFailed() +
+                                           farm.pendingCount())
+            << "at " << t;
+    }
+    EXPECT_GT(farm.pendingCount(), 25000u);
+    EXPECT_GT(farm.totalFailed(), 15000u);
+    EXPECT_EQ(farm.totalServed(), 0u);
+    EXPECT_LT(peak_heap, 32u);
+}
+
+TEST(ClientFarm, AccountingSumsThroughoutWhenAnswersComeAndGo)
+{
+    // Servers answer, fall silent, then answer slowly (past the
+    // deadline for some requests): every request is served, failed or
+    // pending at every step, and a late answer never counts.
+    StampWorld w;
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, smallConfig());
+    farm.start();
+    for (Tick t = msec(100); t <= sec(30); t += msec(100)) {
+        w.respond = t < sec(5) || t >= sec(12);
+        w.replyDelay = t >= sec(20) ? msec(5900) + (t % sec(1)) / 5 : 0;
+        w.s.runUntil(t);
+        ASSERT_EQ(farm.totalOffered(), farm.totalServed() +
+                                           farm.totalFailed() +
+                                           farm.pendingCount())
+            << "at " << t;
+    }
+    farm.stop();
+    w.s.runUntil(sec(40));
+    EXPECT_EQ(farm.pendingCount(), 0u);
+    EXPECT_EQ(farm.totalOffered(),
+              farm.totalServed() + farm.totalFailed());
+    EXPECT_GT(farm.totalServed(), 5000u);
+    EXPECT_GT(farm.totalFailed(), 3000u);
+}
+
+TEST(ClientFarm, ExpiryKeepsTheSameTickPlaceOfItsRequest)
+{
+    // An event scheduled right after a request is issued, for the
+    // tick of that request's deadline, must run after its expiry, as
+    // it would if the expiry had been scheduled when the request was
+    // issued. The second request's expiry is armed only when the
+    // first one's fires, so it must fire under the seq it reserved.
+    StampWorld w;
+    w.respond = false;
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, smallConfig());
+    farm.start();
+    Tick t = 0;
+    while (farm.totalOffered() < 2)
+        w.s.runUntil(++t);
+    std::uint64_t issued = farm.totalOffered();
+    std::uint64_t failed_seen = 0;
+    w.s.schedule(t + farm.config().requestTimeout,
+                 [&] { failed_seen = farm.totalFailed(); });
+    w.s.runUntil(t + farm.config().requestTimeout);
+    EXPECT_EQ(failed_seen, issued);
+}
+
+TEST(ClientFarm, ForkRestoresTheDeadlineFifo)
+{
+    // Capture mid-run with thousands of requests awaiting deadlines,
+    // run on, then fork back: the second run must replay the first
+    // exactly, expiry for expiry.
+    StampWorld w;
+    w.replyDelay = msec(4000); // thousands of requests in flight
+    loadgen::WorkloadConfig cfg = smallConfig();
+    cfg.requestRate = 2000;
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, cfg);
+    sim::SnapshotRegistry reg;
+    reg.attach(w.s);
+    reg.attach(w.n);
+    farm.registerWith(reg);
+    farm.start();
+    w.s.runUntil(sec(8));
+    std::size_t pending_at_capture = farm.pendingCount();
+    ASSERT_GT(pending_at_capture, 5000u);
+    sim::Snapshot snap = reg.capture();
+
+    auto runOn = [&](bool respond) {
+        w.respond = respond;
+        w.s.runUntil(sec(20));
+        return std::array<std::uint64_t, 5>{
+            farm.totalOffered(), farm.totalServed(), farm.totalFailed(),
+            farm.pendingCount(), w.s.events().executed()};
+    };
+    auto first = runOn(true);
+
+    // A divergent run in between must leave no trace.
+    reg.forkFrom(snap);
+    auto silent = runOn(false);
+    EXPECT_NE(silent, first);
+
+    reg.forkFrom(snap);
+    EXPECT_EQ(farm.pendingCount(), pending_at_capture);
+    EXPECT_EQ(w.s.now(), sec(8));
+    auto second = runOn(true);
+    EXPECT_EQ(first, second);
+    EXPECT_EQ(second[0], second[1] + second[2] + second[3]);
 }
 
 // ---------------------------------------------------------------------

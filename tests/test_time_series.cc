@@ -5,9 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "sim/stats.hh"
 #include "sim/time_series.hh"
 
 using namespace performa::sim;
@@ -65,46 +62,6 @@ TEST(TimeSeries, CountBeyondRangeIsZero)
     ts.record(sec(1));
     EXPECT_EQ(ts.count(1000), 0u);
     EXPECT_DOUBLE_EQ(ts.rate(1000), 0.0);
-}
-
-TEST(OnlineStats, Basics)
-{
-    OnlineStats s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    s.add(2.0);
-    s.add(4.0);
-    s.add(6.0);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 6.0);
-    EXPECT_NEAR(s.stddev(), 2.0, 1e-12);
-}
-
-TEST(OnlineStats, Reset)
-{
-    OnlineStats s;
-    s.add(5);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
-TEST(OnlineStats, EmptyMinMaxIsNaN)
-{
-    // Regression: an empty accumulator used to report min()/max() of
-    // 0.0, indistinguishable from a real zero-latency sample. NaN
-    // makes empty windows explicit.
-    OnlineStats s;
-    EXPECT_TRUE(std::isnan(s.min()));
-    EXPECT_TRUE(std::isnan(s.max()));
-    s.add(3.0);
-    EXPECT_DOUBLE_EQ(s.min(), 3.0);
-    EXPECT_DOUBLE_EQ(s.max(), 3.0);
-    s.reset();
-    EXPECT_TRUE(std::isnan(s.min()));
-    EXPECT_TRUE(std::isnan(s.max()));
 }
 
 TEST(TickHelpers, UnitConversions)

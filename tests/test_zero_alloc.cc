@@ -5,7 +5,9 @@
  * a raw Network frame blast) must execute its steady-state window
  * without a single heap allocation — payloads come from the pool,
  * in-flight frames from the parked slab, queue slots from the rings,
- * and event records from the event-engine slab.
+ * and event records from the event-engine slab. A fork of a warmed
+ * PRESS experiment is held under 2 000 allocations, independent
+ * of cache size and request backlog.
  *
  * This file must stay its own test binary: the hook is global.
  */
@@ -18,6 +20,8 @@
 #include <new>
 #include <unordered_map>
 
+#include "campaign/phase1.hh"
+#include "exp/experiment.hh"
 #include "loadgen/session_farm.hh"
 #include "net/network.hh"
 #include "os/node.hh"
@@ -319,4 +323,36 @@ TEST(ZeroAlloc, SessionClientFloodSteadyStateAllocatesNothing)
     EXPECT_EQ(g_news, 0u) << "heap allocations in the steady state";
     EXPECT_EQ(s.pool().freshAllocs(), fresh_before)
         << "payload pool carved fresh blocks in the steady state";
+}
+
+TEST(ZeroAlloc, ForkOfAWarmedPressExperimentAllocatesLittle)
+{
+    // The campaign's own warm-up for TCP-PRESS: 4 nodes, the paper's
+    // load, 60 s of warm traffic. A fork restores its caches,
+    // directories and in-flight requests as a few flat array copies
+    // per component; the rest are small containers copied wholesale
+    // (member sets, main-loop queues, timelines), a few hundred
+    // allocations in all. Rebuilding per cached file, directory entry
+    // or pending request would allocate hundreds of thousands of
+    // times.
+    exp::ExperimentConfig cfg = campaign::phase1WarmConfig(
+        press::Version::TcpPress, {fault::FaultKind::AppCrash});
+    ASSERT_EQ(cfg.cluster.press.numNodes, 4u);
+    exp::Experiment e(cfg);
+    e.warmUp();
+    sim::Snapshot snap = e.snapshot();
+
+    g_news = 0;
+    g_counting = true;
+    e.forkFrom(snap);
+    g_counting = false;
+    EXPECT_LT(g_news, 2000u) << "allocations in the first fork";
+
+    // The campaign's pattern: a measured run, then the next fork.
+    e.sim().runUntil(e.sim().now() + sim::sec(5));
+    g_news = 0;
+    g_counting = true;
+    e.forkFrom(snap);
+    g_counting = false;
+    EXPECT_LT(g_news, 2000u) << "allocations in a fork after a run";
 }

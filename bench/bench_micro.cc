@@ -96,7 +96,7 @@ BM_ZipfSample(benchmark::State &state)
         benchmark::DoNotOptimize(zipf.sample(rng));
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ZipfSample)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_ZipfSample)->Arg(1024)->Arg(65536)->Arg(68000);
 
 static void
 BM_LruCacheChurn(benchmark::State &state)

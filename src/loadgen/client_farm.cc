@@ -202,6 +202,10 @@ ClientFarm::expire()
 {
     bool answered = deadlines_.front().answered;
     deadlines_.pop_front();
+    // An answered request's deadline would fire as a no-op: drop it
+    // now and arm the first unanswered one, under the seq it reserved.
+    while (!deadlines_.empty() && deadlines_.front().answered)
+        deadlines_.pop_front();
     if (!deadlines_.empty())
         armHead();
     if (answered)

@@ -102,7 +102,8 @@ class ClientFarm : public LoadGenerator
     void arrivalTick();
     void issueRequest();
     void onResponse(net::Frame &&f);
-    /** The head request's deadline: fail it if still unanswered. */
+    /** The head request's deadline: fail it if still unanswered, then
+     *  skip the answered entries behind it and arm the next head. */
     void expire();
     /** Schedule expire() for the head of deadlines_. */
     void armHead();
@@ -131,6 +132,9 @@ class ClientFarm : public LoadGenerator
      * One issued request awaiting its deadline. Every request has the
      * same timeout, so deadlines come due in issue order: a FIFO with
      * one armed event for its head replaces a heap entry per request.
+     * An event is armed exactly when the FIFO is non-empty, and for
+     * its head; answered entries leave only from the front, when an
+     * expiry passes over them, so onResponse's age index stays valid.
      */
     struct Deadline
     {

@@ -7,7 +7,7 @@ namespace performa::osim {
 void
 Cpu::exec(sim::Tick cost, sim::SmallFn done)
 {
-    queue_.push_back(Item{cost, std::move(done)});
+    queue_.emplace_back(cost, std::move(done));
     maybeStart();
 }
 
@@ -80,7 +80,7 @@ Cpu::maybeStart()
         // Move out before invoking: the completion may call exec(),
         // which starts the next item and overwrites inflight_.
         sim::SmallFn done = std::move(inflight_.done);
-        done();
+        done.consume();
         maybeStart();
     });
 }

@@ -28,7 +28,10 @@ namespace performa::osim {
 class Cpu
 {
   public:
-    explicit Cpu(sim::Simulation &s) : sim_(s) {}
+    explicit Cpu(sim::Simulation &s) : sim_(s)
+    {
+        queue_.reserve(initialQueueSlots);
+    }
 
     Cpu(const Cpu &) = delete;
     Cpu &operator=(const Cpu &) = delete;
@@ -68,6 +71,14 @@ class Cpu
     void restore(const Saved &s);
 
   private:
+    /**
+     * Run-queue slots carved up front. A lightly loaded node (VIA
+     * kernel work is a few items deep) may not reach its high-water
+     * mark within a warm-up; starting here keeps a warmed node's
+     * steady state allocation-free. Deeper queues still grow.
+     */
+    static constexpr std::size_t initialQueueSlots = 64;
+
     struct Item
     {
         sim::Tick cost;

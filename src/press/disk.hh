@@ -10,10 +10,11 @@
 #define PERFORMA_PRESS_DISK_HH
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/simulation.hh"
+#include "sim/small_fn.hh"
 #include "sim/types.hh"
 
 namespace performa::press {
@@ -32,11 +33,12 @@ class DiskArray
     {}
 
     /**
-     * Read @p bytes; @p done fires when the transfer completes.
-     * Returns the completion time.
+     * Read @p bytes; @p done fires when the transfer completes (it
+     * moves into the completion event's record). Returns the
+     * completion time.
      */
     sim::Tick
-    read(std::uint64_t bytes, std::function<void()> done)
+    read(std::uint64_t bytes, sim::SmallFn done)
     {
         // Pick the disk with the earliest availability.
         std::size_t best = 0;

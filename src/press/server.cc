@@ -58,8 +58,9 @@ Server::Server(osim::Node &node, const PressConfig &cfg,
 // Lifecycle
 // ---------------------------------------------------------------------
 
+template <typename F>
 void
-Server::scheduleEpoch(sim::Tick delay, std::function<void()> fn)
+Server::scheduleEpoch(sim::Tick delay, F fn)
 {
     std::uint64_t e = epoch_;
     node_.simulation().scheduleIn(delay, [this, e, fn = std::move(fn)] {
@@ -175,6 +176,7 @@ Server::terminate(bool silent)
     stalled_ = false;
     stopped_ = false;
     mainQ_.clear();
+    mainInflight_.reset();
     mainBusy_ = false;
     pendingSends_.clear();
     pendingFwd_.clear();
@@ -761,11 +763,11 @@ Server::hbCheckTick()
 // ---------------------------------------------------------------------
 
 void
-Server::mainExec(sim::Tick cost, std::function<void()> fn)
+Server::mainExec(sim::Tick cost, sim::SmallFn fn)
 {
     if (!alive_)
         return;
-    mainQ_.push_back(MainItem{cost, std::move(fn)});
+    mainQ_.emplace_back(cost, std::move(fn));
     pumpMain();
 }
 
@@ -775,15 +777,20 @@ Server::pumpMain()
     if (mainBusy_ || stalled_ || stopped_ || !alive_ || mainQ_.empty())
         return;
     mainBusy_ = true;
-    MainItem item = std::move(mainQ_.front());
+    MainItem &item = mainQ_.front();
+    sim::Tick cost = item.cost;
+    mainInflight_ = std::move(item.fn);
     mainQ_.pop_front();
     std::uint64_t e = epoch_;
-    node_.cpu().exec(item.cost, [this, e, fn = std::move(item.fn)] {
+    node_.cpu().exec(cost, [this, e] {
         if (e != epoch_)
             return; // process restarted; terminate() reset mainBusy_
         mainBusy_ = false;
+        // Move out before invoking: the item may queue more work,
+        // which starts the next item and overwrites mainInflight_.
+        sim::SmallFn fn = std::move(mainInflight_);
         if (alive_)
-            fn();
+            fn.consume();
         pumpMain();
     });
 }
@@ -887,22 +894,25 @@ Server::flushPending()
 void
 Server::broadcastCacheUpdate(sim::FileId file, bool added)
 {
-    // Snapshot: a fatal send below tears down the member set.
-    std::vector<sim::NodeId> targets(members_.begin(), members_.end());
-    for (sim::NodeId m : targets) {
-        if (m == node_.id() || !alive_)
-            continue;
-        CacheUpdateBody body;
-        body.senderLoad = static_cast<std::uint32_t>(outstanding_);
-        body.node = node_.id();
-        body.file = file;
-        body.added = added;
-        proto::AppMessage msg;
-        msg.type = MsgCacheUpdate;
-        msg.bytes = cfg_.cacheUpdateBytes;
-        msg.body = node_.simulation().makePayload<CacheUpdateBody>(body);
-        ++stats_.broadcastsSent;
-        sendOrQueue(m, std::move(msg));
+    // Walk members by key, not by iterator, and stop once the process
+    // is gone: a fatal send below fail-fasts it mid-loop.
+    for (auto it = members_.begin(); it != members_.end() && alive_;) {
+        sim::NodeId m = *it;
+        if (m != node_.id()) {
+            CacheUpdateBody body;
+            body.senderLoad = static_cast<std::uint32_t>(outstanding_);
+            body.node = node_.id();
+            body.file = file;
+            body.added = added;
+            proto::AppMessage msg;
+            msg.type = MsgCacheUpdate;
+            msg.bytes = cfg_.cacheUpdateBytes;
+            msg.body =
+                node_.simulation().makePayload<CacheUpdateBody>(body);
+            ++stats_.broadcastsSent;
+            sendOrQueue(m, std::move(msg));
+        }
+        it = members_.upper_bound(m);
     }
 }
 
@@ -1046,7 +1056,9 @@ Server::save() const
     s.outstanding = outstanding_;
     s.pendingSends = pendingSends_;
     s.stalled = stalled_;
-    s.mainQ = mainQ_;
+    s.mainQ = mainQ_.clone(
+        [](const MainItem &it) { return MainItem{it.cost, it.fn.clone()}; });
+    s.mainInflight = mainInflight_.clone();
     s.mainBusy = mainBusy_;
     s.joinTries = joinTries_;
     s.joinResponded = joinResponded_;
@@ -1081,7 +1093,11 @@ Server::restore(const Saved &s)
     outstanding_ = s.outstanding;
     pendingSends_ = s.pendingSends;
     stalled_ = s.stalled;
-    mainQ_ = s.mainQ;
+    // Refill in place: the ring keeps its warmed-up capacity.
+    mainQ_.clear();
+    for (std::size_t i = 0; i < s.mainQ.size(); ++i)
+        mainQ_.emplace_back(s.mainQ[i].cost, s.mainQ[i].fn.clone());
+    mainInflight_ = s.mainInflight.clone();
     mainBusy_ = s.mainBusy;
     joinTries_ = s.joinTries;
     joinResponded_ = s.joinResponded;

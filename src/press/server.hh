@@ -40,6 +40,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <set>
 #include <string>
 #include <vector>
@@ -53,6 +54,8 @@
 #include "press/messages.hh"
 #include "press/server_stats.hh"
 #include "proto/interpose.hh"
+#include "sim/ring_buffer.hh"
+#include "sim/small_fn.hh"
 #include "sim/types.hh"
 
 namespace performa::press {
@@ -209,12 +212,12 @@ class Server : public osim::Service
      * (stack deliveries, acks, credit returns) keeps running on the
      * CPU regardless, mirroring PRESS's helper-thread structure.
      */
-    void mainExec(sim::Tick cost, std::function<void()> fn);
+    void mainExec(sim::Tick cost, sim::SmallFn fn);
     void pumpMain();
 
     // -- lifecycle helpers -----------------------------------------------
     /** Schedule @p fn, skipped if the process restarted meanwhile. */
-    void scheduleEpoch(sim::Tick delay, std::function<void()> fn);
+    template <typename F> void scheduleEpoch(sim::Tick delay, F fn);
     void sweepTick();
 
     /**
@@ -256,10 +259,14 @@ class Server : public osim::Service
         sim::Tick reqSentAt = 0;
         sim::Tick reqAcceptedAt = 0;
     };
+    using PendingFwdMap = std::pmr::map<sim::RequestId, PendingFwd>;
     // Ordered: excludeNode() re-dispatches entries in iteration order
     // (scheduling main-loop work per entry) and sweepTick() walks it,
-    // so the order must be deterministic for byte-identical runs.
-    std::map<sim::RequestId, PendingFwd> pendingFwd_;
+    // so the order must be deterministic for byte-identical runs. Its
+    // nodes come from a per-server pool: a forward and its reply
+    // recycle one node instead of a malloc/free pair.
+    std::pmr::unsynchronized_pool_resource fwdPool_;
+    PendingFwdMap pendingFwd_{&fwdPool_};
     std::size_t outstanding_ = 0;
 
     // blocking-send state
@@ -270,9 +277,12 @@ class Server : public osim::Service
     struct MainItem
     {
         sim::Tick cost;
-        std::function<void()> fn;
+        sim::SmallFn fn;
     };
-    std::deque<MainItem> mainQ_;
+    sim::RingBuffer<MainItem> mainQ_;
+    /** The item running on the CPU; parked here so its completion
+     *  event captures only {this, epoch}. */
+    sim::SmallFn mainInflight_;
     bool mainBusy_ = false;
 
     // join state
@@ -304,7 +314,7 @@ struct Server::Saved
     DiskArray::Saved disk;
 
     // request state
-    std::map<sim::RequestId, PendingFwd> pendingFwd;
+    PendingFwdMap pendingFwd; ///< on the default resource
     std::size_t outstanding;
 
     // blocking-send state
@@ -312,7 +322,8 @@ struct Server::Saved
     bool stalled;
 
     // main-loop queue (fn closures are copyable by construction)
-    std::deque<MainItem> mainQ;
+    sim::RingBuffer<MainItem> mainQ;
+    sim::SmallFn mainInflight;
     bool mainBusy;
 
     // join + heartbeat state

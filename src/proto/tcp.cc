@@ -308,26 +308,62 @@ TcpComm::pump(Conn &c)
 void
 TcpComm::armRto(Conn &c)
 {
-    std::uint64_t id = c.id;
-    c.rtoTimer = node_.simulation().scheduleIn(c.rto,
-        [this, id] { onRtoFired(id); });
+    // Nearly every deadline is disarmed by an ack before it comes due.
+    // So the deadline takes its seq now (exactly where a per-arm event
+    // would), but an event goes on the queue only when none is due at
+    // or before it. An earlier event re-arms itself under the live
+    // (deadline, seq) when it fires, so the retransmit still happens
+    // at the same (when, seq) as with one event per arm.
+    auto &events = node_.simulation().events();
+    c.rtoArmed = true;
+    c.rtoAt = events.now() + c.rto;
+    c.rtoSeq = events.reserveSeq();
+    if (c.rtoTimer.pending()) {
+        if (c.rtoTimerAt <= c.rtoAt)
+            return;
+        // An ack reset a backed-off rto: the new deadline comes first.
+        events.cancel(c.rtoTimer);
+    }
+    scheduleRto(c);
 }
 
 void
-TcpComm::onRtoFired(std::uint64_t conn_id)
+TcpComm::scheduleRto(Conn &c)
+{
+    std::uint64_t id = c.id;
+    std::uint64_t seq = c.rtoSeq;
+    c.rtoTimerAt = c.rtoAt;
+    c.rtoTimer = node_.simulation().events().schedule(c.rtoAt, seq,
+        [this, id, seq] { onRtoEvent(id, seq); });
+}
+
+void
+TcpComm::onRtoEvent(std::uint64_t conn_id, std::uint64_t seq)
 {
     auto it = conns_.find(conn_id);
     if (it == conns_.end())
         return;
     Conn &c = it->second;
-    if (!c.inFlight)
+    if (!c.rtoArmed)
+        return; // acked since this event was scheduled
+    if (c.rtoSeq != seq) {
+        scheduleRto(c); // re-armed since: move to the live deadline
         return;
+    }
+    c.rtoArmed = false;
+    onRtoFired(c);
+}
 
+void
+TcpComm::onRtoFired(Conn &c)
+{
+    // Armed implies in flight: only pump() and this retransmit arm the
+    // deadline, and the ack that ends the flight disarms it.
     sim::Tick now = node_.simulation().now();
     if (c.firstFailAt == 0)
         c.firstFailAt = now;
     if (now - c.firstFailAt >= cfg_.abortTimeout) {
-        abortConn(conn_id, BreakReason::Timeout, /*send_rst=*/true);
+        abortConn(c.id, BreakReason::Timeout, /*send_rst=*/true);
         return;
     }
 
@@ -598,7 +634,7 @@ TcpComm::handleAck(const net::Frame &f)
         c.sndQueue.front().seq != f.seq)
         return;
 
-    node_.simulation().events().cancel(c.rtoTimer);
+    c.rtoArmed = false; // its event stays queued; see armRto
     if (c.skbufHeld)
         node_.kernelMem().free(c.sndQueue.front().wireBytes);
     c.skbufHeld = false;
@@ -626,7 +662,11 @@ TcpComm::cloneConn(const Conn &c)
     out.skbufHeld = c.skbufHeld;
     out.rto = c.rto;
     out.firstFailAt = c.firstFailAt;
+    out.rtoArmed = c.rtoArmed;
+    out.rtoAt = c.rtoAt;
+    out.rtoSeq = c.rtoSeq;
     out.rtoTimer = c.rtoTimer;
+    out.rtoTimerAt = c.rtoTimerAt;
     out.memRetryTimer = c.memRetryTimer;
     out.senderBlocked = c.senderBlocked;
     out.synTries = c.synTries;

@@ -156,7 +156,17 @@ class TcpComm : public ClusterComm
         bool skbufHeld = false; ///< in-flight frame holds kernel memory
         sim::Tick rto = 0;
         sim::Tick firstFailAt = 0; ///< 0 = progressing
+        /**
+         * The live retransmission deadline: fires at (rtoAt, rtoSeq)
+         * while rtoArmed. An ack only disarms it; the event already
+         * on the queue (rtoTimer, due at rtoTimerAt) is kept and
+         * re-armed or ignored when it fires (see armRto).
+         */
+        bool rtoArmed = false;
+        sim::Tick rtoAt = 0;
+        std::uint64_t rtoSeq = 0;
         sim::EventHandle rtoTimer;
+        sim::Tick rtoTimerAt = 0;
         sim::EventHandle memRetryTimer;
         bool senderBlocked = false;
 
@@ -182,8 +192,14 @@ class TcpComm : public ClusterComm
 
     /** Transmit (or re-transmit) the head of @p c's send queue. */
     void pump(Conn &c);
+    /** Set the live deadline to now + rto under a fresh reserved seq;
+     *  schedule an event only if none is due at or before it. */
     void armRto(Conn &c);
-    void onRtoFired(std::uint64_t conn_id);
+    /** Put @p c's timer event on the queue at its live deadline. */
+    void scheduleRto(Conn &c);
+    /** The timer event scheduled under @p seq came due. */
+    void onRtoEvent(std::uint64_t conn_id, std::uint64_t seq);
+    void onRtoFired(Conn &c);
     void abortConn(std::uint64_t conn_id, BreakReason reason,
                    bool send_rst);
     void sendRawRst(sim::NodeId peer, std::uint64_t conn_id);

@@ -7,52 +7,22 @@
 
 namespace performa::sim {
 
-bool
-EventHandle::pending() const
+std::uint32_t
+EventQueue::carveSlot()
 {
-    return queue_ && queue_->records_[slot_].gen == gen_;
-}
-
-EventHandle
-EventQueue::schedule(Tick when, Handler fn)
-{
-    return schedule(when, nextSeq_++, std::move(fn));
-}
-
-EventHandle
-EventQueue::schedule(Tick when, std::uint64_t seq, Handler fn)
-{
-    if (when < now_)
-        PANIC("scheduling event in the past: ", when, " < ", now_);
-    if (seq >= nextSeq_)
-        PANIC("scheduling under an unreserved sequence number: ", seq);
-    std::uint32_t slot;
-    if (!freeSlots_.empty()) {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
-    } else {
-        slot = static_cast<std::uint32_t>(records_.size());
-        records_.emplace_back();
-    }
-    Record &r = records_[slot];
-    r.fn = std::move(fn);
-    heap_.push_back(HeapEntry{when, seq, slot, r.gen});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    ++live_;
-    return EventHandle(this, slot, r.gen);
-}
-
-EventHandle
-EventQueue::scheduleIn(Tick delay, Handler fn)
-{
-    return schedule(now_ + delay, std::move(fn));
+    // Add a chunk when the carved slots are all in use. Existing
+    // records stay put, so a running handler (which may be scheduling
+    // this very event) is never relocated.
+    if ((slots_ >> chunkBits) == chunks_.size())
+        chunks_.push_back(std::make_unique<Record[]>(chunkSize));
+    return slots_++;
 }
 
 void
 EventQueue::cancel(EventHandle &h)
 {
-    if (h.queue_ == this && records_[h.slot_].gen == h.gen_) {
-        Record &r = records_[h.slot_];
+    if (h.queue_ == this && record(h.slot_).gen == h.gen_) {
+        Record &r = record(h.slot_);
         // Bumping the generation invalidates the heap entry and every
         // outstanding copy of the handle in one step; the slot is
         // immediately reusable.
@@ -86,16 +56,18 @@ EventQueue::popHead()
 void
 EventQueue::fire(const HeapEntry &e)
 {
-    Record &r = records_[e.slot];
+    Record &r = record(e.slot);
     now_ = e.when;
     ++r.gen; // handles to this event are stale from here on
-    Handler fn = std::move(r.fn);
-    freeSlots_.push_back(e.slot);
     --live_;
     ++executed_;
-    // Invoke only after retiring the slot: the handler may schedule
-    // more events, growing the slab and the heap.
-    fn();
+    // Invoke in place. The slot is not on the free list yet, so what
+    // the handler schedules lands in other records, and new chunks
+    // leave this one where it is.
+    firing_ = true;
+    r.fn.consume();
+    firing_ = false;
+    freeSlots_.push_back(e.slot);
 }
 
 void
@@ -143,14 +115,18 @@ EventQueue::runUntil(Tick limit)
 EventQueue::Saved
 EventQueue::save() const
 {
+    if (firing_)
+        PANIC("EventQueue::save() called from inside a handler");
     Saved s;
     s.now = now_;
     s.nextSeq = nextSeq_;
     s.executed = executed_;
     s.live = live_;
-    s.records.reserve(records_.size());
-    for (const Record &r : records_)
+    s.records.reserve(slots_);
+    for (std::uint32_t i = 0; i < slots_; ++i) {
+        const Record &r = record(i);
         s.records.push_back(Record{r.fn.clone(), r.gen});
+    }
     s.freeSlots = freeSlots_;
     s.heap = heap_;
     return s;
@@ -159,16 +135,30 @@ EventQueue::save() const
 void
 EventQueue::restore(const Saved &s)
 {
+    if (firing_)
+        PANIC("EventQueue::restore() called from inside a handler");
     now_ = s.now;
     nextSeq_ = s.nextSeq;
     executed_ = s.executed;
     live_ = s.live;
-    // Rebuild the slab slot for slot (the slab may have grown past the
-    // snapshot during a previous fork's run; extra slots are dropped).
-    records_.clear();
-    records_.reserve(s.records.size());
-    for (const Record &r : s.records)
-        records_.push_back(Record{r.fn.clone(), r.gen});
+    // Rewind the slab slot for slot, keeping its chunks: a fork reuses
+    // the memory the previous run carved. Slots carved after the
+    // snapshot are emptied and their generations bumped, so handles
+    // into them from the discarded run stay stale.
+    std::uint32_t saved = static_cast<std::uint32_t>(s.records.size());
+    while ((saved + chunkSize - 1) >> chunkBits > chunks_.size())
+        chunks_.push_back(std::make_unique<Record[]>(chunkSize));
+    for (std::uint32_t i = 0; i < saved; ++i) {
+        Record &r = record(i);
+        r.fn = s.records[i].fn.clone();
+        r.gen = s.records[i].gen;
+    }
+    for (std::uint32_t i = saved; i < slots_; ++i) {
+        Record &r = record(i);
+        r.fn.reset();
+        ++r.gen;
+    }
+    slots_ = saved;
     freeSlots_ = s.freeSlots;
     heap_ = s.heap;
 }

@@ -9,23 +9,30 @@
  *
  * Hot-path design: event state lives in a slab of reusable records
  * addressed by {slot, generation} handles, and the heap holds only
- * plain 24-byte {when, seq, slot, gen} entries. Scheduling a handler
- * whose captures fit SmallFn's inline buffer performs no allocation
- * once the slab has warmed up, and cancellation is a generation bump —
- * O(1), allocation-free. Cancelled entries are deleted lazily: they
- * are dropped when they reach the top of the heap, and when they ever
+ * plain 24-byte {when, seq, slot, gen} entries. The slab grows in
+ * fixed-size chunks, so a record never moves: schedule() builds the
+ * handler directly in its record and fire() invokes it there, with no
+ * intermediate holder and no relocation. Scheduling a handler whose
+ * captures fit SmallFn's inline buffer performs no allocation once the
+ * slab has warmed up, and cancellation is a generation bump — O(1),
+ * allocation-free. Cancelled entries are deleted lazily: they are
+ * dropped when they reach the top of the heap, and when they ever
  * outnumber live entries the heap is compacted in one pass, so the
  * heap stays bounded at < 2x the number of live events even under
- * cancel-heavy workloads (TCP retransmit timers, request expiries).
+ * cancel-heavy workloads.
  */
 
 #ifndef PERFORMA_SIM_EVENT_QUEUE_HH
 #define PERFORMA_SIM_EVENT_QUEUE_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/small_fn.hh"
 #include "sim/types.hh"
 
@@ -76,8 +83,6 @@ class EventHandle
 class EventQueue
 {
   public:
-    using Handler = SmallFn;
-
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -86,13 +91,24 @@ class EventQueue
     Tick now() const { return now_; }
 
     /**
-     * Schedule @p fn to run at absolute time @p when.
-     * Scheduling in the past is a bug and panics.
+     * Schedule @p fn to run at absolute time @p when. @p fn is any
+     * void() callable, or a SmallFn rvalue; it is built in place in
+     * the event's record. Scheduling in the past is a bug and panics.
      */
-    EventHandle schedule(Tick when, Handler fn);
+    template <typename F>
+    EventHandle
+    schedule(Tick when, F &&fn)
+    {
+        return schedule(when, nextSeq_++, std::forward<F>(fn));
+    }
 
     /** Schedule @p fn to run @p delay ticks from now. */
-    EventHandle scheduleIn(Tick delay, Handler fn);
+    template <typename F>
+    EventHandle
+    scheduleIn(Tick delay, F &&fn)
+    {
+        return schedule(now_ + delay, nextSeq_++, std::forward<F>(fn));
+    }
 
     /**
      * Take the sequence number a schedule() call made now would use,
@@ -106,7 +122,20 @@ class EventQueue
      * Schedule @p fn at @p when under a sequence number from
      * reserveSeq(). Passing a number that was never reserved panics.
      */
-    EventHandle schedule(Tick when, std::uint64_t seq, Handler fn);
+    template <typename F>
+    EventHandle
+    schedule(Tick when, std::uint64_t seq, F &&fn)
+    {
+        if (when < now_)
+            PANIC("scheduling event in the past: ", when, " < ", now_);
+        if (seq >= nextSeq_)
+            PANIC("scheduling under an unreserved sequence number: ", seq);
+        std::uint32_t slot = acquireSlot();
+        Record &r = record(slot);
+        r.fn.emplace(std::forward<F>(fn));
+        push(HeapEntry{when, seq, slot, r.gen});
+        return EventHandle(this, slot, r.gen);
+    }
 
     /**
      * Cancel a previously scheduled event and clear @p h. Cancelling
@@ -155,10 +184,12 @@ class EventQueue
     struct Saved;
 
     /** Capture the queue state (every pending handler must be
-     *  cloneable — see SmallFn::clone). */
+     *  cloneable — see SmallFn::clone). Call between events, not
+     *  from a handler. */
     Saved save() const;
 
-    /** Rewind the queue to @p s, discarding the current state. */
+    /** Rewind the queue to @p s, discarding the current state. Call
+     *  between events, not from a handler. */
     void restore(const Saved &s);
 
   private:
@@ -167,9 +198,13 @@ class EventQueue
     /** Slab cell: handler storage plus the slot's current generation. */
     struct Record
     {
-        Handler fn;
+        SmallFn fn;
         std::uint32_t gen = 0;
     };
+
+    /** Records per slab chunk; chunks are never moved or freed. */
+    static constexpr std::uint32_t chunkBits = 8;
+    static constexpr std::uint32_t chunkSize = 1u << chunkBits;
 
     /** Heap entry: plain data; the callable stays in the slab. */
     struct HeapEntry
@@ -191,11 +226,42 @@ class EventQueue
         }
     };
 
-    /** @return true if @p e still refers to a live (uncancelled) event. */
-    bool
-    live(const HeapEntry &e) const
+    Record &
+    record(std::uint32_t slot)
     {
-        return records_[e.slot].gen == e.gen;
+        return chunks_[slot >> chunkBits][slot & (chunkSize - 1)];
+    }
+
+    const Record &
+    record(std::uint32_t slot) const
+    {
+        return chunks_[slot >> chunkBits][slot & (chunkSize - 1)];
+    }
+
+    /** @return true if @p e still refers to a live (uncancelled) event. */
+    bool live(const HeapEntry &e) const { return record(e.slot).gen == e.gen; }
+
+    /** A free slot: recycled, or carved from the slab. */
+    std::uint32_t
+    acquireSlot()
+    {
+        if (freeSlots_.empty())
+            return carveSlot();
+        std::uint32_t slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        return slot;
+    }
+
+    /** A never-used slot, growing the slab by a chunk when full. */
+    std::uint32_t carveSlot();
+
+    /** Add @p e to the heap and count it live. */
+    void
+    push(const HeapEntry &e)
+    {
+        heap_.push_back(e);
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
+        ++live_;
     }
 
     /** Drop cancelled entries from the top of the heap. */
@@ -204,7 +270,12 @@ class EventQueue
     /** Pop the head entry off the heap (must exist). */
     HeapEntry popHead();
 
-    /** Execute @p e: advance time, retire the slot, invoke the handler. */
+    /**
+     * Execute @p e: advance time, retire the handle, invoke the
+     * handler in its record, then free the slot. The slot is freed
+     * only after the handler returns, so nothing it schedules can
+     * overwrite it.
+     */
     void fire(const HeapEntry &e);
 
     /** Rebuild the heap without cancelled entries when they dominate. */
@@ -214,10 +285,18 @@ class EventQueue
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
     std::size_t live_ = 0;
-    std::vector<Record> records_;
+    bool firing_ = false; ///< a handler is running (save/restore guard)
+    std::vector<std::unique_ptr<Record[]>> chunks_;
+    std::uint32_t slots_ = 0; ///< slots carved so far, in use or free
     std::vector<std::uint32_t> freeSlots_;
     std::vector<HeapEntry> heap_;
 };
+
+inline bool
+EventHandle::pending() const
+{
+    return queue_ && queue_->record(slot_).gen == gen_;
+}
 
 struct EventQueue::Saved
 {
@@ -225,7 +304,7 @@ struct EventQueue::Saved
     std::uint64_t nextSeq = 0;
     std::uint64_t executed = 0;
     std::size_t live = 0;
-    std::vector<Record> records; ///< handlers are clones
+    std::vector<Record> records; ///< one per carved slot; handlers cloned
     std::vector<std::uint32_t> freeSlots;
     std::vector<HeapEntry> heap;
 };

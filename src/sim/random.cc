@@ -1,7 +1,7 @@
 #include "sim/random.hh"
 
-#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "sim/logging.hh"
 
@@ -20,16 +20,34 @@ ZipfSampler::ZipfSampler(std::size_t n, double alpha) : alpha_(alpha)
     for (auto &v : cdf_)
         v /= sum;
     cdf_.back() = 1.0; // guard against rounding
+
+    if (n > std::numeric_limits<std::uint32_t>::max())
+        FATAL("ZipfSampler supports at most 2^32 - 1 items");
+    guide_.resize(guideSize);
+    std::size_t i = 0;
+    for (std::size_t k = 0; k < guideSize; ++k) {
+        double edge = static_cast<double>(k) / guideSize;
+        while (cdf_[i] < edge) // stops at n - 1: cdf_.back() == 1.0
+            ++i;
+        guide_[k] = static_cast<std::uint32_t>(i);
+    }
 }
 
 std::size_t
-ZipfSampler::sample(Rng &rng) const
+ZipfSampler::itemAt(double u) const
 {
-    double u = rng.uniform();
-    auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    if (it == cdf_.end())
-        return cdf_.size() - 1;
-    return static_cast<std::size_t>(it - cdf_.begin());
+    // Every item before guide_[k] has cdf < k/G <= u, and the item at
+    // the next bucket's guide entry has cdf >= (k+1)/G > u: the answer
+    // lies in [guide_[k], next]. The last bucket also takes u == 1.0,
+    // bounded by the last item, whose cdf is exactly 1.
+    std::size_t k = static_cast<std::size_t>(u * guideSize);
+    if (k >= guideSize)
+        k = guideSize - 1;
+    std::size_t i = guide_[k];
+    std::size_t hi = k + 1 < guideSize ? guide_[k + 1] : cdf_.size() - 1;
+    while (i < hi && cdf_[i] < u)
+        ++i;
+    return i;
 }
 
 double

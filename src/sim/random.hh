@@ -126,8 +126,12 @@ class Rng
  * Zipf-distributed sampler over [0, n): item i is drawn with
  * probability proportional to 1 / (i + 1)^alpha.
  *
- * Uses a precomputed CDF and binary search, so sampling is O(log n).
- * Web-file popularity is well modelled by Zipf with alpha near 0.8,
+ * Uses a precomputed CDF plus a guide table: bucket k of the guide
+ * holds the first item whose cdf reaches k / G, so a draw u in bucket
+ * floor(u * G) needs only a short scan between two guide entries (none
+ * when the bucket lies inside one item). The result is exactly
+ * std::lower_bound's index over the CDF, which the behaviour DB
+ * depends on, at O(1) expected cost. Web-file popularity is well modelled by Zipf with alpha near 0.8,
  * which is what the PRESS evaluation traces exhibit.
  */
 class ZipfSampler
@@ -140,7 +144,13 @@ class ZipfSampler
     ZipfSampler(std::size_t n, double alpha);
 
     /** Draw one item index in [0, n). */
-    std::size_t sample(Rng &rng) const;
+    std::size_t sample(Rng &rng) const { return itemAt(rng.uniform()); }
+
+    /**
+     * The item a uniform draw @p u in [0, 1] maps to: the first i with
+     * P(item <= i) >= u, i.e. std::lower_bound over the CDF.
+     */
+    std::size_t itemAt(double u) const;
 
     /** Probability mass of item @p i. */
     double pmf(std::size_t i) const;
@@ -155,8 +165,14 @@ class ZipfSampler
     double alpha() const { return alpha_; }
 
   private:
+    /** Guide buckets: 16 Ki 32-bit entries keep the table at 64 KiB
+     *  whatever n is. A power of two, so u * G and k / G are exact. */
+    static constexpr std::size_t guideSize = std::size_t{1} << 14;
+
     double alpha_;
     std::vector<double> cdf_; ///< cdf_[i] = P(item <= i)
+    /** guide_[k] = first i with cdf_[i] >= k / guideSize. */
+    std::vector<std::uint32_t> guide_;
 };
 
 } // namespace performa::sim

@@ -77,13 +77,17 @@ template <typename T> class RingBuffer
     const T &front() const { return (*this)[0]; }
     T &back() { return (*this)[size_ - 1]; }
 
+    void push_back(T v) { emplace_back(std::move(v)); }
+
+    /** Construct an element at the back from @p args. */
+    template <typename... Args>
     void
-    push_back(T v)
+    emplace_back(Args &&...args)
     {
         if (size_ == cap_)
             relocate(cap_ ? cap_ * 2 : minCapacity);
         ::new (static_cast<void *>(buf_ + ((head_ + size_) & (cap_ - 1))))
-            T(std::move(v));
+            T{std::forward<Args>(args)...};
         ++size_;
     }
 

@@ -9,6 +9,7 @@
 #define PERFORMA_SIM_SIMULATION_HH
 
 #include <cstdint>
+#include <utility>
 
 #include "sim/event_queue.hh"
 #include "sim/pool.hh"
@@ -74,17 +75,20 @@ class Simulation
      */
     std::uint64_t allocId() { return nextId_++; }
 
-    /** Convenience forwarders. */
+    /** Convenience forwarders; @p fn is built in place in its event
+     *  record (see EventQueue::schedule). */
+    template <typename F>
     EventHandle
-    schedule(Tick when, EventQueue::Handler fn)
+    schedule(Tick when, F &&fn)
     {
-        return events_.schedule(when, std::move(fn));
+        return events_.schedule(when, std::forward<F>(fn));
     }
 
+    template <typename F>
     EventHandle
-    scheduleIn(Tick delay, EventQueue::Handler fn)
+    scheduleIn(Tick delay, F &&fn)
     {
-        return events_.scheduleIn(delay, std::move(fn));
+        return events_.scheduleIn(delay, std::forward<F>(fn));
     }
 
     void runUntil(Tick limit) { events_.runUntil(limit); }

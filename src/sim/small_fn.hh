@@ -21,9 +21,9 @@
 namespace performa::sim {
 
 /**
- * A type-erased `void()` callable. Move-only (captures need not be
- * copyable), empty after being moved from, and invocable only while
- * non-empty. Holders whose captures are copyable can additionally be
+ * A type-erased `void()` callable, run once: consume() invokes it and
+ * destroys it. Move-only (captures need not be copyable) and empty
+ * after being moved from. Holders whose captures are copyable can be
  * clone()d — the snapshot/fork machinery duplicates a warmed event
  * queue's handlers this way.
  */
@@ -32,8 +32,10 @@ class SmallFn
   public:
     /**
      * Inline storage size. 56 bytes covers every handler in the tree
-     * today (largest: the epoch-guard lambda in press/server.cc at 48
-     * bytes) and keeps sizeof(SmallFn) at one cache line.
+     * today and keeps sizeof(SmallFn) at one cache line. The largest
+     * is exactly 56 bytes: the disk-read completion in
+     * press/server.cc, `[this, e, req, svc]`, which carries a whole
+     * ClientRequestBody.
      */
     static constexpr std::size_t inlineBytes = 56;
 
@@ -44,14 +46,7 @@ class SmallFn
                                           std::is_invocable_r_v<void, D &>>>
     SmallFn(F &&f)
     {
-        if constexpr (fitsInline<D>) {
-            ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
-            ops_ = &inlineOps<D>;
-        } else {
-            D *p = new D(std::forward<F>(f));
-            std::memcpy(buf_, &p, sizeof p);
-            ops_ = &heapOps<D>;
-        }
+        emplace(std::forward<F>(f));
     }
 
     SmallFn(SmallFn &&o) noexcept { moveFrom(o); }
@@ -81,11 +76,52 @@ class SmallFn
         }
     }
 
+    /**
+     * Replace the held callable with @p f, built directly in this
+     * holder's storage. An rvalue SmallFn is moved in instead, so the
+     * event engine takes lambdas and ready-made holders through one
+     * path without an intermediate holder.
+     */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
+        using D = std::decay_t<F>;
+        reset();
+        if constexpr (std::is_same_v<D, SmallFn>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "SmallFn is move-only: pass an rvalue");
+            moveFrom(f);
+        } else {
+            static_assert(std::is_invocable_r_v<void, D &>,
+                          "SmallFn holds void() callables");
+            if constexpr (fitsInline<D>) {
+                ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
+                ops_ = &inlineOps<D>;
+            } else {
+                D *p = new D(std::forward<F>(f));
+                std::memcpy(buf_, &p, sizeof p);
+                ops_ = &heapOps<D>;
+            }
+        }
+    }
+
     /** @return true if a callable is held. */
     explicit operator bool() const { return ops_ != nullptr; }
 
-    /** Invoke the held callable (must be non-empty). */
-    void operator()() { ops_->invoke(buf_); }
+    /**
+     * Invoke the held callable once and destroy it, in one indirect
+     * call (must be non-empty). The holder reads as empty from the
+     * start of the call, so nothing the callable does can reset or
+     * replace it while it runs.
+     */
+    void
+    consume()
+    {
+        const Ops *ops = ops_;
+        ops_ = nullptr;
+        ops->consume(buf_);
+    }
 
     /** @return true if the held callable can be clone()d (or empty). */
     bool cloneable() const { return !ops_ || ops_->copy != nullptr; }
@@ -112,7 +148,8 @@ class SmallFn
   private:
     struct Ops
     {
-        void (*invoke)(void *);
+        /** Invoke, then destroy. */
+        void (*consume)(void *);
         /** Move the callable from src into raw dst, destroying src. */
         void (*relocate)(void *dst, void *src) noexcept;
         void (*destroy)(void *) noexcept;
@@ -134,7 +171,13 @@ class SmallFn
     template <typename D>
     struct InlineImpl
     {
-        static void invoke(void *b) { (*static_cast<D *>(b))(); }
+        static void
+        consume(void *b)
+        {
+            D &f = *static_cast<D *>(b);
+            f();
+            f.~D();
+        }
 
         static void
         relocate(void *dst, void *src) noexcept
@@ -165,7 +208,13 @@ class SmallFn
             return p;
         }
 
-        static void invoke(void *b) { (*get(b))(); }
+        static void
+        consume(void *b)
+        {
+            D *p = get(b);
+            (*p)();
+            delete p;
+        }
 
         static void
         relocate(void *dst, void *src) noexcept
@@ -193,13 +242,13 @@ class SmallFn
         std::is_copy_constructible_v<D> ? &Impl::copy : nullptr;
 
     template <typename D>
-    static constexpr Ops inlineOps = {&InlineImpl<D>::invoke,
+    static constexpr Ops inlineOps = {&InlineImpl<D>::consume,
                                       &InlineImpl<D>::relocate,
                                       &InlineImpl<D>::destroy,
                                       copyOp<D, InlineImpl<D>>};
 
     template <typename D>
-    static constexpr Ops heapOps = {&HeapImpl<D>::invoke,
+    static constexpr Ops heapOps = {&HeapImpl<D>::consume,
                                     &HeapImpl<D>::relocate,
                                     &HeapImpl<D>::destroy,
                                     copyOp<D, HeapImpl<D>>};

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -360,6 +361,124 @@ TEST(EventQueue, ReservedSeqFiresWhereItWasReserved)
     };
     EXPECT_EQ(run(false), (std::vector<int>{1, 2, 3, 4}));
     EXPECT_EQ(run(true), (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(EventQueue, HandlerRunsInPlaceWhileTheSlabGrows)
+{
+    // The handler runs in its own slab record and schedules more than
+    // two chunks' worth of events before reading its captures: growing
+    // the slab must not move (or free) the record it is running from.
+    EventQueue q;
+    std::array<std::uint64_t, 5> payload{11, 22, 33, 44, 55};
+    std::uint64_t sum_after = 0;
+    int scheduled = 0;
+    int ran = 0;
+    q.schedule(1, [&q, &sum_after, &scheduled, &ran, payload] {
+        for (int i = 0; i < 600; ++i) {
+            q.scheduleIn(1 + i % 7, [&ran] { ++ran; });
+            ++scheduled;
+        }
+        sum_after = 0;
+        for (std::uint64_t v : payload)
+            sum_after += v;
+    });
+    q.runAll();
+    EXPECT_EQ(sum_after, 165u);
+    EXPECT_EQ(scheduled, 600);
+    EXPECT_EQ(ran, 600);
+    EXPECT_EQ(q.executed(), 601u);
+}
+
+TEST(EventQueue, SelfCancelInsideHandlerIsANoOp)
+{
+    // An event that cancels its own handle while running must neither
+    // count as cancelled nor free its slot twice: a double free would
+    // hand the slot to two later events, and one would overwrite the
+    // other.
+    EventQueue q;
+    EventHandle self;
+    bool pending_inside = true;
+    self = q.schedule(10, [&] {
+        pending_inside = self.pending();
+        q.cancel(self);
+    });
+    bool neighbour_ran = false;
+    q.schedule(10, [&] { neighbour_ran = true; });
+    q.runAll();
+    EXPECT_FALSE(pending_inside);
+    EXPECT_TRUE(neighbour_ran);
+    EXPECT_EQ(q.executed(), 2u);
+    EXPECT_EQ(q.pending(), 0u);
+
+    std::vector<int> order;
+    for (int i = 0; i < 4; ++i)
+        q.schedule(20, [&order, i] { order.push_back(i); });
+    EXPECT_EQ(q.pending(), 4u);
+    q.runAll();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueue, SlotIsFreedOnlyAfterTheHandlerReturns)
+{
+    // While a handler runs, what it schedules lands in other slots: its
+    // captures stay alive to the end of the call, and are released as
+    // soon as it returns.
+    EventQueue q;
+    auto token = std::make_shared<int>(7);
+    std::weak_ptr<int> watch = token;
+    bool alive_after_scheduling = false;
+    int child_ran = 0;
+    q.schedule(1, [&q, &alive_after_scheduling, &child_ran, token] {
+        for (int i = 0; i < 3; ++i)
+            q.scheduleIn(0, [&child_ran] { ++child_ran; });
+        alive_after_scheduling = *token == 7;
+    });
+    token.reset();
+    EXPECT_FALSE(watch.expired()); // held by the pending handler
+    ASSERT_TRUE(q.runOne());
+    EXPECT_TRUE(alive_after_scheduling);
+    EXPECT_TRUE(watch.expired()); // released right after the call
+    EXPECT_EQ(q.pending(), 3u);
+    q.runAll();
+    EXPECT_EQ(child_ran, 3);
+}
+
+TEST(EventQueue, SaveRestoreAcrossChunks)
+{
+    // A snapshot of a queue spanning several slab chunks, with holes
+    // from cancellations, replays exactly; restoring after the slab
+    // has grown further drops the extra slots and revives the
+    // snapshot's handles.
+    EventQueue q;
+    std::vector<int> order;
+    std::vector<EventHandle> handles;
+    for (int i = 0; i < 700; ++i) {
+        handles.push_back(q.schedule(1 + (i * 37) % 101,
+                                     [&order, i] { order.push_back(i); }));
+    }
+    for (int i = 0; i < 700; i += 3)
+        q.cancel(handles[static_cast<std::size_t>(i)]);
+    EventHandle kept = handles[1];
+    EventQueue::Saved snap = q.save();
+
+    q.runAll();
+    std::vector<int> first = order;
+    std::uint64_t executed_first = q.executed();
+    ASSERT_EQ(first.size(), 700u - 234u);
+    EXPECT_FALSE(kept.pending());
+
+    q.restore(snap);
+    EXPECT_TRUE(kept.pending());
+    EXPECT_EQ(q.pending(), 700u - 234u);
+    for (int i = 0; i < 1000; ++i) // grow past the snapshot's slab
+        q.schedule(500, [] {});
+    q.restore(snap);
+    EXPECT_EQ(q.pending(), 700u - 234u);
+    order.clear();
+    q.runAll();
+    EXPECT_EQ(order, first);
+    EXPECT_EQ(q.executed(), executed_first);
+    EXPECT_EQ(q.now(), 101u);
 }
 
 TEST(EventQueueDeath, SchedulingInThePastPanics)

@@ -366,6 +366,30 @@ TEST(ClientFarm, ExpiryKeepsTheSameTickPlaceOfItsRequest)
     EXPECT_EQ(failed_seen, issued);
 }
 
+TEST(ClientFarm, AnsweredRequestsArmAboutOneExpiryPerTimeout)
+{
+    // Replies come back at once, so nearly every deadline belongs to
+    // an answered request. Those are skipped when an expiry passes
+    // over them: about one expiry event fires per timeout window, not
+    // one per request.
+    StampWorld w;
+    loadgen::ClientFarm farm(w.s, w.n, w.servers, w.clients, smallConfig());
+    farm.start();
+    w.s.runUntil(sec(60));
+    farm.stop();
+    Tick duration = sec(60) + farm.config().requestTimeout + sec(1);
+    w.s.runUntil(duration);
+    ASSERT_EQ(farm.totalFailed(), 0u);
+    ASSERT_EQ(farm.pendingCount(), 0u);
+    ASSERT_GT(farm.totalServed(), 25000u);
+    // Every other event is accounted for: one arrival per request
+    // (the last one a stale tick after stop()), and the request and
+    // reply frames.
+    std::uint64_t offered = farm.totalOffered();
+    std::uint64_t expiries = w.s.events().executed() - 3 * offered;
+    EXPECT_LE(expiries, duration / farm.config().requestTimeout + 1);
+}
+
 TEST(ClientFarm, ForkRestoresTheDeadlineFifo)
 {
     // Capture mid-run with thousands of requests awaiting deadlines,

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "sim/random.hh"
 
@@ -147,3 +150,55 @@ TEST_P(ZipfSkewSweep, TopItemFrequencyMatchesPmf)
 
 INSTANTIATE_TEST_SUITE_P(Skews, ZipfSkewSweep,
                          ::testing::Values(0.4, 0.8, 1.0, 1.4));
+
+/**
+ * Differential: the guide-table lookup must return exactly
+ * std::lower_bound's index over the CDF for every draw — random ones,
+ * every CDF value and its floating-point neighbours, and a dyadic grid
+ * that hits every guide bucket edge.
+ */
+TEST(ZipfDifferential, MatchesLowerBound)
+{
+    for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{1024},
+                          std::size_t{68000}}) {
+        SCOPED_TRACE(n);
+        ZipfSampler z(n, 0.8);
+        // coverage(i + 1) is P(item <= i); the last one is exactly 1.
+        std::vector<double> cdf(n);
+        for (std::size_t i = 0; i < n; ++i)
+            cdf[i] = z.coverage(i + 1);
+        ASSERT_EQ(cdf.back(), 1.0);
+        auto reference = [&cdf](double u) {
+            auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+            return it == cdf.end()
+                       ? cdf.size() - 1
+                       : static_cast<std::size_t>(it - cdf.begin());
+        };
+        std::uint64_t checked = 0;
+        std::uint64_t mismatches = 0;
+        auto check = [&](double u) {
+            if (!(u >= 0.0 && u <= 1.0))
+                return;
+            ++checked;
+            if (z.itemAt(u) != reference(u))
+                ++mismatches;
+        };
+
+        Rng rng(2024 + n);
+        for (int i = 0; i < 1000000; ++i)
+            check(rng.uniform());
+        for (double c : cdf) {
+            check(c);
+            check(std::nextafter(c, 0.0));
+            check(std::nextafter(c, 2.0));
+        }
+        for (std::uint32_t k = 0; k <= (1u << 16); ++k) {
+            double u = std::ldexp(static_cast<double>(k), -16);
+            check(u);
+            check(std::nextafter(u, 0.0));
+            check(std::nextafter(u, 2.0));
+        }
+        EXPECT_GT(checked, 1000000u);
+        EXPECT_EQ(mismatches, 0u);
+    }
+}

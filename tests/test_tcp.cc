@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -442,4 +444,92 @@ TEST(Tcp, RetransmitSharesPooledPayloadWithoutUseAfterFree)
     EXPECT_EQ(watch.refCount(), 2u);
     w.eps[1].received.clear();
     EXPECT_EQ(watch.refCount(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Retransmission timer
+// ---------------------------------------------------------------------
+
+TEST(TcpRto, RetransmitKeepsItsSameTickPlace)
+{
+    // An acked message leaves its timer event queued; the next send's
+    // deadline takes its seq at send time and is re-armed by that
+    // event. The retransmit must still run after events scheduled for
+    // the deadline tick before the send, and before those scheduled
+    // after it.
+    TcpWorld w;
+    w.eps[0].tcp->connect(1);
+    w.s.runUntil(sec(1));
+    ASSERT_EQ(w.eps[0].tcp->send(1, w.msg(1000), {}), SendStatus::Ok);
+    w.s.runUntil(sec(1) + msec(50));
+    ASSERT_EQ(w.eps[1].received.size(), 1u);
+
+    w.intra.setLinkUp(1, false); // the next message and its retransmit
+    Tick deadline = w.s.now() + w.eps[0].tcp->config().rtoInitial;
+    std::uint64_t seen_before = 0;
+    std::uint64_t seen_after = 0;
+    w.s.schedule(deadline, [&] { seen_before = w.intra.dropped(); });
+    ASSERT_EQ(w.eps[0].tcp->send(1, w.msg(1000), {}), SendStatus::Ok);
+    w.s.schedule(deadline, [&] { seen_after = w.intra.dropped(); });
+    std::uint64_t dropped_at_send = w.intra.dropped();
+
+    w.s.runUntil(deadline - 1);
+    EXPECT_EQ(w.intra.dropped(), dropped_at_send);
+    w.s.runUntil(deadline);
+    EXPECT_EQ(seen_before, dropped_at_send);
+    EXPECT_EQ(seen_after, dropped_at_send + 1);
+}
+
+TEST(TcpRto, BackoffResetArmsTheEarlierDeadline)
+{
+    // After backoff, the timer event of the last retransmit is due far
+    // out. An ack resets the rto, so the next send's deadline comes
+    // first: it must be rescheduled earlier, not wait for that event.
+    TcpWorld w;
+    w.eps[0].tcp->connect(1);
+    w.s.runUntil(sec(1));
+    w.intra.setLinkUp(1, false);
+    ASSERT_EQ(w.eps[0].tcp->send(1, w.msg(1000), {}), SendStatus::Ok);
+    // Lost at 1.0 s, retransmits lost at 1.2 s and 1.6 s; the link is
+    // back for the one at 2.4 s, whose timer event is due at 4.0 s.
+    w.s.runUntil(sec(2));
+    w.intra.setLinkUp(1, true);
+    w.s.runUntil(sec(3));
+    ASSERT_EQ(w.eps[1].received.size(), 1u);
+
+    w.intra.setLinkUp(1, false);
+    Tick sent = w.s.now();
+    ASSERT_EQ(w.eps[0].tcp->send(1, w.msg(1000), {}), SendStatus::Ok);
+    std::uint64_t dropped_at_send = w.intra.dropped();
+    Tick rto = w.eps[0].tcp->config().rtoInitial;
+    w.s.runUntil(sent + rto - 1);
+    EXPECT_EQ(w.intra.dropped(), dropped_at_send);
+    w.s.runUntil(sent + rto);
+    EXPECT_EQ(w.intra.dropped(), dropped_at_send + 1)
+        << "retransmit must follow the reset rto, not the backed-off one";
+}
+
+TEST(TcpRto, AckedFloodKeepsOneArmedTimerPerConnection)
+{
+    // One message per millisecond for 10 s, each acked well inside the
+    // rto: a deadline per message would leave a cancelled heap entry
+    // per message. Disarmed deadlines cost no heap entry, so the heap
+    // holds one timer event per connection plus the traffic in flight.
+    TcpWorld w;
+    w.eps[0].tcp->connect(1);
+    w.s.runUntil(sec(1));
+    std::size_t peak_heap = 0;
+    int sent = 0;
+    std::function<void()> tick = [&] {
+        peak_heap = std::max(peak_heap, w.s.events().heapSize());
+        if (w.eps[0].tcp->send(1, w.msg(1000), {}) == SendStatus::Ok)
+            ++sent;
+        if (w.s.now() < sec(11))
+            w.s.scheduleIn(msec(1), [&] { tick(); });
+    };
+    tick();
+    w.s.runUntil(sec(12));
+    EXPECT_EQ(sent, 10001);
+    EXPECT_EQ(w.eps[1].received.size(), 10001u);
+    EXPECT_LT(peak_heap, 12u);
 }

@@ -5,9 +5,10 @@
  * a raw Network frame blast) must execute its steady-state window
  * without a single heap allocation — payloads come from the pool,
  * in-flight frames from the parked slab, queue slots from the rings,
- * and event records from the event-engine slab. A fork of a warmed
- * PRESS experiment is held under 2 000 allocations, independent
- * of cache size and request backlog.
+ * and event records from the event-engine slab. The measure window
+ * of a warmed, fault-free PRESS cluster allocates nothing for every
+ * version, and a fork of a warmed PRESS experiment is held under 200
+ * allocations, independent of cache size and request backlog.
  *
  * This file must stay its own test binary: the hook is global.
  */
@@ -325,6 +326,38 @@ TEST(ZeroAlloc, SessionClientFloodSteadyStateAllocatesNothing)
         << "payload pool carved fresh blocks in the steady state";
 }
 
+TEST(ZeroAlloc, PressMeasureWindowAllocatesNothing)
+{
+    // The campaign's warmed 4-node world at the paper's load, then a
+    // fault-free measure window: every served request — accept,
+    // dispatch, forward, disk read, cache insert and broadcast, reply —
+    // runs on pooled payloads, slab event records and inline SmallFn
+    // closures, for every version.
+    for (press::Version v : press::allVersions) {
+        SCOPED_TRACE(press::versionName(v));
+        exp::ExperimentConfig cfg =
+            campaign::phase1WarmConfig(v, {fault::FaultKind::AppCrash});
+        ASSERT_EQ(cfg.cluster.press.numNodes, 4u);
+        exp::Experiment e(cfg);
+        e.warmUp();
+        auto served = [&e] {
+            std::uint64_t n = 0;
+            for (sim::NodeId i = 0; i < e.cluster().numNodes(); ++i)
+                n += e.cluster().server(i).served();
+            return n;
+        };
+        std::uint64_t served_before = served();
+
+        g_news = 0;
+        g_counting = true;
+        e.sim().runUntil(e.sim().now() + sim::sec(10));
+        g_counting = false;
+
+        EXPECT_GT(served(), served_before + 10000u);
+        EXPECT_EQ(g_news, 0u) << "heap allocations in the measure window";
+    }
+}
+
 TEST(ZeroAlloc, ForkOfAWarmedPressExperimentAllocatesLittle)
 {
     // The campaign's own warm-up for TCP-PRESS: 4 nodes, the paper's
@@ -346,7 +379,7 @@ TEST(ZeroAlloc, ForkOfAWarmedPressExperimentAllocatesLittle)
     g_counting = true;
     e.forkFrom(snap);
     g_counting = false;
-    EXPECT_LT(g_news, 2000u) << "allocations in the first fork";
+    EXPECT_LT(g_news, 200u) << "allocations in the first fork";
 
     // The campaign's pattern: a measured run, then the next fork.
     e.sim().runUntil(e.sim().now() + sim::sec(5));
@@ -354,5 +387,5 @@ TEST(ZeroAlloc, ForkOfAWarmedPressExperimentAllocatesLittle)
     g_counting = true;
     e.forkFrom(snap);
     g_counting = false;
-    EXPECT_LT(g_news, 2000u) << "allocations in a fork after a run";
+    EXPECT_LT(g_news, 200u) << "allocations in a fork after a run";
 }

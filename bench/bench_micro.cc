@@ -63,13 +63,16 @@ BENCHMARK(BM_EventQueueTimerArmCancel);
 static void
 BM_EventQueueExpiryFlood(benchmark::State &state)
 {
-    // Mirrors SessionFarm: every request arms a long (6 s) expiry
-    // timer and the response arrives almost immediately, cancelling
-    // it. Cancelled timers must not linger in the heap for the
-    // remaining simulated seconds; peak_heap verifies the engine
-    // bounds its heap (compaction) instead of accumulating one dead
-    // entry per served request. Iterations are pinned so the peak
-    // heap counter is comparable across engine versions.
+    // The engine's cancel-heavy heap guard: every iteration arms a
+    // long (6 s) timer and cancels it a tick later, the pattern of a
+    // per-request timeout whose answer comes at once. (The loadgen
+    // farms avoid it with sim::DeadlineFifo; any component that arms
+    // and cancels timers this way still relies on this bound.)
+    // Cancelled timers must not linger in the heap for the remaining
+    // simulated seconds; peak_heap verifies the engine bounds its heap
+    // (compaction) instead of accumulating one dead entry per cancel.
+    // Iterations are pinned so the peak heap counter is comparable
+    // across engine versions.
     sim::EventQueue q;
     std::uint64_t expired = 0;
     std::size_t peak = 0;

@@ -18,31 +18,13 @@
 #ifndef PERFORMA_LOADGEN_CLIENT_FARM_HH
 #define PERFORMA_LOADGEN_CLIENT_FARM_HH
 
-#include <cstdint>
 #include <vector>
 
 #include "loadgen/generator.hh"
-#include "loadgen/load_profile.hh"
-#include "net/network.hh"
-#include "sim/latency_histogram.hh"
+#include "sim/deadline_fifo.hh"
 #include "sim/random.hh"
-#include "sim/ring_buffer.hh"
-#include "sim/simulation.hh"
-#include "sim/time_series.hh"
-#include "sim/types.hh"
 
 namespace performa::loadgen {
-
-/** Workload parameters. */
-struct WorkloadConfig
-{
-    double requestRate = 6000.0; ///< aggregate offered load (req/s)
-    std::size_t numFiles = 60000; ///< working set (uniform size)
-    double zipfAlpha = 0.8;      ///< web-trace-like popularity skew
-    sim::Tick connectTimeout = sim::sec(2);
-    sim::Tick requestTimeout = sim::sec(6);
-    std::uint64_t requestBytes = 300;
-};
 
 /**
  * Drives the cluster through the client network. One instance models
@@ -62,36 +44,13 @@ class ClientFarm : public LoadGenerator
     /** Stop generating new requests. */
     void stop() override;
 
-    const sim::TimeSeries &served() const override { return served_; }
-    const sim::TimeSeries &failed() const override { return failed_; }
-    const sim::TimeSeries &offered() const override { return offered_; }
-
-    std::uint64_t totalServed() const override { return totalServed_; }
-    std::uint64_t totalFailed() const override { return totalFailed_; }
-    std::uint64_t totalOffered() const override { return totalOffered_; }
-
     /** In-flight (not yet answered or timed out) request count. */
     std::size_t pendingCount() const { return pending_; }
 
-    /** Per-stage (connect/queue/service/total) latency histograms,
-     *  one slice per second. */
-    const sim::StageLatencyTimeline &
-    timeline() const override
-    {
-        return timeline_;
-    }
-    sim::StageLatencyTimeline
-    stealTimeline() override
-    {
-        return std::move(timeline_);
-    }
-
-    const WorkloadConfig &config() const { return cfg_; }
-    const LoadProfileSpec &profile() const { return profile_; }
     const sim::ZipfSampler &popularity() const { return zipf_; }
 
     /** Snapshot state: generation counters, in-flight requests, RNG
-     *  stream and the recorded series/histograms. */
+     *  stream and the recording. */
     struct Saved;
 
     Saved save() const;
@@ -99,25 +58,19 @@ class ClientFarm : public LoadGenerator
     void registerWith(sim::SnapshotRegistry &reg) override;
 
   private:
+    friend class sim::DeadlineFifo<bool, ClientFarm>;
+
     void arrivalTick();
     void issueRequest();
-    void onResponse(net::Frame &&f);
-    /** The head request's deadline: fail it if still unanswered, then
-     *  skip the answered entries behind it and arm the next head. */
-    void expire();
-    /** Schedule expire() for the head of deadlines_. */
-    void armHead();
+    void onResponse(const press::ClientResponseBody &body) override;
+    bool deadlineLive(const bool &answered) const { return !answered; }
+    /** An unanswered request's deadline passed: fail it. */
+    void deadlineExpired(const bool &answered);
 
     /** Profile draws come from the split stream; the default profile
      *  keeps drawing from the shared, historical stream. */
     sim::Rng &genRng() { return shaped_ ? splitRng_ : sim_.rng(); }
 
-    sim::Simulation &sim_;
-    net::Network &net_;
-    std::vector<net::PortId> serverPorts_;
-    std::vector<net::PortId> clientPorts_;
-    WorkloadConfig cfg_;
-    LoadProfileSpec profile_;
     bool shaped_; ///< profile_ modulates this farm
     sim::Rng splitRng_;
     sim::ZipfSampler zipf_;
@@ -129,50 +82,29 @@ class ClientFarm : public LoadGenerator
     std::size_t rrClient_ = 0;
 
     /**
-     * One issued request awaiting its deadline. Every request has the
-     * same timeout, so deadlines come due in issue order: a FIFO with
-     * one armed event for its head replaces a heap entry per request.
-     * An event is armed exactly when the FIFO is non-empty, and for
-     * its head; answered entries leave only from the front, when an
-     * expiry passes over them, so onResponse's age index stays valid.
+     * The answered flags of issued requests not yet past their
+     * deadline, oldest first; the newest is request nextReq_ - 1.
+     * Every request has the same timeout, so a single expiry at the
+     * completion deadline covers both the connect (2 s) and the
+     * request (6 s) timeout: an unanswered request is failed either
+     * way. Answered entries leave only from the front, so
+     * onResponse's age index stays valid.
      */
-    struct Deadline
-    {
-        sim::Tick when;
-        std::uint64_t seq; ///< reserved event seq the expiry fires under
-        bool answered;
-    };
-    /** Issued requests not yet past their deadline, oldest first;
-     *  the newest is request nextReq_ - 1. */
-    sim::RingBuffer<Deadline> deadlines_;
+    sim::DeadlineFifo<bool, ClientFarm> deadlines_;
     std::size_t pending_ = 0; ///< unanswered entries of deadlines_
-
-    sim::TimeSeries served_;
-    sim::TimeSeries failed_;
-    sim::TimeSeries offered_;
-    sim::StageLatencyTimeline timeline_;
-    std::uint64_t totalServed_ = 0;
-    std::uint64_t totalFailed_ = 0;
-    std::uint64_t totalOffered_ = 0;
 };
 
 struct ClientFarm::Saved
 {
+    Recording recording;
     sim::Rng splitRng;
     bool running;
     std::uint64_t generation;
     sim::RequestId nextReq;
     std::size_t rrServer;
     std::size_t rrClient;
-    sim::RingBuffer<Deadline> deadlines;
+    sim::DeadlineFifo<bool, ClientFarm>::Saved deadlines;
     std::size_t pending;
-    sim::TimeSeries served;
-    sim::TimeSeries failed;
-    sim::TimeSeries offered;
-    sim::StageLatencyTimeline timeline;
-    std::uint64_t totalServed;
-    std::uint64_t totalFailed;
-    std::uint64_t totalOffered;
 };
 
 } // namespace performa::loadgen

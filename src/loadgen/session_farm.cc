@@ -3,7 +3,6 @@
 #include <random>
 
 #include "press/messages.hh"
-#include "sim/logging.hh"
 #include "sim/snapshot.hh"
 
 namespace performa::loadgen {
@@ -28,27 +27,17 @@ SessionFarm::SessionFarm(sim::Simulation &s, net::Network &client_net,
                          std::vector<net::PortId> server_ports,
                          std::vector<net::PortId> client_ports,
                          WorkloadConfig cfg, LoadProfileSpec profile)
-    : sim_(s), net_(client_net), serverPorts_(std::move(server_ports)),
-      clientPorts_(std::move(client_ports)), cfg_(cfg),
-      profile_(std::move(profile)),
+    : LoadGenerator(s, client_net, std::move(server_ports),
+                    std::move(client_ports), cfg, std::move(profile)),
       rng_(s.splitRng(kLoadgenRngSalt)),
       zipf_(cfg.numFiles, cfg.zipfAlpha),
-      timeline_({.sliceWidth = sim::sec(1),
-                 .reserveSlices = profile_.reserveSlices})
+      connectDeadlines_(s.events(), *this, cfg.connectTimeout),
+      requestDeadlines_(s.events(), *this, cfg.requestTimeout)
 {
-    if (serverPorts_.empty() || clientPorts_.empty())
-        FATAL("SessionFarm needs at least one server and client port");
     std::size_t n = profile_.sessionCount
                         ? profile_.sessionCount
                         : derivedSessionCount(cfg_, profile_);
     sessions_.resize(n);
-    served_.reserve(profile_.reserveSlices);
-    failed_.reserve(profile_.reserveSlices);
-    offered_.reserve(profile_.reserveSlices);
-    for (net::PortId p : clientPorts_) {
-        net_.setHandler(p,
-            [this](net::Frame &&f) { onResponse(std::move(f)); });
-    }
 }
 
 void
@@ -68,10 +57,9 @@ SessionFarm::stop()
     running_ = false;
     ++generation_;
     // Abandon in-flight requests: their seq bump makes late responses
-    // and pending expiries no-ops.
+    // no-ops and their deadlines dead.
     for (auto &sess : sessions_) {
         if (sess.inFlight) {
-            sim_.events().cancel(sess.expiry);
             sess.inFlight = false;
             ++sess.seq;
             ++totalAbandoned_;
@@ -122,63 +110,33 @@ void
 SessionFarm::sendRequest(std::size_t idx)
 {
     Session &sess = sessions_[idx];
-    sess.sentAt = sim_.now();
     sess.inFlight = true;
     ++sess.seq;
-
     sim::FileId file = static_cast<sim::FileId>(zipf_.sample(rng_));
-    net::PortId client = clientPorts_[idx % clientPorts_.size()];
-
-    ++totalOffered_;
-    offered_.record(sim_.now());
-
-    auto body = sim_.makePayload<press::ClientRequestBody>();
-    body->req = encodeReq(idx, sess.seq);
-    body->file = file;
-    body->replyPort = client;
-    body->sentAt = sim_.now();
-
-    net::Frame f;
-    f.srcPort = client;
-    f.dstPort = serverPorts_[sess.server];
-    f.proto = net::Proto::Client;
-    f.kind = press::ClientRequest;
-    f.bytes = cfg_.requestBytes;
-    f.payload = std::move(body);
-    net_.send(std::move(f));
+    offer(encodeReq(idx, sess.seq), file,
+          clientPorts_[idx % clientPorts_.size()], serverPorts_[sess.server]);
 
     // First request on a connection pays the connect timeout; later
-    // ones reuse the connection and get the request timeout.
-    sim::Tick deadline = sess.firstRequest
-                             ? cfg_.connectTimeout
-                             : cfg_.requestTimeout;
-    std::uint32_t seq = sess.seq;
-    sess.expiry = sim_.scheduleIn(
-        deadline, [this, idx, seq] { expire(idx, seq); });
+    // ones reuse the connection and get the request timeout. The push
+    // reserves the seq a per-request timer would have taken here.
+    (sess.firstRequest ? connectDeadlines_ : requestDeadlines_)
+        .push(Deadline{static_cast<std::uint32_t>(idx), sess.seq});
 }
 
 void
-SessionFarm::onResponse(net::Frame &&f)
+SessionFarm::onResponse(const press::ClientResponseBody &body)
 {
-    if (f.kind != press::ClientResponse || !f.payload)
-        return;
-    auto *body = f.payload.get<press::ClientResponseBody>();
-    std::size_t idx = static_cast<std::size_t>(body->req >> 32);
+    std::size_t idx = static_cast<std::size_t>(body.req >> 32);
     if (idx == 0 || idx > sessions_.size())
         return;
     Session &sess = sessions_[idx - 1];
-    std::uint32_t seq = static_cast<std::uint32_t>(body->req);
+    std::uint32_t seq = static_cast<std::uint32_t>(body.req);
     if (!sess.inFlight || sess.seq != seq)
         return; // timed out (or from a previous session); drop
 
-    sim_.events().cancel(sess.expiry);
     sess.inFlight = false;
-
-    recordResponseLatency(timeline_, sim_.now(), *body,
-                          sess.firstRequest);
+    recordServed(body, sess.firstRequest);
     sess.firstRequest = false;
-    ++totalServed_;
-    served_.record(sim_.now());
 
     if (--sess.remaining == 0) {
         ++completedSessions_;
@@ -191,64 +149,39 @@ SessionFarm::onResponse(net::Frame &&f)
 }
 
 void
-SessionFarm::expire(std::size_t idx, std::uint32_t seq)
+SessionFarm::deadlineExpired(const Deadline &d)
 {
-    Session &sess = sessions_[idx];
-    if (!sess.inFlight || sess.seq != seq)
-        return; // answered in time
-    sess.inFlight = false;
-    ++totalFailed_;
-    failed_.record(sim_.now());
+    sessions_[d.idx].inFlight = false;
+    recordFailed();
     // The user gives up on this server: drop the connection and
     // reconnect (next session picks the next server round-robin).
     ++completedSessions_;
     if (running_)
-        beginSession(idx);
+        beginSession(d.idx);
 }
 
 SessionFarm::Saved
 SessionFarm::save() const
 {
-    Saved s;
-    s.rng = rng_;
-    s.running = running_;
-    s.generation = generation_;
-    s.rrServer = rrServer_;
-    s.sessions = sessions_;
-    s.served = served_;
-    s.failed = failed_;
-    s.offered = offered_;
-    s.timeline = timeline_;
-    s.totalServed = totalServed_;
-    s.totalFailed = totalFailed_;
-    s.totalOffered = totalOffered_;
-    s.totalAbandoned = totalAbandoned_;
-    s.completedSessions = completedSessions_;
-    return s;
+    return Saved{recording(), rng_, running_, generation_, rrServer_,
+                 sessions_, connectDeadlines_.save(),
+                 requestDeadlines_.save(), totalAbandoned_,
+                 completedSessions_};
 }
 
 void
 SessionFarm::restore(const Saved &s)
 {
+    restoreRecording(s.recording);
     rng_ = s.rng;
     running_ = s.running;
     generation_ = s.generation;
     rrServer_ = s.rrServer;
     sessions_ = s.sessions;
-    served_ = s.served;
-    failed_ = s.failed;
-    offered_ = s.offered;
-    timeline_ = s.timeline;
-    totalServed_ = s.totalServed;
-    totalFailed_ = s.totalFailed;
-    totalOffered_ = s.totalOffered;
+    connectDeadlines_.restore(s.connectDeadlines);
+    requestDeadlines_.restore(s.requestDeadlines);
     totalAbandoned_ = s.totalAbandoned;
     completedSessions_ = s.completedSessions;
-    // Re-reserve series capacity lost by the copy so steady-state
-    // recording stays allocation-free after a fork.
-    served_.reserve(profile_.reserveSlices);
-    failed_.reserve(profile_.reserveSlices);
-    offered_.reserve(profile_.reserveSlices);
 }
 
 void

@@ -9,8 +9,11 @@
  *
  * Steady state is allocation-free: the session table is a fixed
  * vector, responses are matched by an index encoded in the request id
- * (no map), expiry timers are slab-backed EventHandles cancelled on
- * response, and latencies go into pre-reserved histograms.
+ * (no map), and latencies go into pre-reserved histograms. Timeouts
+ * wait in two deadline FIFOs, one per timeout class (a connection's
+ * first request gets the connect timeout, later ones the request
+ * timeout), each with one armed event for its head; an answered
+ * request's entry is simply skipped when its FIFO passes over it.
  *
  * All randomness (think times, session lengths, file picks) draws
  * from a split RNG stream, never from the shared sim.rng().
@@ -22,15 +25,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "loadgen/client_farm.hh"
 #include "loadgen/generator.hh"
-#include "loadgen/load_profile.hh"
-#include "net/network.hh"
-#include "sim/event_queue.hh"
-#include "sim/latency_histogram.hh"
+#include "sim/deadline_fifo.hh"
 #include "sim/random.hh"
-#include "sim/simulation.hh"
-#include "sim/time_series.hh"
 
 namespace performa::loadgen {
 
@@ -45,29 +42,10 @@ class SessionFarm : public LoadGenerator
     void start() override;
     void stop() override;
 
-    const sim::TimeSeries &served() const override { return served_; }
-    const sim::TimeSeries &failed() const override { return failed_; }
-    const sim::TimeSeries &offered() const override { return offered_; }
-
-    std::uint64_t totalServed() const override { return totalServed_; }
-    std::uint64_t totalFailed() const override { return totalFailed_; }
-    std::uint64_t totalOffered() const override { return totalOffered_; }
-
-    const sim::StageLatencyTimeline &
-    timeline() const override
-    {
-        return timeline_;
-    }
-    sim::StageLatencyTimeline
-    stealTimeline() override
-    {
-        return std::move(timeline_);
-    }
-
     /**
-     * Requests in flight when stop() was called: their expiry timers
-     * are cancelled and late responses dropped, so offered == served
-     * + failed + abandoned + pendingCount() holds at any time.
+     * Requests in flight when stop() was called: their deadlines go
+     * dead and late responses are dropped, so offered == served +
+     * failed + abandoned + pendingCount() holds at any time.
      */
     std::uint64_t totalAbandoned() const { return totalAbandoned_; }
     /** In-flight (not yet answered or timed out) request count. */
@@ -76,11 +54,9 @@ class SessionFarm : public LoadGenerator
     std::size_t sessionCount() const { return sessions_.size(); }
     /** Sessions ended so far (completed or abandoned on timeout). */
     std::uint64_t completedSessions() const { return completedSessions_; }
-    const WorkloadConfig &config() const { return cfg_; }
 
-    /** Snapshot state: the session table (expiry EventHandles stay
-     *  valid because the event queue restores slot-for-slot), RNG
-     *  stream and recorded series/histograms. */
+    /** Snapshot state: the session table, both deadline FIFOs, RNG
+     *  stream and the recording. */
     struct Saved;
 
     Saved save() const;
@@ -93,17 +69,33 @@ class SessionFarm : public LoadGenerator
         std::size_t server = 0;   ///< sticky: the reused connection
         std::uint32_t remaining = 0; ///< requests left in the session
         std::uint32_t seq = 0;    ///< per-session request sequence
-        sim::Tick sentAt = 0;
         bool inFlight = false;
         bool firstRequest = true; ///< first on this connection
-        sim::EventHandle expiry;
     };
+
+    /** A request awaiting its deadline: live while its session still
+     *  waits on request @c seq. A session's seq only grows, so a
+     *  dead entry stays dead. */
+    struct Deadline
+    {
+        std::uint32_t idx;
+        std::uint32_t seq;
+    };
+    using DeadlineFifo = sim::DeadlineFifo<Deadline, SessionFarm>;
+    friend DeadlineFifo;
 
     void beginSession(std::size_t idx);
     void think(std::size_t idx);
     void sendRequest(std::size_t idx);
-    void onResponse(net::Frame &&f);
-    void expire(std::size_t idx, std::uint32_t seq);
+    void onResponse(const press::ClientResponseBody &body) override;
+    bool
+    deadlineLive(const Deadline &d) const
+    {
+        const Session &sess = sessions_[d.idx];
+        return sess.inFlight && sess.seq == d.seq;
+    }
+    /** The request timed out: the user gives up on the session. */
+    void deadlineExpired(const Deadline &d);
 
     sim::RequestId
     encodeReq(std::size_t idx, std::uint32_t seq) const
@@ -111,12 +103,6 @@ class SessionFarm : public LoadGenerator
         return (static_cast<sim::RequestId>(idx + 1) << 32) | seq;
     }
 
-    sim::Simulation &sim_;
-    net::Network &net_;
-    std::vector<net::PortId> serverPorts_;
-    std::vector<net::PortId> clientPorts_;
-    WorkloadConfig cfg_;
-    LoadProfileSpec profile_;
     sim::Rng rng_;
     sim::ZipfSampler zipf_;
 
@@ -124,32 +110,23 @@ class SessionFarm : public LoadGenerator
     std::uint64_t generation_ = 0;
     std::size_t rrServer_ = 0;
     std::vector<Session> sessions_;
+    DeadlineFifo connectDeadlines_; ///< connections' first requests
+    DeadlineFifo requestDeadlines_; ///< requests on a reused connection
 
-    sim::TimeSeries served_;
-    sim::TimeSeries failed_;
-    sim::TimeSeries offered_;
-    sim::StageLatencyTimeline timeline_;
-    std::uint64_t totalServed_ = 0;
-    std::uint64_t totalFailed_ = 0;
-    std::uint64_t totalOffered_ = 0;
     std::uint64_t totalAbandoned_ = 0;
     std::uint64_t completedSessions_ = 0;
 };
 
 struct SessionFarm::Saved
 {
+    Recording recording;
     sim::Rng rng;
     bool running;
     std::uint64_t generation;
     std::size_t rrServer;
     std::vector<Session> sessions;
-    sim::TimeSeries served;
-    sim::TimeSeries failed;
-    sim::TimeSeries offered;
-    sim::StageLatencyTimeline timeline;
-    std::uint64_t totalServed;
-    std::uint64_t totalFailed;
-    std::uint64_t totalOffered;
+    DeadlineFifo::Saved connectDeadlines;
+    DeadlineFifo::Saved requestDeadlines;
     std::uint64_t totalAbandoned;
     std::uint64_t completedSessions;
 };

@@ -75,16 +75,21 @@ TcpComm::start()
 void
 TcpComm::reset()
 {
-    auto &sim = node_.simulation();
-    for (auto &[id, c] : conns_) {
-        sim.events().cancel(c.rtoTimer);
-        sim.events().cancel(c.memRetryTimer);
-        sim.events().cancel(c.synTimer);
-        if (c.skbufHeld && !c.sndQueue.empty())
-            node_.kernelMem().free(c.sndQueue.front().wireBytes);
-    }
+    for (auto &[id, c] : conns_)
+        teardown(c);
     conns_.clear();
     active_.clear();
+}
+
+void
+TcpComm::teardown(Conn &c)
+{
+    auto &events = node_.simulation().events();
+    events.cancel(c.rtoTimer);
+    events.cancel(c.memRetryTimer);
+    events.cancel(c.synTimer);
+    if (c.skbufHeld && !c.sndQueue.empty())
+        node_.kernelMem().free(c.sndQueue.front().wireBytes);
 }
 
 void
@@ -103,12 +108,7 @@ TcpComm::disconnect(sim::NodeId peer)
     Conn c = std::move(cit->second);
     conns_.erase(cit);
     active_.erase(it);
-    auto &sim = node_.simulation();
-    sim.events().cancel(c.rtoTimer);
-    sim.events().cancel(c.memRetryTimer);
-    sim.events().cancel(c.synTimer);
-    if (c.skbufHeld && !c.sndQueue.empty())
-        node_.kernelMem().free(c.sndQueue.front().wireBytes);
+    teardown(c);
     sendRawRst(peer, id);
     if (c.senderBlocked && cbs_.onSendReady)
         cbs_.onSendReady();
@@ -398,17 +398,12 @@ TcpComm::abortConn(std::uint64_t conn_id, BreakReason reason,
     if (active_.count(c.peer) && active_[c.peer] == conn_id)
         active_.erase(c.peer);
 
-    auto &sim = node_.simulation();
-    sim.events().cancel(c.rtoTimer);
-    sim.events().cancel(c.memRetryTimer);
-    sim.events().cancel(c.synTimer);
-    if (c.skbufHeld && !c.sndQueue.empty())
-        node_.kernelMem().free(c.sndQueue.front().wireBytes);
+    teardown(c);
 
     if (send_rst)
         sendRawRst(c.peer, conn_id);
 
-    sim::Trace::log(sim.now(), "tcp", "node ", node_.id(),
+    sim::Trace::log(node_.simulation().now(), "tcp", "node ", node_.id(),
                     " connection to ", c.peer, " broken");
 
     bool was_established = c.established;
@@ -495,13 +490,7 @@ TcpComm::handleSyn(const net::Frame &f)
         bool was_blocked = false;
         if (cit != conns_.end()) {
             was_blocked = cit->second.senderBlocked;
-            auto &sim = node_.simulation();
-            sim.events().cancel(cit->second.rtoTimer);
-            sim.events().cancel(cit->second.memRetryTimer);
-            sim.events().cancel(cit->second.synTimer);
-            if (cit->second.skbufHeld && !cit->second.sndQueue.empty())
-                node_.kernelMem().free(
-                    cit->second.sndQueue.front().wireBytes);
+            teardown(cit->second);
             conns_.erase(cit);
         }
         active_.erase(it);

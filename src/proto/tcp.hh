@@ -182,6 +182,9 @@ class TcpComm : public ClusterComm
     };
 
     void reset();
+    /** Cancel @p c's timers and free the kernel memory its in-flight
+     *  frame holds: every way a connection ends goes through here. */
+    void teardown(Conn &c);
     void handleSynRetry(std::uint64_t conn_id);
     void handleFrame(net::Frame &&f);
     void handleSyn(const net::Frame &f);

@@ -4,8 +4,9 @@
  * modulation, Pareto file sizes, the split RNG stream contract, the
  * client farm's deadline FIFO (constant heap under a flood, request
  * accounting, same-tick expiry order, fork), the session farm
- * (closed-loop throttling, stop and abandoned-request accounting,
- * expiry-timer hygiene), and latency-stamp recording.
+ * (closed-loop throttling, stop and abandoned-request accounting, and
+ * the same deadline-FIFO checks for both of its timeout classes), and
+ * latency-stamp recording.
  */
 
 #include <gtest/gtest.h>
@@ -37,6 +38,8 @@ struct StampWorld
     std::vector<net::PortId> clients;
     std::map<net::PortId, int> requestsPerServer;
     bool respond = true;
+    /** Stop answering a server after this many requests (-1 = never). */
+    int answersPerServer = -1;
     Tick serviceDelay = usec(500);
     /** The reply leaves this long after the request arrives (0 = at
      *  once); serviceDelay only shapes the stamps. */
@@ -48,8 +51,9 @@ struct StampWorld
             net::PortId p = n.addPort();
             servers.push_back(p);
             n.setHandler(p, [this, p](net::Frame &&f) {
-                ++requestsPerServer[p];
-                if (!respond)
+                int seen = ++requestsPerServer[p];
+                if (!respond ||
+                    (answersPerServer >= 0 && seen > answersPerServer))
                     return;
                 auto req = f.payload.cast<press::ClientRequestBody>();
                 Tick arrived = s.now();
@@ -630,6 +634,150 @@ TEST(SessionFarm, LatencyReflectsServiceDelay)
     ASSERT_EQ(total.count(), farm.totalServed());
     EXPECT_GT(total.mean(), 5000.0); // >= the 5 ms service
     EXPECT_LT(total.mean(), 8000.0);
+}
+
+// ---------------------------------------------------------------------
+// SessionFarm request expiry: one deadline FIFO per timeout class
+// ---------------------------------------------------------------------
+
+TEST(SessionFarm, UnansweredFloodKeepsTheHeapConstant)
+{
+    // 1000 users, 100 ms think; the servers answer for 2 s, then fall
+    // silent. Users under way wait out the 6 s request timeout, and
+    // the sessions that replace them the 2 s connect timeout, again
+    // and again. Nearly every user waits on a deadline, yet the heap
+    // holds only the two armed FIFO heads, the users thinking (many
+    // at once right after a wave of timeouts) and a few frames in
+    // flight. An expiry event per waiting user would
+    // hold about 2 000 entries at the peak here (1 957 measured).
+    StampWorld w;
+    loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                              smallConfig(), sessionProfile(1000, msec(100)));
+    farm.start();
+    std::size_t peak_heap = 0;
+    for (Tick t = msec(100); t <= sec(20); t += msec(100)) {
+        w.respond = t <= sec(2);
+        w.s.runUntil(t);
+        if (t >= sec(3))
+            peak_heap = std::max(peak_heap, w.s.events().heapSize());
+        ASSERT_EQ(farm.totalOffered(),
+                  farm.totalServed() + farm.totalFailed() +
+                      farm.totalAbandoned() + farm.pendingCount())
+            << "at " << t;
+    }
+    EXPECT_GT(farm.pendingCount(), 900u);
+    EXPECT_GT(farm.totalFailed(), 4u * farm.sessionCount());
+    EXPECT_LT(peak_heap, farm.sessionCount() / 2);
+}
+
+TEST(SessionFarm, ExpiryKeepsTheSameTickPlaceOfItsRequest)
+{
+    // For each timeout class: two users' requests go unanswered, and
+    // an event scheduled right after the second is issued, for the
+    // tick of its deadline, must run after both expiries, as it would
+    // if each expiry had been scheduled when its request was issued.
+    // The second expiry is armed only when the first one fires, so it
+    // must fire under the seq it reserved.
+    auto probe = [](bool reused_connection) {
+        // Users stick to their own server (round-robin), and each
+        // server answers only its first request.
+        StampWorld w;
+        w.respond = reused_connection;
+        w.answersPerServer = 1;
+        auto profile = sessionProfile(2, msec(100));
+        profile.meanRequestsPerSession = 1000;
+        loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                                  smallConfig(), profile);
+        farm.start();
+        // Each user's first request is answered when the servers
+        // respond; its next one rides the reused connection. The last
+        // request of each user is left unanswered.
+        std::uint64_t want = reused_connection ? 4 : 2;
+        Tick t = 0;
+        while (farm.totalOffered() < want)
+            w.s.runUntil(++t);
+        Tick timeout = reused_connection ? farm.config().requestTimeout
+                                         : farm.config().connectTimeout;
+        std::uint64_t failed_seen = 0;
+        w.s.schedule(t + timeout, [&] { failed_seen = farm.totalFailed(); });
+        w.s.runUntil(t + timeout);
+        EXPECT_EQ(farm.totalServed(), reused_connection ? 2u : 0u);
+        return failed_seen;
+    };
+    EXPECT_EQ(probe(false), 2u) << "connect timeout";
+    EXPECT_EQ(probe(true), 2u) << "request timeout";
+}
+
+TEST(SessionFarm, AnsweredRequestsArmAboutOneExpiryPerTimeout)
+{
+    // Replies come back at once, so nearly every deadline belongs to
+    // an answered request. Those are skipped when an expiry passes
+    // over them: about one expiry event fires per timeout window and
+    // class, not one per request.
+    StampWorld w;
+    loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                              smallConfig(), sessionProfile(20, msec(20)));
+    farm.start();
+    w.s.runUntil(sec(60));
+    farm.stop();
+    const loadgen::WorkloadConfig &cfg = farm.config();
+    Tick duration = sec(60) + cfg.requestTimeout + sec(1);
+    w.s.runUntil(duration);
+    ASSERT_EQ(farm.totalFailed(), 0u);
+    ASSERT_GT(farm.totalServed(), 50000u);
+    // Every other event is accounted for: one think tick and two
+    // frames per request, and one stale think tick for each user who
+    // was thinking, not waiting, at stop().
+    std::uint64_t offered = farm.totalOffered();
+    std::uint64_t stale_thinks = farm.sessionCount() - farm.totalAbandoned();
+    std::uint64_t expiries =
+        w.s.events().executed() - 3 * offered - stale_thinks;
+    EXPECT_LE(expiries, duration / cfg.connectTimeout +
+                            duration / cfg.requestTimeout + 2);
+}
+
+TEST(SessionFarm, ForkRestoresTheDeadlineFifos)
+{
+    // Capture mid-run with thousands of requests awaiting deadlines in
+    // both classes, run on, then fork back: the second run must replay
+    // the first exactly, expiry for expiry.
+    StampWorld w;
+    w.replyDelay = msec(1500); // within both timeouts
+    loadgen::SessionFarm farm(w.s, w.n, w.servers, w.clients,
+                              smallConfig(), sessionProfile(3000, msec(250)));
+    sim::SnapshotRegistry reg;
+    reg.attach(w.s);
+    reg.attach(w.n);
+    farm.registerWith(reg);
+    farm.start();
+    w.s.runUntil(sec(8));
+    std::size_t pending_at_capture = farm.pendingCount();
+    ASSERT_GT(pending_at_capture, 2000u);
+    sim::Snapshot snap = reg.capture();
+
+    auto runOn = [&](bool respond) {
+        w.respond = respond;
+        w.s.runUntil(sec(20));
+        return std::array<std::uint64_t, 6>{
+            farm.totalOffered(), farm.totalServed(), farm.totalFailed(),
+            farm.pendingCount(), farm.completedSessions(),
+            w.s.events().executed()};
+    };
+    auto first = runOn(true);
+    ASSERT_EQ(first[2], 0u);
+
+    // A divergent run in between must leave no trace: both classes
+    // time out in it.
+    reg.forkFrom(snap);
+    auto silent = runOn(false);
+    EXPECT_GT(silent[2], 2u * farm.sessionCount());
+
+    reg.forkFrom(snap);
+    EXPECT_EQ(farm.pendingCount(), pending_at_capture);
+    EXPECT_EQ(w.s.now(), sec(8));
+    auto second = runOn(true);
+    EXPECT_EQ(first, second);
+    EXPECT_EQ(second[0], second[1] + second[2] + second[3]);
 }
 
 // ---------------------------------------------------------------------

@@ -7,8 +7,9 @@
  * in-flight frames from the parked slab, queue slots from the rings,
  * and event records from the event-engine slab. The measure window
  * of a warmed, fault-free PRESS cluster allocates nothing for every
- * version, and a fork of a warmed PRESS experiment is held under 200
- * allocations, independent of cache size and request backlog.
+ * version, a fork of a warmed PRESS experiment is held under 200
+ * allocations, independent of cache size and request backlog, and a
+ * deadline FIFO restores in place without allocating.
  *
  * This file must stay its own test binary: the hook is global.
  */
@@ -28,6 +29,7 @@
 #include "os/node.hh"
 #include "press/messages.hh"
 #include "proto/tcp.hh"
+#include "sim/deadline_fifo.hh"
 #include "sim/simulation.hh"
 
 namespace {
@@ -388,4 +390,60 @@ TEST(ZeroAlloc, ForkOfAWarmedPressExperimentAllocatesLittle)
     e.forkFrom(snap);
     g_counting = false;
     EXPECT_LT(g_news, 200u) << "allocations in a fork after a run";
+}
+
+namespace {
+
+/** Every entry stays live; expiries only count. */
+struct CountingOwner
+{
+    std::size_t expired = 0;
+    bool deadlineLive(const int &) const { return true; }
+    void deadlineExpired(const int &) { ++expired; }
+};
+
+} // namespace
+
+TEST(DeadlineFifo, RestoreInPlaceAllocatesNothing)
+{
+    // A fork refills a warmed FIFO in place: its ring keeps the
+    // capacity it grew to, so restoring allocates nothing, whether the
+    // run since the save drained the FIFO or refilled it.
+    sim::EventQueue q;
+    CountingOwner owner;
+    sim::DeadlineFifo<int, CountingOwner> fifo(q, owner, 1000);
+    int next = 0;
+    auto pushFor = [&](sim::Tick until) {
+        for (sim::Tick t = q.now(); t < until; ++t) {
+            q.runUntil(t);
+            fifo.push(next++);
+            fifo.push(next++);
+        }
+    };
+    pushFor(3000);
+    auto q_saved = q.save();
+    auto saved = fifo.save();
+    std::size_t waiting = fifo.size();
+    int head = fifo[0];
+    ASSERT_EQ(waiting, 2000u);
+
+    for (bool refill : {false, true}) {
+        SCOPED_TRACE(refill ? "refilled" : "drained");
+        if (refill)
+            pushFor(q.now() + 1500);
+        else
+            q.runUntil(q.now() + 5000);
+        q.restore(q_saved);
+        g_news = 0;
+        g_counting = true;
+        fifo.restore(saved);
+        g_counting = false;
+        EXPECT_EQ(g_news, 0u) << "allocations in restore";
+        EXPECT_EQ(fifo.size(), waiting);
+        EXPECT_EQ(fifo[0], head);
+    }
+    // The restored queue and FIFO run on together.
+    std::size_t expired = owner.expired;
+    q.runAll();
+    EXPECT_EQ(owner.expired, expired + waiting);
 }

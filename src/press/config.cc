@@ -95,7 +95,6 @@ viaConfigFor(Version v)
         cfg.costs.sendPerKb = 9.0;
         cfg.costs.recvFixed = sim::usec(23);
         cfg.costs.recvPerKb = 9.0;
-        cfg.costs.deliveryDelay = sim::usec(50);
         cfg.pollDelay = sim::usec(50);
         break;
       case Version::ViaPress5:
@@ -106,7 +105,6 @@ viaConfigFor(Version v)
         cfg.costs.sendPerKb = 3.0;
         cfg.costs.recvFixed = sim::usec(23);
         cfg.costs.recvPerKb = 3.0;
-        cfg.costs.deliveryDelay = sim::usec(50);
         cfg.pollDelay = sim::usec(50);
         break;
       default:

@@ -7,7 +7,9 @@
  * with three messaging modes (send/receive, remote write, remote
  * write + zero copy). The interface is deliberately narrow so that
  * the server's behaviour differences under faults come from the
- * substrates, not from different server code.
+ * substrates, not from different server code; both stacks share one
+ * channel core (channel_core.hh) and differ only where the substrates
+ * do.
  */
 
 #ifndef PERFORMA_PROTO_COMM_HH

@@ -28,26 +28,10 @@
 #define PERFORMA_PROTO_TCP_HH
 
 #include <cstdint>
-#include <map>
-#include <unordered_map>
 
-#include "net/frame.hh"
-#include "os/node.hh"
-#include "proto/comm.hh"
-#include "sim/ring_buffer.hh"
-#include "sim/simulation.hh"
+#include "proto/channel_core.hh"
 
 namespace performa::proto {
-
-/** CPU cost parameters for one side of a message operation. */
-struct CommCosts
-{
-    sim::Tick sendFixed = 0;   ///< per-send fixed CPU
-    double sendPerKb = 0.0;    ///< per-KB send CPU (copies, checksum)
-    sim::Tick recvFixed = 0;   ///< per-receive fixed CPU
-    double recvPerKb = 0.0;    ///< per-KB receive CPU
-    sim::Tick deliveryDelay = 0; ///< extra delivery latency (polling)
-};
 
 /** Tunables for the TCP model. */
 struct TcpConfig
@@ -68,7 +52,46 @@ struct TcpConfig
     std::uint64_t datagramBytes = 64;
     /** Default CPU costs: calibrated kernel-TCP values (see
      *  press::tcpConfigFor, which PRESS deployments use). */
-    CommCosts costs{sim::usec(63), 12.0, sim::usec(74), 12.0, 0};
+    CommCosts costs{sim::usec(63), 12.0, sim::usec(74), 12.0};
+};
+
+/**
+ * A queued outbound message. The pooled payload is created once at
+ * send() time; every (re)transmission attaches the same handle to the
+ * wire frame (refcount bump), so the block is recycled only when the
+ * final ack or abort drops the last reference.
+ */
+struct TcpOutMsg
+{
+    sim::Rc<AppMessage> msg;
+    std::uint64_t wireBytes;
+    std::uint64_t seq;
+    /** Stream-desync fault riding on this message, if any. */
+    bool desync = false;
+};
+
+/** One connection endpoint: the shared channel plus the byte stream's
+ *  sequencing, retransmission and kernel-memory state. */
+struct TcpChannel : Channel<TcpOutMsg>
+{
+    std::uint64_t sndBytes = 0;
+    std::uint64_t seqNext = 0;
+    bool skbufHeld = false; ///< in-flight frame holds kernel memory
+    sim::Tick rto = 0;
+    sim::Tick firstFailAt = 0; ///< 0 = progressing
+    /**
+     * The live retransmission deadline: fires at (rtoAt, rtoSeq)
+     * while rtoArmed. An ack only disarms it; the event already
+     * on the queue (rtoTimer, due at rtoTimerAt) is kept and
+     * re-armed or ignored when it fires (see armRto).
+     */
+    bool rtoArmed = false;
+    sim::Tick rtoAt = 0;
+    std::uint64_t rtoSeq = 0;
+    sim::EventHandle rtoTimer;
+    sim::Tick rtoTimerAt = 0;
+    sim::EventHandle memRetryTimer;
+    std::uint64_t seqExpected = 0;
 };
 
 /**
@@ -76,39 +99,20 @@ struct TcpConfig
  * demultiplexes Proto::Tcp and Proto::Datagram frames from the
  * intra-cluster network.
  */
-class TcpComm : public ClusterComm
+class TcpComm : public ChannelCore<TcpComm, TcpConfig, TcpChannel>
 {
   public:
-    TcpComm(osim::Node &node, TcpConfig cfg,
-            const std::unordered_map<sim::NodeId, net::PortId> &peer_ports);
+    using ChannelCore::ChannelCore;
 
-    void setCallbacks(CommCallbacks cbs) override { cbs_ = std::move(cbs); }
-    void start() override;
-    void connect(sim::NodeId peer) override;
-    bool connected(sim::NodeId peer) const override;
     SendStatus send(sim::NodeId peer, AppMessage msg,
                     const SendParams &params) override;
     void sendDatagram(sim::NodeId peer, std::uint32_t kind,
                       sim::RcAny payload = {}) override;
     void consumed(sim::NodeId peer) override;
-    void disconnect(sim::NodeId peer) override;
-    void shutdown() override;
-    void vanish() override;
-    void setAppReceiving(bool on) override;
-
-    /** CPU the caller burns issuing a send of @p bytes. */
-    sim::Tick sendCost(std::uint64_t bytes) const override;
-
-    const TcpConfig &config() const { return cfg_; }
-
-    /** Snapshot state: listen/receive flags and every connection
-     *  (queues deep-copied, payload handles refcount-bumped). */
-    struct Saved;
-
-    Saved save() const;
-    void restore(const Saved &s);
 
   private:
+    friend ChannelCore;
+
     enum FrameKind : std::uint32_t
     {
         Syn,
@@ -118,129 +122,43 @@ class TcpComm : public ClusterComm
         Ack,
     };
 
-    /**
-     * What a queued outbound message looks like. The pooled payload is
-     * created once at send() time; every (re)transmission attaches the
-     * same handle to the wire frame (refcount bump), so the block is
-     * recycled only when the final ack or abort drops the last
-     * reference.
-     */
-    struct OutMsg
-    {
-        sim::Rc<AppMessage> msg;
-        std::uint64_t wireBytes;
-        std::uint64_t seq;
-        /** Stream-desync fault riding on this message, if any. */
-        bool desync = false;
-    };
+    static constexpr std::uint32_t ConnectReq = Syn;
+    static constexpr std::uint32_t ConnectAck = SynAck;
+    static constexpr std::uint32_t Refuse = Rst;
+    static constexpr std::uint32_t Reset = Rst;
+    static constexpr net::Proto wire = net::Proto::Tcp;
+    static constexpr const char *traceTag = "tcp";
+    static constexpr const char *channelNoun = "connection";
 
-    struct InMsg
-    {
-        AppMessage msg;
-        sim::NodeId peer;
-        bool desync = false;
-    };
+    void initChannel(TcpChannel &c);
+    /** Cancel the retransmission and memory-retry timers and free the
+     *  kernel memory the in-flight frame holds. */
+    void release(TcpChannel &c);
+    /** The framing layer on top of a desynchronized byte stream reads
+     *  garbage lengths: unrecoverable. */
+    void deliver(sim::NodeId peer, InMsg &&in);
 
-    /** One direction-agnostic connection endpoint. */
-    struct Conn
-    {
-        std::uint64_t id = 0;
-        sim::NodeId peer = sim::invalidNode;
-        bool established = false;
-
-        // sender side
-        sim::RingBuffer<OutMsg> sndQueue;
-        std::uint64_t sndBytes = 0;
-        std::uint64_t seqNext = 0;
-        bool inFlight = false;
-        bool skbufHeld = false; ///< in-flight frame holds kernel memory
-        sim::Tick rto = 0;
-        sim::Tick firstFailAt = 0; ///< 0 = progressing
-        /**
-         * The live retransmission deadline: fires at (rtoAt, rtoSeq)
-         * while rtoArmed. An ack only disarms it; the event already
-         * on the queue (rtoTimer, due at rtoTimerAt) is kept and
-         * re-armed or ignored when it fires (see armRto).
-         */
-        bool rtoArmed = false;
-        sim::Tick rtoAt = 0;
-        std::uint64_t rtoSeq = 0;
-        sim::EventHandle rtoTimer;
-        sim::Tick rtoTimerAt = 0;
-        sim::EventHandle memRetryTimer;
-        bool senderBlocked = false;
-
-        // connect side
-        int synTries = 0;
-        sim::EventHandle synTimer;
-
-        // receiver side
-        std::uint64_t seqExpected = 0;
-        sim::RingBuffer<InMsg> rcvQueue;
-        /** Deliveries queued on the CPU but not yet executed. */
-        std::size_t scheduledDeliveries = 0;
-    };
-
-    void reset();
-    /** Cancel @p c's timers and free the kernel memory its in-flight
-     *  frame holds: every way a connection ends goes through here. */
-    void teardown(Conn &c);
-    void handleSynRetry(std::uint64_t conn_id);
     void handleFrame(net::Frame &&f);
-    void handleSyn(const net::Frame &f);
-    void handleSynAck(const net::Frame &f);
-    void handleRst(const net::Frame &f);
-    void handleData(net::Frame &&f);
+    void handleData(const net::Frame &f);
     void handleAck(const net::Frame &f);
+    /** Ack data frame @p f back to its sender. */
+    void sendAck(const net::Frame &f);
 
-    /** Transmit (or re-transmit) the head of @p c's send queue. */
-    void pump(Conn &c);
+    /** Transmit the head of @p c's send queue if nothing is in
+     *  flight and an skbuf can be had. */
+    void pump(TcpChannel &c);
+    /** Put the head of @p c's send queue on the wire (first transmit
+     *  or retransmit). */
+    void transmitHead(const TcpChannel &c);
     /** Set the live deadline to now + rto under a fresh reserved seq;
      *  schedule an event only if none is due at or before it. */
-    void armRto(Conn &c);
+    void armRto(TcpChannel &c);
     /** Put @p c's timer event on the queue at its live deadline. */
-    void scheduleRto(Conn &c);
+    void scheduleRto(TcpChannel &c);
     /** The timer event scheduled under @p seq came due. */
     void onRtoEvent(std::uint64_t conn_id, std::uint64_t seq);
-    void onRtoFired(Conn &c);
-    void abortConn(std::uint64_t conn_id, BreakReason reason,
-                   bool send_rst);
-    void sendRawRst(sim::NodeId peer, std::uint64_t conn_id);
-    void scheduleDeliveries(Conn &c);
-    void maybeUnblockSender(Conn &c);
-
-    Conn *findByPeer(sim::NodeId peer);
-    const Conn *findByPeer(sim::NodeId peer) const;
-
-    net::PortId portOf(sim::NodeId peer) const;
-    sim::NodeId peerOfPort(net::PortId port) const;
-
-    osim::Node &node_;
-    TcpConfig cfg_;
-    CommCallbacks cbs_;
-    std::unordered_map<sim::NodeId, net::PortId> peerPorts_;
-    std::unordered_map<net::PortId, sim::NodeId> portPeers_;
-
-    /** Deep-copy @p c (ring buffers cloned; timer handles are plain
-     *  {slot, gen} triples that stay valid across a queue restore). */
-    static Conn cloneConn(const Conn &c);
-
-    bool listening_ = false;
-    bool appReceiving_ = true;
-    // Ordered maps, deliberately: shutdown()/setAppReceiving()/reset()
-    // iterate the connection table with wire- and CPU-visible side
-    // effects, so iteration order must be identical between a warmed
-    // endpoint and its snapshot-restored fork.
-    std::map<std::uint64_t, Conn> conns_;
-    std::map<sim::NodeId, std::uint64_t> active_;
-};
-
-struct TcpComm::Saved
-{
-    bool listening;
-    bool appReceiving;
-    std::map<std::uint64_t, Conn> conns; ///< deep copies
-    std::map<sim::NodeId, std::uint64_t> active;
+    void onRtoFired(TcpChannel &c);
+    void maybeUnblockSender(TcpChannel &c);
 };
 
 } // namespace performa::proto

@@ -9,60 +9,6 @@ namespace performa::proto {
 // VI identifiers come from Simulation::allocId(): unique within one
 // simulated world, race-free across concurrent worlds.
 
-ViaComm::ViaComm(osim::Node &node, ViaConfig cfg,
-                 const std::unordered_map<sim::NodeId, net::PortId>
-                     &peer_ports)
-    : node_(node), cfg_(cfg), peerPorts_(peer_ports)
-{
-    for (const auto &[peer, port] : peerPorts_)
-        portPeers_[port] = peer;
-
-    node_.intraNet().setHandler(node_.intraPort(),
-        [this](net::Frame &&f) { handleFrame(std::move(f)); });
-
-    node_.onCrash([this] { vanish(); });
-}
-
-net::PortId
-ViaComm::portOf(sim::NodeId peer) const
-{
-    auto it = peerPorts_.find(peer);
-    if (it == peerPorts_.end())
-        PANIC("via: unknown peer node ", peer);
-    return it->second;
-}
-
-sim::NodeId
-ViaComm::peerOfPort(net::PortId port) const
-{
-    auto it = portPeers_.find(port);
-    return it == portPeers_.end() ? sim::invalidNode : it->second;
-}
-
-ViaComm::Vi *
-ViaComm::findByPeer(sim::NodeId peer)
-{
-    auto it = active_.find(peer);
-    if (it == active_.end())
-        return nullptr;
-    auto vit = vis_.find(it->second);
-    return vit == vis_.end() ? nullptr : &vit->second;
-}
-
-const ViaComm::Vi *
-ViaComm::findByPeer(sim::NodeId peer) const
-{
-    return const_cast<ViaComm *>(this)->findByPeer(peer);
-}
-
-sim::Tick
-ViaComm::sendCost(std::uint64_t bytes) const
-{
-    return cfg_.costs.sendFixed +
-           static_cast<sim::Tick>(cfg_.costs.sendPerKb *
-                                  static_cast<double>(bytes) / 1024.0);
-}
-
 void
 ViaComm::start()
 {
@@ -76,41 +22,7 @@ ViaComm::start()
         return;
     }
     pinnedByUs_ += cfg_.regBufferBytes;
-    listening_ = true;
-    appReceiving_ = true;
-}
-
-void
-ViaComm::reset()
-{
-    auto &sim = node_.simulation();
-    for (auto &[id, vi] : vis_)
-        sim.events().cancel(vi.connTimer);
-    vis_.clear();
-    active_.clear();
-    if (pinnedByUs_ > 0) {
-        node_.pins().unpin(pinnedByUs_);
-        pinnedByUs_ = 0;
-    }
-}
-
-void
-ViaComm::disconnect(sim::NodeId peer)
-{
-    auto it = active_.find(peer);
-    if (it == active_.end())
-        return;
-    std::uint64_t id = it->second;
-    auto vit = vis_.find(id);
-    active_.erase(it);
-    if (vit == vis_.end())
-        return;
-    bool was_blocked = vit->second.senderBlocked;
-    node_.simulation().events().cancel(vit->second.connTimer);
-    vis_.erase(vit);
-    sendControl(peer, BreakNotify, id);
-    if (was_blocked && cbs_.onSendReady)
-        cbs_.onSendReady();
+    ChannelCore::start();
 }
 
 void
@@ -118,32 +30,19 @@ ViaComm::shutdown()
 {
     // Graceful process exit: tearing down VIs breaks the connections,
     // which peers interpret as node failure (PRESS semantics).
-    for (auto &[id, vi] : vis_) {
-        if (vi.established)
-            sendControl(vi.peer, BreakNotify, vi.id);
+    ChannelCore::shutdown();
+    if (pinnedByUs_ > 0) {
+        node_.pins().unpin(pinnedByUs_);
+        pinnedByUs_ = 0;
     }
-    reset();
-    listening_ = false;
 }
 
 void
 ViaComm::vanish()
 {
-    vis_.clear();
-    active_.clear();
+    ChannelCore::vanish();
     // The node is gone; the pin accounting was reset with the node.
     pinnedByUs_ = 0;
-    listening_ = false;
-}
-
-void
-ViaComm::setAppReceiving(bool on)
-{
-    appReceiving_ = on;
-    if (on) {
-        for (auto &[id, vi] : vis_)
-            scheduleDeliveries(vi);
-    }
 }
 
 bool
@@ -163,77 +62,26 @@ ViaComm::deregisterMemory(std::uint64_t bytes)
 }
 
 void
-ViaComm::sendControl(sim::NodeId peer, FrameKind kind, std::uint64_t vi_id)
+ViaComm::initChannel(ViaChannel &vi)
 {
-    net::Frame f;
-    f.srcPort = node_.intraPort();
-    f.dstPort = portOf(peer);
-    f.proto = net::Proto::Via;
-    f.kind = kind;
-    f.conn = vi_id;
-    f.bytes = cfg_.headerBytes;
-    node_.intraNet().send(std::move(f));
-}
-
-void
-ViaComm::connect(sim::NodeId peer)
-{
-    std::uint64_t id = node_.simulation().allocId();
-    Vi &vi = vis_[id];
-    vi.id = id;
-    vi.peer = peer;
     vi.sndQueue.reserve(cfg_.credits);
     vi.rcvQueue.reserve(cfg_.credits);
-    active_[peer] = id;
-    vi.connTries = 1;
-    sendControl(peer, ConnReq, id);
-    vi.connTimer = node_.simulation().scheduleIn(cfg_.connectTimeout,
-        [this, id] { handleConnRetry(id); });
-}
-
-void
-ViaComm::handleConnRetry(std::uint64_t vi_id)
-{
-    auto it = vis_.find(vi_id);
-    if (it == vis_.end() || it->second.established)
-        return;
-    Vi &vi = it->second;
-    if (vi.connTries >= cfg_.connectRetries) {
-        sim::NodeId p = vi.peer;
-        if (active_.count(p) && active_[p] == vi_id)
-            active_.erase(p);
-        vis_.erase(it);
-        if (cbs_.onConnectFailed)
-            cbs_.onConnectFailed(p);
-        return;
-    }
-    ++vi.connTries;
-    sendControl(vi.peer, ConnReq, vi_id);
-    vi.connTimer = node_.simulation().scheduleIn(cfg_.connectTimeout,
-        [this, vi_id] { handleConnRetry(vi_id); });
-}
-
-bool
-ViaComm::connected(sim::NodeId peer) const
-{
-    const Vi *vi = findByPeer(peer);
-    return vi && vi->established;
 }
 
 SendStatus
 ViaComm::send(sim::NodeId peer, AppMessage msg, const SendParams &params)
 {
+    ViaChannel *vi = findByPeer(peer);
     if (params.faulty()) {
         // VIPL diagnoses the bad descriptor as a fatal completion
         // error. For remote-write modes the error is additionally
         // reported at the other end of the transfer ("the fault is
         // reported at both ends of the communication").
-        if (remoteWrite() && connected(peer))
-            sendControl(peer, ErrorNotify, active_[peer]);
+        if (remoteWrite() && vi && vi->established)
+            sendControl(peer, ErrorNotify, vi->id);
         return SendStatus::Fatal;
     }
 
-    Vi *vi = findByPeer(peer);
     if (!vi || !vi->established)
         return SendStatus::NotConnected;
 
@@ -243,7 +91,7 @@ ViaComm::send(sim::NodeId peer, AppMessage msg, const SendParams &params)
     }
 
     --vi->remoteCredits;
-    OutMsg out;
+    ViaOutMsg out;
     out.wireBytes = msg.bytes + cfg_.headerBytes;
     out.msg = node_.simulation().makePayload<AppMessage>(std::move(msg));
     vi->sndQueue.push_back(std::move(out));
@@ -252,54 +100,34 @@ ViaComm::send(sim::NodeId peer, AppMessage msg, const SendParams &params)
 }
 
 void
-ViaComm::sendDatagram(sim::NodeId peer, std::uint32_t kind,
-                      sim::RcAny payload)
-{
-    net::Frame f;
-    f.srcPort = node_.intraPort();
-    f.dstPort = portOf(peer);
-    f.proto = net::Proto::Datagram;
-    f.kind = kind;
-    f.bytes = cfg_.datagramBytes;
-    f.payload = std::move(payload);
-    node_.intraNet().send(std::move(f));
-}
-
-void
 ViaComm::consumed(sim::NodeId peer)
 {
     // PRESS's explicit flow-control message: return one credit.
-    Vi *vi = findByPeer(peer);
+    ViaChannel *vi = findByPeer(peer);
     if (!vi || !vi->established)
         return;
     sendControl(peer, Credit, vi->id);
 }
 
 void
-ViaComm::pump(Vi &vi)
+ViaComm::pump(ViaChannel &vi)
 {
     if (!vi.established || vi.inFlight || vi.sndQueue.empty())
         return;
 
-    OutMsg &m = vi.sndQueue.front();
-    net::Frame f;
-    f.srcPort = node_.intraPort();
-    f.dstPort = portOf(vi.peer);
-    f.proto = net::Proto::Via;
-    f.kind = Data;
-    f.conn = vi.id;
-    f.bytes = m.wireBytes;
+    const ViaOutMsg &m = vi.sndQueue.front();
+    net::Frame f = frame(portOf(vi.peer), Data, vi.id, m.wireBytes);
     f.payload = m.msg; // refcount bump, no copy
     vi.inFlight = true;
 
     std::uint64_t id = vi.id;
     node_.intraNet().send(std::move(f), [this, id](bool delivered) {
-        auto it = vis_.find(id);
-        if (it == vis_.end())
+        auto it = chans_.find(id);
+        if (it == chans_.end())
             return;
         if (!delivered) {
             // SAN loss: reliable-connection semantics are fail-stop.
-            breakVi(id, BreakReason::TransportError, /*notify=*/true);
+            close(it, /*notify=*/true, BreakReason::TransportError);
             return;
         }
         it->second.inFlight = false;
@@ -310,86 +138,36 @@ ViaComm::pump(Vi &vi)
 }
 
 void
-ViaComm::breakVi(std::uint64_t vi_id, BreakReason reason, bool notify)
-{
-    auto it = vis_.find(vi_id);
-    if (it == vis_.end())
-        return;
-    Vi vi = std::move(it->second);
-    vis_.erase(it);
-    if (active_.count(vi.peer) && active_[vi.peer] == vi_id)
-        active_.erase(vi.peer);
-    node_.simulation().events().cancel(vi.connTimer);
-
-    if (notify)
-        sendControl(vi.peer, BreakNotify, vi_id); // best effort
-
-    sim::Trace::log(node_.simulation().now(), "via", "node ", node_.id(),
-                    " VI to ", vi.peer, " broken");
-
-    if (vi.established && cbs_.onPeerBroken)
-        cbs_.onPeerBroken(vi.peer, reason);
-    if (vi.senderBlocked && cbs_.onSendReady)
-        cbs_.onSendReady();
-}
-
-void
 ViaComm::handleFrame(net::Frame &&f)
 {
     // The cLAN NIC acknowledges in hardware, so frames are accepted
     // even while the host OS is frozen; they queue in NIC/host memory
     // until the CPU runs again.
-    if (f.proto == net::Proto::Datagram) {
-        if (!listening_ || !appReceiving_ || !node_.up())
-            return;
-        sim::NodeId peer = peerOfPort(f.srcPort);
-        std::uint32_t kind = f.kind;
-        node_.cpu().exec(sim::usec(5),
-            [this, peer, kind, payload = std::move(f.payload)] {
-                if (listening_ && appReceiving_ && cbs_.onDatagram)
-                    cbs_.onDatagram(peer, kind, payload);
-            });
-        return;
-    }
-
     switch (f.kind) {
       case ConnReq:
-        handleConnReq(f);
+        if (auto it = activeChannel(peerOfPort(f.srcPort));
+            listening_ && it != chans_.end() && it->first == f.conn) {
+            // Duplicate ConnReq (our ack was lost): re-ack.
+            sendControl(it->second.peer, ConnAck, f.conn);
+        } else {
+            accept(f);
+        }
         break;
-      case ConnAck: {
-        auto it = vis_.find(f.conn);
-        if (it == vis_.end() || it->second.established)
-            return;
-        Vi &vi = it->second;
-        vi.established = true;
-        vi.remoteCredits = cfg_.credits;
-        node_.simulation().events().cancel(vi.connTimer);
-        if (cbs_.onPeerConnected)
-            cbs_.onPeerConnected(vi.peer);
-        pump(vi);
+      case ConnAck:
+        handleConnectAck(f);
         break;
-      }
-      case ConnRefused: {
-        auto it = vis_.find(f.conn);
-        if (it == vis_.end() || it->second.established)
-            return;
-        sim::NodeId peer = it->second.peer;
-        node_.simulation().events().cancel(it->second.connTimer);
-        if (active_.count(peer) && active_[peer] == f.conn)
-            active_.erase(peer);
-        vis_.erase(it);
-        if (cbs_.onConnectFailed)
-            cbs_.onConnectFailed(peer);
+      case ConnRefused:
+        handleRefused(f);
         break;
-      }
       case Data:
-        handleData(std::move(f));
+        if (ViaChannel *vi = dataChannel(f))
+            receive(*vi, f);
         break;
       case Credit: {
-        auto it = vis_.find(f.conn);
-        if (it == vis_.end() || !it->second.established)
+        auto it = chans_.find(f.conn);
+        if (it == chans_.end() || !it->second.established)
             return;
-        Vi &vi = it->second;
+        ViaChannel &vi = it->second;
         ++vi.remoteCredits;
         if (vi.senderBlocked) {
             vi.senderBlocked = false;
@@ -399,7 +177,7 @@ ViaComm::handleFrame(net::Frame &&f)
         break;
       }
       case BreakNotify:
-        breakVi(f.conn, BreakReason::TransportError, /*notify=*/false);
+        breakChannel(f.conn, BreakReason::TransportError, /*notify=*/false);
         break;
       case ErrorNotify:
         // RDMA completion error surfaced by our NIC: fatal for the
@@ -413,161 +191,6 @@ ViaComm::handleFrame(net::Frame &&f)
         break;
       default:
         PANIC("via: unknown frame kind ", f.kind);
-    }
-}
-
-void
-ViaComm::handleConnReq(const net::Frame &f)
-{
-    sim::NodeId peer = peerOfPort(f.srcPort);
-    if (!listening_) {
-        sendControl(peer, ConnRefused, f.conn);
-        return;
-    }
-    if (auto it = active_.find(peer); it != active_.end()) {
-        if (it->second == f.conn) {
-            // Duplicate ConnReq (our ack was lost): re-ack.
-            sendControl(peer, ConnAck, f.conn);
-            return;
-        }
-        auto vit = vis_.find(it->second);
-        if (vit != vis_.end() && !vit->second.established &&
-            peer > node_.id()) {
-            // Simultaneous connect race: both ends issued ConnReqs.
-            // Deterministic tie-break: the lower node id's request
-            // wins, so the higher id ignores the incoming one and
-            // lets its own pending request complete.
-            return;
-        }
-        // Stale (or losing) VI to this peer: drop it quietly. If a
-        // sender was blocked on it, wake it up so its queued sends
-        // retry on the replacement VI.
-        bool was_blocked = false;
-        if (vit != vis_.end()) {
-            was_blocked = vit->second.senderBlocked;
-            node_.simulation().events().cancel(vit->second.connTimer);
-            vis_.erase(vit);
-        }
-        active_.erase(it);
-        if (was_blocked && cbs_.onSendReady)
-            cbs_.onSendReady();
-    }
-
-    Vi &vi = vis_[f.conn];
-    vi.id = f.conn;
-    vi.peer = peer;
-    vi.established = true;
-    vi.remoteCredits = cfg_.credits;
-    vi.sndQueue.reserve(cfg_.credits);
-    vi.rcvQueue.reserve(cfg_.credits);
-    active_[peer] = f.conn;
-
-    sendControl(peer, ConnAck, f.conn);
-    if (cbs_.onPeerConnected)
-        cbs_.onPeerConnected(peer);
-}
-
-void
-ViaComm::handleData(net::Frame &&f)
-{
-    auto it = vis_.find(f.conn);
-    if (it == vis_.end()) {
-        // Data for a VI this incarnation does not know: tell the
-        // sender the connection is dead.
-        sendControl(peerOfPort(f.srcPort), BreakNotify, f.conn);
-        return;
-    }
-    Vi &vi = it->second;
-
-    InMsg in;
-    in.peer = vi.peer;
-    if (f.payload)
-        in.msg = *f.payload.get<AppMessage>();
-    vi.rcvQueue.push_back(std::move(in));
-    scheduleDeliveries(vi);
-}
-
-ViaComm::Vi
-ViaComm::cloneVi(const Vi &vi)
-{
-    Vi out;
-    out.id = vi.id;
-    out.peer = vi.peer;
-    out.established = vi.established;
-    out.remoteCredits = vi.remoteCredits;
-    out.sndQueue = vi.sndQueue.clone();
-    out.inFlight = vi.inFlight;
-    out.senderBlocked = vi.senderBlocked;
-    out.rcvQueue = vi.rcvQueue.clone();
-    out.scheduledDeliveries = vi.scheduledDeliveries;
-    out.connTries = vi.connTries;
-    out.connTimer = vi.connTimer;
-    return out;
-}
-
-ViaComm::Saved
-ViaComm::save() const
-{
-    Saved s;
-    s.listening = listening_;
-    s.appReceiving = appReceiving_;
-    s.pinnedByUs = pinnedByUs_;
-    for (const auto &[id, vi] : vis_)
-        s.vis.emplace(id, cloneVi(vi));
-    s.active = active_;
-    return s;
-}
-
-void
-ViaComm::restore(const Saved &s)
-{
-    listening_ = s.listening;
-    appReceiving_ = s.appReceiving;
-    pinnedByUs_ = s.pinnedByUs;
-    vis_.clear();
-    for (const auto &[id, vi] : s.vis)
-        vis_.emplace(id, cloneVi(vi));
-    active_ = s.active;
-}
-
-void
-ViaComm::scheduleDeliveries(Vi &vi)
-{
-    if (!appReceiving_)
-        return;
-    std::uint64_t id = vi.id;
-    while (vi.scheduledDeliveries < vi.rcvQueue.size()) {
-        const InMsg &in = vi.rcvQueue[vi.scheduledDeliveries];
-        ++vi.scheduledDeliveries;
-        sim::Tick cost = cfg_.costs.recvFixed +
-            static_cast<sim::Tick>(cfg_.costs.recvPerKb *
-                static_cast<double>(in.msg.bytes) / 1024.0);
-
-        auto deliver = [this, id] {
-            auto vit = vis_.find(id);
-            if (vit == vis_.end() || vit->second.rcvQueue.empty() ||
-                vit->second.scheduledDeliveries == 0)
-                return;
-            --vit->second.scheduledDeliveries;
-            if (!appReceiving_)
-                return; // SIGSTOP raced; retried on SIGCONT
-            InMsg msg = std::move(vit->second.rcvQueue.front());
-            vit->second.rcvQueue.pop_front();
-            if (cbs_.onMessage)
-                cbs_.onMessage(msg.peer, std::move(msg.msg));
-        };
-
-        if (polled()) {
-            // The message sits in the remote-write buffer until the
-            // server's main loop polls it.
-            node_.simulation().scheduleIn(cfg_.pollDelay,
-                [this, cost, deliver] {
-                    node_.cpu().exec(cost, deliver);
-                });
-        } else {
-            // Interrupt-driven reception.
-            node_.cpu().exec(cost, deliver);
-        }
     }
 }
 

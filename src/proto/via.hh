@@ -28,15 +28,8 @@
 #define PERFORMA_PROTO_VIA_HH
 
 #include <cstdint>
-#include <map>
-#include <unordered_map>
 
-#include "net/frame.hh"
-#include "os/node.hh"
-#include "proto/comm.hh"
-#include "proto/tcp.hh" // for CommCosts
-#include "sim/ring_buffer.hh"
-#include "sim/simulation.hh"
+#include "proto/channel_core.hh"
 
 namespace performa::proto {
 
@@ -63,35 +56,36 @@ struct ViaConfig
     int connectRetries = 3;
     /** Default CPU costs: calibrated VIA send/receive values (see
      *  press::viaConfigFor, which PRESS deployments use). */
-    CommCosts costs{sim::usec(21), 9.0, sim::usec(42), 9.0, 0};
+    CommCosts costs{sim::usec(21), 9.0, sim::usec(42), 9.0};
+};
+
+/** Pooled once at send(); the wire frame shares the handle. */
+struct ViaOutMsg
+{
+    sim::Rc<AppMessage> msg;
+    std::uint64_t wireBytes;
+};
+
+/** One VI: the shared channel plus the sender's credits. */
+struct ViaChannel : Channel<ViaOutMsg>
+{
+    std::uint32_t remoteCredits = 0;
 };
 
 /**
  * The VIA provider + VIPL library endpoint for one server process.
  */
-class ViaComm : public ClusterComm
+class ViaComm : public ChannelCore<ViaComm, ViaConfig, ViaChannel>
 {
   public:
-    ViaComm(osim::Node &node, ViaConfig cfg,
-            const std::unordered_map<sim::NodeId, net::PortId>
-                &peer_ports);
+    using ChannelCore::ChannelCore;
 
-    void setCallbacks(CommCallbacks cbs) override { cbs_ = std::move(cbs); }
     void start() override;
-    void connect(sim::NodeId peer) override;
-    bool connected(sim::NodeId peer) const override;
     SendStatus send(sim::NodeId peer, AppMessage msg,
                     const SendParams &params) override;
-    void sendDatagram(sim::NodeId peer, std::uint32_t kind,
-                      sim::RcAny payload = {}) override;
     void consumed(sim::NodeId peer) override;
-    void disconnect(sim::NodeId peer) override;
     void shutdown() override;
     void vanish() override;
-    void setAppReceiving(bool on) override;
-
-    /** CPU the caller burns posting a send of @p bytes. */
-    sim::Tick sendCost(std::uint64_t bytes) const override;
 
     /**
      * Register (pin) application memory, e.g. VIA-PRESS-5's cached
@@ -106,16 +100,24 @@ class ViaComm : public ClusterComm
     /** @return true if start-up registration succeeded. */
     bool started() const { return listening_; }
 
-    const ViaConfig &config() const { return cfg_; }
+    /** Snapshot state: the channel core's plus the pinned bytes. */
+    struct Saved : ChannelCore::Saved
+    {
+        std::uint64_t pinnedByUs;
+    };
 
-    /** Snapshot state: flags, pinned-byte accounting and every VI
-     *  (queues deep-copied, payload handles refcount-bumped). */
-    struct Saved;
+    Saved save() const { return {ChannelCore::save(), pinnedByUs_}; }
 
-    Saved save() const;
-    void restore(const Saved &s);
+    void
+    restore(const Saved &s)
+    {
+        ChannelCore::restore(s);
+        pinnedByUs_ = s.pinnedByUs;
+    }
 
   private:
+    friend ChannelCore;
+
     enum FrameKind : std::uint32_t
     {
         ConnReq,
@@ -127,78 +129,27 @@ class ViaComm : public ClusterComm
         ErrorNotify, ///< RDMA completion error raised at the remote end
     };
 
-    /** Pooled once at send(); the wire frame shares the handle. */
-    struct OutMsg
-    {
-        sim::Rc<AppMessage> msg;
-        std::uint64_t wireBytes;
-    };
+    static constexpr std::uint32_t ConnectReq = ConnReq;
+    static constexpr std::uint32_t ConnectAck = ConnAck;
+    static constexpr std::uint32_t Refuse = ConnRefused;
+    static constexpr std::uint32_t Reset = BreakNotify;
+    static constexpr net::Proto wire = net::Proto::Via;
+    static constexpr const char *traceTag = "via";
+    static constexpr const char *channelNoun = "VI";
 
-    struct InMsg
-    {
-        AppMessage msg;
-        sim::NodeId peer;
-    };
+    void initChannel(ViaChannel &vi);
+    void onEstablished(ViaChannel &vi) { vi.remoteCredits = cfg_.credits; }
+    /** The message sits in the remote-write buffer until the server's
+     *  main loop polls it; send/receive mode takes an interrupt. */
+    sim::Tick deliveryDelay() const { return polled() ? cfg_.pollDelay : 0; }
 
-    struct Vi
-    {
-        std::uint64_t id = 0;
-        sim::NodeId peer = sim::invalidNode;
-        bool established = false;
-
-        std::uint32_t remoteCredits = 0;
-        sim::RingBuffer<OutMsg> sndQueue;
-        bool inFlight = false;
-        bool senderBlocked = false;
-
-        sim::RingBuffer<InMsg> rcvQueue;
-        std::size_t scheduledDeliveries = 0;
-
-        int connTries = 0;
-        sim::EventHandle connTimer;
-    };
-
-    void reset();
     void handleFrame(net::Frame &&f);
-    void handleConnReq(const net::Frame &f);
-    void handleData(net::Frame &&f);
-    void pump(Vi &vi);
-    void breakVi(std::uint64_t vi_id, BreakReason reason, bool notify);
-    void scheduleDeliveries(Vi &vi);
-    void sendControl(sim::NodeId peer, FrameKind kind, std::uint64_t vi_id);
-    void handleConnRetry(std::uint64_t vi_id);
-
-    Vi *findByPeer(sim::NodeId peer);
-    const Vi *findByPeer(sim::NodeId peer) const;
-    net::PortId portOf(sim::NodeId peer) const;
-    sim::NodeId peerOfPort(net::PortId port) const;
+    void pump(ViaChannel &vi);
 
     bool polled() const { return cfg_.mode != ViaMode::SendRecv; }
     bool remoteWrite() const { return cfg_.mode != ViaMode::SendRecv; }
 
-    osim::Node &node_;
-    ViaConfig cfg_;
-    CommCallbacks cbs_;
-    std::unordered_map<sim::NodeId, net::PortId> peerPorts_;
-    std::unordered_map<net::PortId, sim::NodeId> portPeers_;
-
-    /** Deep-copy @p vi (ring buffers cloned). */
-    static Vi cloneVi(const Vi &vi);
-
-    bool listening_ = false;
-    bool appReceiving_ = true;
-    std::uint64_t pinnedByUs_ = 0; ///< total we registered (for reset)
-    std::map<std::uint64_t, Vi> vis_;
-    std::map<sim::NodeId, std::uint64_t> active_;
-};
-
-struct ViaComm::Saved
-{
-    bool listening;
-    bool appReceiving;
-    std::uint64_t pinnedByUs;
-    std::map<std::uint64_t, Vi> vis; ///< deep copies
-    std::map<sim::NodeId, std::uint64_t> active;
+    std::uint64_t pinnedByUs_ = 0; ///< total we registered (for shutdown)
 };
 
 } // namespace performa::proto

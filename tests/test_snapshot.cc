@@ -216,6 +216,7 @@ TEST(Snapshot, ForkMatchesFreshRunByteForByte)
         {press::Version::TcpPress, fault::FaultKind::AppCrash},
         {press::Version::ViaPress0, fault::FaultKind::LinkDown},
         {press::Version::ViaPress3, fault::FaultKind::NodeCrash},
+        {press::Version::ViaPress5, fault::FaultKind::NodeFreeze},
     };
     for (auto [v, k] : points) {
         exp::ExperimentConfig cfg = fastConfig(v, k);

@@ -9,103 +9,24 @@
 
 #include <algorithm>
 #include <functional>
-#include <memory>
-#include <vector>
 
-#include "net/network.hh"
-#include "os/node.hh"
+#include "comm_world.hh"
 #include "proto/tcp.hh"
-#include "sim/simulation.hh"
 
 using namespace performa;
 using namespace performa::sim;
 using proto::AppMessage;
 using proto::SendStatus;
 
-namespace {
-
-struct Endpoint
-{
-    std::unique_ptr<osim::Node> node;
-    std::unique_ptr<proto::TcpComm> tcp;
-    std::vector<AppMessage> received;
-    std::vector<NodeId> broken;
-    std::vector<NodeId> connected;
-    std::vector<NodeId> connectFailed;
-    std::vector<std::string> fatal;
-    int sendReady = 0;
-    std::vector<std::uint32_t> datagrams;
-};
-
-struct TcpWorld
-{
-    Simulation s{1};
-    net::Network intra{s};
-    net::Network client{s};
-    std::vector<Endpoint> eps;
-
-    explicit TcpWorld(int n = 2, proto::TcpConfig cfg = {})
-    {
-        std::unordered_map<NodeId, net::PortId> ports;
-        std::vector<net::PortId> cports;
-        for (int i = 0; i < n; ++i) {
-            ports[static_cast<NodeId>(i)] = intra.addPort();
-            cports.push_back(client.addPort());
-        }
-        eps.resize(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i) {
-            auto id = static_cast<NodeId>(i);
-            auto &e = eps[static_cast<std::size_t>(i)];
-            e.node = std::make_unique<osim::Node>(
-                s, id, intra, ports[id], client,
-                cports[static_cast<std::size_t>(i)]);
-            e.tcp = std::make_unique<proto::TcpComm>(*e.node, cfg, ports);
-            proto::CommCallbacks cbs;
-            cbs.onMessage = [&e](NodeId peer, AppMessage &&m) {
-                (void)peer;
-                e.received.push_back(std::move(m));
-            };
-            cbs.onPeerBroken = [&e](NodeId p, proto::BreakReason) {
-                e.broken.push_back(p);
-            };
-            cbs.onPeerConnected = [&e](NodeId p) {
-                e.connected.push_back(p);
-            };
-            cbs.onConnectFailed = [&e](NodeId p) {
-                e.connectFailed.push_back(p);
-            };
-            cbs.onSendReady = [&e] { ++e.sendReady; };
-            cbs.onFatalError = [&e](const std::string &r) {
-                e.fatal.push_back(r);
-            };
-            cbs.onDatagram = [&e](NodeId, std::uint32_t kind,
-                                  sim::RcAny) {
-                e.datagrams.push_back(kind);
-            };
-            e.tcp->setCallbacks(std::move(cbs));
-            e.tcp->start();
-        }
-    }
-
-    AppMessage
-    msg(std::uint64_t bytes, std::uint32_t type = 1)
-    {
-        AppMessage m;
-        m.type = type;
-        m.bytes = bytes;
-        return m;
-    }
-};
-
-} // namespace
+using TcpWorld = CommWorld<proto::TcpComm>;
 
 TEST(Tcp, ConnectEstablishesBothEnds)
 {
     TcpWorld w;
-    w.eps[0].tcp->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
-    EXPECT_TRUE(w.eps[0].tcp->connected(1));
-    EXPECT_TRUE(w.eps[1].tcp->connected(0));
+    EXPECT_TRUE(w.eps[0].comm->connected(1));
+    EXPECT_TRUE(w.eps[1].comm->connected(0));
     ASSERT_EQ(w.eps[0].connected.size(), 1u);
     ASSERT_EQ(w.eps[1].connected.size(), 1u);
 }
@@ -113,36 +34,27 @@ TEST(Tcp, ConnectEstablishesBothEnds)
 TEST(Tcp, ConnectToDeadListenerFails)
 {
     TcpWorld w;
-    w.eps[1].tcp->shutdown(); // not listening
-    w.eps[0].tcp->connect(1);
+    w.eps[1].comm->shutdown(); // not listening
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(5));
-    EXPECT_FALSE(w.eps[0].tcp->connected(1));
-    EXPECT_EQ(w.eps[0].connectFailed.size(), 1u);
-}
-
-TEST(Tcp, ConnectToDownNodeTimesOut)
-{
-    TcpWorld w;
-    w.eps[1].node->crash(sec(60));
-    w.eps[0].tcp->connect(1);
-    w.s.runUntil(sec(30));
+    EXPECT_FALSE(w.eps[0].comm->connected(1));
     EXPECT_EQ(w.eps[0].connectFailed.size(), 1u);
 }
 
 TEST(Tcp, SendWithoutConnectionIsRejected)
 {
     TcpWorld w;
-    EXPECT_EQ(w.eps[0].tcp->send(1, w.msg(100), {}),
+    EXPECT_EQ(w.eps[0].comm->send(1, w.msg(100), {}),
               SendStatus::NotConnected);
 }
 
 TEST(Tcp, DeliversMessagesInOrder)
 {
     TcpWorld w;
-    w.eps[0].tcp->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     for (std::uint32_t i = 0; i < 5; ++i)
-        EXPECT_EQ(w.eps[0].tcp->send(1, w.msg(1000, i), {}),
+        EXPECT_EQ(w.eps[0].comm->send(1, w.msg(1000, i), {}),
                   SendStatus::Ok);
     w.s.runUntil(sec(2));
     ASSERT_EQ(w.eps[1].received.size(), 5u);
@@ -153,11 +65,11 @@ TEST(Tcp, DeliversMessagesInOrder)
 TEST(Tcp, NullPointerFailsSynchronouslyWithEfault)
 {
     TcpWorld w;
-    w.eps[0].tcp->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     proto::SendParams params;
     params.nullPointer = true;
-    EXPECT_EQ(w.eps[0].tcp->send(1, w.msg(100), params),
+    EXPECT_EQ(w.eps[0].comm->send(1, w.msg(100), params),
               SendStatus::Efault);
     w.s.runUntil(sec(2));
     EXPECT_TRUE(w.eps[1].received.empty());
@@ -167,11 +79,11 @@ TEST(Tcp, NullPointerFailsSynchronouslyWithEfault)
 TEST(Tcp, OffByNDesyncIsFatalAtReceiverOnly)
 {
     TcpWorld w;
-    w.eps[0].tcp->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     proto::SendParams params;
     params.sizeDelta = 16;
-    EXPECT_EQ(w.eps[0].tcp->send(1, w.msg(1000), params),
+    EXPECT_EQ(w.eps[0].comm->send(1, w.msg(1000), params),
               SendStatus::Ok);
     w.s.runUntil(sec(2));
     EXPECT_EQ(w.eps[1].fatal.size(), 1u);
@@ -182,10 +94,10 @@ TEST(Tcp, OffByNDesyncIsFatalAtReceiverOnly)
 TEST(Tcp, SurvivesShortLinkFlapViaRetransmission)
 {
     TcpWorld w;
-    w.eps[0].tcp->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     w.intra.setLinkUp(1, false);
-    EXPECT_EQ(w.eps[0].tcp->send(1, w.msg(1000), {}), SendStatus::Ok);
+    EXPECT_EQ(w.eps[0].comm->send(1, w.msg(1000), {}), SendStatus::Ok);
     w.s.runUntil(sec(5));
     EXPECT_TRUE(w.eps[1].received.empty());
     w.intra.setLinkUp(1, true);
@@ -199,22 +111,22 @@ TEST(Tcp, AbortsAfterRetransmissionTimeout)
     proto::TcpConfig cfg;
     cfg.abortTimeout = sec(30); // shortened for the test
     TcpWorld w(2, cfg);
-    w.eps[0].tcp->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     w.intra.setLinkUp(1, false);
-    w.eps[0].tcp->send(1, w.msg(1000), {});
+    w.eps[0].comm->send(1, w.msg(1000), {});
     w.s.runUntil(sec(120));
     ASSERT_EQ(w.eps[0].broken.size(), 1u);
     EXPECT_EQ(w.eps[0].broken[0], 1u);
-    EXPECT_FALSE(w.eps[0].tcp->connected(1));
+    EXPECT_FALSE(w.eps[0].comm->connected(1));
 }
 
 TEST(Tcp, PeerProcessExitSendsRst)
 {
     TcpWorld w;
-    w.eps[0].tcp->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
-    w.eps[1].tcp->shutdown(); // graceful exit closes sockets
+    w.eps[1].comm->shutdown(); // graceful exit closes sockets
     w.s.runUntil(sec(2));
     ASSERT_EQ(w.eps[0].broken.size(), 1u);
 }
@@ -222,10 +134,10 @@ TEST(Tcp, PeerProcessExitSendsRst)
 TEST(Tcp, RebootedPeerAnswersStaleTrafficWithRst)
 {
     TcpWorld w;
-    w.eps[0].tcp->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     w.eps[1].node->crash(sec(20));
-    w.eps[0].tcp->send(1, w.msg(1000), {});
+    w.eps[0].comm->send(1, w.msg(1000), {});
     w.s.runUntil(sec(10));
     EXPECT_TRUE(w.eps[0].broken.empty()); // silence, still retrying
     w.s.runUntil(sec(120)); // reboot + next retransmission -> RST
@@ -237,13 +149,13 @@ TEST(Tcp, SenderBlocksWhenBufferFullAndUnblocksOnDrain)
     proto::TcpConfig cfg;
     cfg.sndBufBytes = 4 * 1024;
     TcpWorld w(2, cfg);
-    w.eps[0].tcp->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     w.intra.setLinkUp(1, false); // nothing drains
     int ok = 0;
     SendStatus st = SendStatus::Ok;
     while (st == SendStatus::Ok && ok < 100) {
-        st = w.eps[0].tcp->send(1, w.msg(1024), {});
+        st = w.eps[0].comm->send(1, w.msg(1024), {});
         if (st == SendStatus::Ok)
             ++ok;
     }
@@ -263,13 +175,13 @@ TEST(Tcp, ReceiverStopsAckingWhenAppStopsReceiving)
     cfg.rcvQueueMsgs = 4;
     cfg.sndBufBytes = 6 * 1024;
     TcpWorld w(2, cfg);
-    w.eps[0].tcp->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
-    w.eps[1].tcp->setAppReceiving(false); // SIGSTOP
+    w.eps[1].comm->setAppReceiving(false); // SIGSTOP
     SendStatus st = SendStatus::Ok;
     int sent = 0;
     while (st == SendStatus::Ok && sent < 100) {
-        st = w.eps[0].tcp->send(1, w.msg(1024), {});
+        st = w.eps[0].comm->send(1, w.msg(1024), {});
         if (st == SendStatus::Ok)
             ++sent;
         w.s.runUntil(w.s.now() + sec(1));
@@ -277,7 +189,7 @@ TEST(Tcp, ReceiverStopsAckingWhenAppStopsReceiving)
     // Receiver queue (4) filled, then the sender's buffer backed up.
     EXPECT_EQ(st, SendStatus::WouldBlock);
     EXPECT_TRUE(w.eps[1].received.empty());
-    w.eps[1].tcp->setAppReceiving(true); // SIGCONT
+    w.eps[1].comm->setAppReceiving(true); // SIGCONT
     w.s.runUntil(w.s.now() + sec(200));
     EXPECT_EQ(w.eps[1].received.size(), static_cast<std::size_t>(sent));
 }
@@ -285,10 +197,10 @@ TEST(Tcp, ReceiverStopsAckingWhenAppStopsReceiving)
 TEST(Tcp, FrozenNodeNeitherAcksNorProcesses)
 {
     TcpWorld w;
-    w.eps[0].tcp->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     w.eps[1].node->freeze(sec(30));
-    w.eps[0].tcp->send(1, w.msg(1000), {});
+    w.eps[0].comm->send(1, w.msg(1000), {});
     w.s.runUntil(sec(20));
     EXPECT_TRUE(w.eps[1].received.empty());
     EXPECT_TRUE(w.eps[0].broken.empty());
@@ -299,7 +211,7 @@ TEST(Tcp, FrozenNodeNeitherAcksNorProcesses)
 TEST(Tcp, DatagramsDelivered)
 {
     TcpWorld w;
-    w.eps[0].tcp->sendDatagram(1, 42);
+    w.eps[0].comm->sendDatagram(1, 42);
     w.s.runUntil(sec(1));
     ASSERT_EQ(w.eps[1].datagrams.size(), 1u);
     EXPECT_EQ(w.eps[1].datagrams[0], 42u);
@@ -309,7 +221,7 @@ TEST(Tcp, DatagramsBlockedByKernelMemoryFault)
 {
     TcpWorld w;
     w.eps[0].node->kernelMem().setFailInjected(true);
-    w.eps[0].tcp->sendDatagram(1, 42);
+    w.eps[0].comm->sendDatagram(1, 42);
     w.s.runUntil(sec(1));
     EXPECT_TRUE(w.eps[1].datagrams.empty());
 }
@@ -317,10 +229,10 @@ TEST(Tcp, DatagramsBlockedByKernelMemoryFault)
 TEST(Tcp, KernelMemoryFaultStallsOutboundUntilCleared)
 {
     TcpWorld w;
-    w.eps[0].tcp->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     w.eps[0].node->kernelMem().setFailInjected(true);
-    EXPECT_EQ(w.eps[0].tcp->send(1, w.msg(1000), {}), SendStatus::Ok);
+    EXPECT_EQ(w.eps[0].comm->send(1, w.msg(1000), {}), SendStatus::Ok);
     w.s.runUntil(sec(10));
     EXPECT_TRUE(w.eps[1].received.empty()); // queued in the OS
     w.eps[0].node->kernelMem().setFailInjected(false);
@@ -331,10 +243,10 @@ TEST(Tcp, KernelMemoryFaultStallsOutboundUntilCleared)
 TEST(Tcp, InboundDroppedDuringKernelMemoryFault)
 {
     TcpWorld w;
-    w.eps[0].tcp->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     w.eps[1].node->kernelMem().setFailInjected(true);
-    w.eps[0].tcp->send(1, w.msg(1000), {});
+    w.eps[0].comm->send(1, w.msg(1000), {});
     w.s.runUntil(sec(5));
     EXPECT_TRUE(w.eps[1].received.empty());
     w.eps[1].node->kernelMem().setFailInjected(false);
@@ -345,11 +257,11 @@ TEST(Tcp, InboundDroppedDuringKernelMemoryFault)
 TEST(Tcp, DisconnectResetsPeerWithoutLocalCallback)
 {
     TcpWorld w;
-    w.eps[0].tcp->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
-    w.eps[0].tcp->disconnect(1);
+    w.eps[0].comm->disconnect(1);
     w.s.runUntil(sec(2));
-    EXPECT_FALSE(w.eps[0].tcp->connected(1));
+    EXPECT_FALSE(w.eps[0].comm->connected(1));
     EXPECT_TRUE(w.eps[0].broken.empty());   // app-initiated
     ASSERT_EQ(w.eps[1].broken.size(), 1u);  // peer saw the RST
 }
@@ -357,33 +269,20 @@ TEST(Tcp, DisconnectResetsPeerWithoutLocalCallback)
 TEST(Tcp, SendCostScalesWithSize)
 {
     TcpWorld w;
-    auto &tcp = *w.eps[0].tcp;
+    auto &tcp = *w.eps[0].comm;
     EXPECT_GT(tcp.sendCost(8192), tcp.sendCost(256));
-}
-
-TEST(Tcp, VanishLeavesNoState)
-{
-    TcpWorld w;
-    w.eps[0].tcp->connect(1);
-    w.s.runUntil(sec(1));
-    w.eps[0].tcp->vanish();
-    EXPECT_FALSE(w.eps[0].tcp->connected(1));
-    // Peer discovers only via its own traffic (RST for unknown conn).
-    w.eps[1].tcp->send(0, w.msg(100), {});
-    w.s.runUntil(sec(2));
-    EXPECT_EQ(w.eps[1].broken.size(), 1u);
 }
 
 TEST(Tcp, SimultaneousConnectsConvergeOnOneConnection)
 {
     TcpWorld w;
-    w.eps[0].tcp->connect(1);
-    w.eps[1].tcp->connect(0);
+    w.eps[0].comm->connect(1);
+    w.eps[1].comm->connect(0);
     w.s.runUntil(sec(5));
-    ASSERT_TRUE(w.eps[0].tcp->connected(1));
-    ASSERT_TRUE(w.eps[1].tcp->connected(0));
-    w.eps[0].tcp->send(1, w.msg(512), {});
-    w.eps[1].tcp->send(0, w.msg(512), {});
+    ASSERT_TRUE(w.eps[0].comm->connected(1));
+    ASSERT_TRUE(w.eps[1].comm->connected(0));
+    w.eps[0].comm->send(1, w.msg(512), {});
+    w.eps[1].comm->send(0, w.msg(512), {});
     w.s.runUntil(sec(6));
     EXPECT_EQ(w.eps[1].received.size(), 1u);
     EXPECT_EQ(w.eps[0].received.size(), 1u);
@@ -399,9 +298,9 @@ TEST(Tcp, RetransmitSharesPooledPayloadWithoutUseAfterFree)
     // reference; if any release wrongly freed the block, the churn
     // below would recycle and scribble over it (and ASan would bite).
     TcpWorld w;
-    w.eps[0].tcp->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(msec(100));
-    ASSERT_TRUE(w.eps[0].tcp->connected(1));
+    ASSERT_TRUE(w.eps[0].comm->connected(1));
 
     auto body = w.s.makePayload<std::vector<std::uint64_t>>(
         std::vector<std::uint64_t>(64, 0xA11CE));
@@ -411,7 +310,7 @@ TEST(Tcp, RetransmitSharesPooledPayloadWithoutUseAfterFree)
     m.body = std::move(body);
 
     w.intra.setSwitchUp(false);
-    ASSERT_EQ(w.eps[0].tcp->send(1, std::move(m), {}), SendStatus::Ok);
+    ASSERT_EQ(w.eps[0].comm->send(1, std::move(m), {}), SendStatus::Ok);
 
     std::uint64_t drops0 = w.intra.dropped();
     // Churn the pool while the RTO clock doubles through ~5 s of
@@ -458,18 +357,18 @@ TEST(TcpRto, RetransmitKeepsItsSameTickPlace)
     // the deadline tick before the send, and before those scheduled
     // after it.
     TcpWorld w;
-    w.eps[0].tcp->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
-    ASSERT_EQ(w.eps[0].tcp->send(1, w.msg(1000), {}), SendStatus::Ok);
+    ASSERT_EQ(w.eps[0].comm->send(1, w.msg(1000), {}), SendStatus::Ok);
     w.s.runUntil(sec(1) + msec(50));
     ASSERT_EQ(w.eps[1].received.size(), 1u);
 
     w.intra.setLinkUp(1, false); // the next message and its retransmit
-    Tick deadline = w.s.now() + w.eps[0].tcp->config().rtoInitial;
+    Tick deadline = w.s.now() + w.eps[0].comm->config().rtoInitial;
     std::uint64_t seen_before = 0;
     std::uint64_t seen_after = 0;
     w.s.schedule(deadline, [&] { seen_before = w.intra.dropped(); });
-    ASSERT_EQ(w.eps[0].tcp->send(1, w.msg(1000), {}), SendStatus::Ok);
+    ASSERT_EQ(w.eps[0].comm->send(1, w.msg(1000), {}), SendStatus::Ok);
     w.s.schedule(deadline, [&] { seen_after = w.intra.dropped(); });
     std::uint64_t dropped_at_send = w.intra.dropped();
 
@@ -486,10 +385,10 @@ TEST(TcpRto, BackoffResetArmsTheEarlierDeadline)
     // out. An ack resets the rto, so the next send's deadline comes
     // first: it must be rescheduled earlier, not wait for that event.
     TcpWorld w;
-    w.eps[0].tcp->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     w.intra.setLinkUp(1, false);
-    ASSERT_EQ(w.eps[0].tcp->send(1, w.msg(1000), {}), SendStatus::Ok);
+    ASSERT_EQ(w.eps[0].comm->send(1, w.msg(1000), {}), SendStatus::Ok);
     // Lost at 1.0 s, retransmits lost at 1.2 s and 1.6 s; the link is
     // back for the one at 2.4 s, whose timer event is due at 4.0 s.
     w.s.runUntil(sec(2));
@@ -499,9 +398,9 @@ TEST(TcpRto, BackoffResetArmsTheEarlierDeadline)
 
     w.intra.setLinkUp(1, false);
     Tick sent = w.s.now();
-    ASSERT_EQ(w.eps[0].tcp->send(1, w.msg(1000), {}), SendStatus::Ok);
+    ASSERT_EQ(w.eps[0].comm->send(1, w.msg(1000), {}), SendStatus::Ok);
     std::uint64_t dropped_at_send = w.intra.dropped();
-    Tick rto = w.eps[0].tcp->config().rtoInitial;
+    Tick rto = w.eps[0].comm->config().rtoInitial;
     w.s.runUntil(sent + rto - 1);
     EXPECT_EQ(w.intra.dropped(), dropped_at_send);
     w.s.runUntil(sent + rto);
@@ -516,13 +415,13 @@ TEST(TcpRto, AckedFloodKeepsOneArmedTimerPerConnection)
     // per message. Disarmed deadlines cost no heap entry, so the heap
     // holds one timer event per connection plus the traffic in flight.
     TcpWorld w;
-    w.eps[0].tcp->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     std::size_t peak_heap = 0;
     int sent = 0;
     std::function<void()> tick = [&] {
         peak_heap = std::max(peak_heap, w.s.events().heapSize());
-        if (w.eps[0].tcp->send(1, w.msg(1000), {}) == SendStatus::Ok)
+        if (w.eps[0].comm->send(1, w.msg(1000), {}) == SendStatus::Ok)
             ++sent;
         if (w.s.now() < sec(11))
             w.s.scheduleIn(msec(1), [&] { tick(); });

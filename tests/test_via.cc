@@ -7,13 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
-
-#include "net/network.hh"
-#include "os/node.hh"
+#include "comm_world.hh"
 #include "proto/via.hh"
-#include "sim/simulation.hh"
 
 using namespace performa;
 using namespace performa::sim;
@@ -21,89 +16,16 @@ using proto::AppMessage;
 using proto::SendStatus;
 using proto::ViaMode;
 
-namespace {
-
-struct Endpoint
-{
-    std::unique_ptr<osim::Node> node;
-    std::unique_ptr<proto::ViaComm> via;
-    std::vector<AppMessage> received;
-    std::vector<NodeId> broken;
-    std::vector<NodeId> connected;
-    std::vector<NodeId> connectFailed;
-    std::vector<std::string> fatal;
-    int sendReady = 0;
-    bool autoCredit = true;
-};
-
-struct ViaWorld
-{
-    Simulation s{1};
-    net::Network intra{s};
-    net::Network client{s};
-    std::vector<Endpoint> eps;
-
-    explicit ViaWorld(int n = 2, proto::ViaConfig cfg = {},
-                      osim::NodeConfig node_cfg = {})
-    {
-        std::unordered_map<NodeId, net::PortId> ports;
-        std::vector<net::PortId> cports;
-        for (int i = 0; i < n; ++i) {
-            ports[static_cast<NodeId>(i)] = intra.addPort();
-            cports.push_back(client.addPort());
-        }
-        eps.resize(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i) {
-            auto id = static_cast<NodeId>(i);
-            auto &e = eps[static_cast<std::size_t>(i)];
-            e.node = std::make_unique<osim::Node>(
-                s, id, intra, ports[id], client,
-                cports[static_cast<std::size_t>(i)], node_cfg);
-            e.via = std::make_unique<proto::ViaComm>(*e.node, cfg, ports);
-            proto::CommCallbacks cbs;
-            cbs.onMessage = [&e](NodeId peer, AppMessage &&m) {
-                e.received.push_back(std::move(m));
-                if (e.autoCredit)
-                    e.via->consumed(peer);
-            };
-            cbs.onPeerBroken = [&e](NodeId p, proto::BreakReason) {
-                e.broken.push_back(p);
-            };
-            cbs.onPeerConnected = [&e](NodeId p) {
-                e.connected.push_back(p);
-            };
-            cbs.onConnectFailed = [&e](NodeId p) {
-                e.connectFailed.push_back(p);
-            };
-            cbs.onSendReady = [&e] { ++e.sendReady; };
-            cbs.onFatalError = [&e](const std::string &r) {
-                e.fatal.push_back(r);
-            };
-            e.via->setCallbacks(std::move(cbs));
-            e.via->start();
-        }
-    }
-
-    AppMessage
-    msg(std::uint64_t bytes, std::uint32_t type = 1)
-    {
-        AppMessage m;
-        m.type = type;
-        m.bytes = bytes;
-        return m;
-    }
-};
-
-} // namespace
+using ViaWorld = CommWorld<proto::ViaComm>;
 
 TEST(Via, ConnectAndDeliver)
 {
     ViaWorld w;
-    w.eps[0].via->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
-    EXPECT_TRUE(w.eps[0].via->connected(1));
-    EXPECT_TRUE(w.eps[1].via->connected(0));
-    w.eps[0].via->send(1, w.msg(4096), {});
+    EXPECT_TRUE(w.eps[0].comm->connected(1));
+    EXPECT_TRUE(w.eps[1].comm->connected(0));
+    w.eps[0].comm->send(1, w.msg(4096), {});
     w.s.runUntil(sec(2));
     ASSERT_EQ(w.eps[1].received.size(), 1u);
 }
@@ -111,8 +33,8 @@ TEST(Via, ConnectAndDeliver)
 TEST(Via, ConnectRefusedWhenNotListening)
 {
     ViaWorld w;
-    w.eps[1].via->shutdown();
-    w.eps[0].via->connect(1);
+    w.eps[1].comm->shutdown();
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(10));
     EXPECT_EQ(w.eps[0].connectFailed.size(), 1u);
 }
@@ -120,21 +42,21 @@ TEST(Via, ConnectRefusedWhenNotListening)
 TEST(Via, PacketLossBreaksConnectionImmediately)
 {
     ViaWorld w;
-    w.eps[0].via->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     w.intra.setLinkUp(1, false);
-    w.eps[0].via->send(1, w.msg(1000), {});
+    w.eps[0].comm->send(1, w.msg(1000), {});
     w.s.runUntil(sec(2)); // SAN fail-stop: no retry, instant break
     ASSERT_EQ(w.eps[0].broken.size(), 1u);
-    EXPECT_FALSE(w.eps[0].via->connected(1));
+    EXPECT_FALSE(w.eps[0].comm->connected(1));
 }
 
 TEST(Via, BreakNotifyReachesPeerOnGracefulExit)
 {
     ViaWorld w;
-    w.eps[0].via->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
-    w.eps[0].via->shutdown();
+    w.eps[0].comm->shutdown();
     w.s.runUntil(sec(2));
     ASSERT_EQ(w.eps[1].broken.size(), 1u);
 }
@@ -145,12 +67,12 @@ TEST(Via, CreditsExhaustThenBlock)
     cfg.credits = 4;
     ViaWorld w(2, cfg);
     w.eps[1].autoCredit = false; // receiver never consumes
-    w.eps[0].via->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     int ok = 0;
     SendStatus st = SendStatus::Ok;
     while (st == SendStatus::Ok && ok < 50) {
-        st = w.eps[0].via->send(1, w.msg(512), {});
+        st = w.eps[0].comm->send(1, w.msg(512), {});
         if (st == SendStatus::Ok)
             ++ok;
     }
@@ -163,13 +85,13 @@ TEST(Via, CreditReturnUnblocksSender)
     proto::ViaConfig cfg;
     cfg.credits = 2;
     ViaWorld w(2, cfg);
-    w.eps[0].via->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     for (int i = 0; i < 2; ++i)
-        EXPECT_EQ(w.eps[0].via->send(1, w.msg(512), {}), SendStatus::Ok);
+        EXPECT_EQ(w.eps[0].comm->send(1, w.msg(512), {}), SendStatus::Ok);
     // autoCredit consumes on delivery, returning credits.
     w.s.runUntil(sec(2));
-    EXPECT_EQ(w.eps[0].via->send(1, w.msg(512), {}), SendStatus::Ok);
+    EXPECT_EQ(w.eps[0].comm->send(1, w.msg(512), {}), SendStatus::Ok);
     w.s.runUntil(sec(3));
     EXPECT_EQ(w.eps[1].received.size(), 3u);
 }
@@ -180,26 +102,26 @@ TEST(Via, SendReadyFiresWhenBlockedSenderGetsCredit)
     cfg.credits = 1;
     ViaWorld w(2, cfg);
     w.eps[1].autoCredit = false;
-    w.eps[0].via->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
-    EXPECT_EQ(w.eps[0].via->send(1, w.msg(512), {}), SendStatus::Ok);
-    EXPECT_EQ(w.eps[0].via->send(1, w.msg(512), {}),
+    EXPECT_EQ(w.eps[0].comm->send(1, w.msg(512), {}), SendStatus::Ok);
+    EXPECT_EQ(w.eps[0].comm->send(1, w.msg(512), {}),
               SendStatus::WouldBlock);
     w.s.runUntil(sec(2));
-    w.eps[1].via->consumed(0); // explicit flow-control message
+    w.eps[1].comm->consumed(0); // explicit flow-control message
     w.s.runUntil(sec(3));
     EXPECT_EQ(w.eps[0].sendReady, 1);
-    EXPECT_EQ(w.eps[0].via->send(1, w.msg(512), {}), SendStatus::Ok);
+    EXPECT_EQ(w.eps[0].comm->send(1, w.msg(512), {}), SendStatus::Ok);
 }
 
 TEST(Via, BadParamsFatalAtSenderForSendRecvMode)
 {
     ViaWorld w;
-    w.eps[0].via->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     proto::SendParams p;
     p.nullPointer = true;
-    EXPECT_EQ(w.eps[0].via->send(1, w.msg(512), p), SendStatus::Fatal);
+    EXPECT_EQ(w.eps[0].comm->send(1, w.msg(512), p), SendStatus::Fatal);
     w.s.runUntil(sec(2));
     EXPECT_TRUE(w.eps[1].fatal.empty()); // one-node effect
 }
@@ -209,11 +131,11 @@ TEST(Via, BadParamsFatalAtBothEndsForRemoteWrite)
     proto::ViaConfig cfg;
     cfg.mode = ViaMode::RemoteWrite;
     ViaWorld w(2, cfg);
-    w.eps[0].via->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     proto::SendParams p;
     p.ptrOffset = 32;
-    EXPECT_EQ(w.eps[0].via->send(1, w.msg(512), p), SendStatus::Fatal);
+    EXPECT_EQ(w.eps[0].comm->send(1, w.msg(512), p), SendStatus::Fatal);
     w.s.runUntil(sec(2));
     ASSERT_EQ(w.eps[1].fatal.size(), 1u); // remote DMA error surfaced
 }
@@ -228,17 +150,17 @@ TEST(Via, PolledModesDelayDelivery)
     Tick t_fast = 0, t_polled = 0;
     {
         ViaWorld w(2, fast);
-        w.eps[0].via->connect(1);
+        w.eps[0].comm->connect(1);
         w.s.runUntil(sec(1));
-        w.eps[0].via->send(1, w.msg(512), {});
+        w.eps[0].comm->send(1, w.msg(512), {});
         w.s.events().runAll();
         t_fast = w.s.now();
     }
     {
         ViaWorld w(2, polled);
-        w.eps[0].via->connect(1);
+        w.eps[0].comm->connect(1);
         w.s.runUntil(sec(1));
-        w.eps[0].via->send(1, w.msg(512), {});
+        w.eps[0].comm->send(1, w.msg(512), {});
         w.s.events().runAll();
         t_polled = w.s.now();
     }
@@ -249,7 +171,7 @@ TEST(Via, StartPinsCommunicationBuffers)
 {
     ViaWorld w;
     EXPECT_GT(w.eps[0].node->pins().pinned(), 0u);
-    w.eps[0].via->shutdown();
+    w.eps[0].comm->shutdown();
     EXPECT_EQ(w.eps[0].node->pins().pinned(), 0u);
 }
 
@@ -258,7 +180,7 @@ TEST(Via, StartFailsWhenPinBudgetExhausted)
     osim::NodeConfig node_cfg;
     node_cfg.pinLimitBytes = 1024; // less than the registered buffers
     ViaWorld w(2, {}, node_cfg);
-    EXPECT_FALSE(w.eps[0].via->started());
+    EXPECT_FALSE(w.eps[0].comm->started());
     EXPECT_EQ(w.eps[0].fatal.size(), 1u);
 }
 
@@ -266,9 +188,9 @@ TEST(Via, RegisterMemoryTracksPinBudget)
 {
     ViaWorld w;
     auto before = w.eps[0].node->pins().pinned();
-    EXPECT_TRUE(w.eps[0].via->registerMemory(1 << 20));
+    EXPECT_TRUE(w.eps[0].comm->registerMemory(1 << 20));
     EXPECT_EQ(w.eps[0].node->pins().pinned(), before + (1 << 20));
-    w.eps[0].via->deregisterMemory(1 << 20);
+    w.eps[0].comm->deregisterMemory(1 << 20);
     EXPECT_EQ(w.eps[0].node->pins().pinned(), before);
 }
 
@@ -277,18 +199,18 @@ TEST(Via, RegisterMemoryFailsAtInjectedLimit)
     ViaWorld w;
     w.eps[0].node->pins().setInjectedLimit(
         w.eps[0].node->pins().pinned() + 100);
-    EXPECT_FALSE(w.eps[0].via->registerMemory(1 << 20));
+    EXPECT_FALSE(w.eps[0].comm->registerMemory(1 << 20));
 }
 
 TEST(Via, ImmuneToKernelMemoryExhaustion)
 {
     ViaWorld w;
-    w.eps[0].via->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     w.eps[0].node->kernelMem().setFailInjected(true);
     w.eps[1].node->kernelMem().setFailInjected(true);
     for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(w.eps[0].via->send(1, w.msg(1000), {}), SendStatus::Ok);
+        EXPECT_EQ(w.eps[0].comm->send(1, w.msg(1000), {}), SendStatus::Ok);
     w.s.runUntil(sec(2));
     EXPECT_EQ(w.eps[1].received.size(), 5u); // pre-allocated resources
 }
@@ -298,16 +220,16 @@ TEST(Via, FrozenNodeNicStillAcksButAppStalls)
     proto::ViaConfig cfg;
     cfg.credits = 3;
     ViaWorld w(2, cfg);
-    w.eps[0].via->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     w.eps[1].node->freeze(sec(30));
     // Connection survives the freeze (NIC-level hardware ack)...
     for (int i = 0; i < 3; ++i)
-        EXPECT_EQ(w.eps[0].via->send(1, w.msg(512), {}), SendStatus::Ok);
+        EXPECT_EQ(w.eps[0].comm->send(1, w.msg(512), {}), SendStatus::Ok);
     w.s.runUntil(sec(5));
     EXPECT_TRUE(w.eps[0].broken.empty());
     // ...but credits stop coming back: the sender now blocks.
-    EXPECT_EQ(w.eps[0].via->send(1, w.msg(512), {}),
+    EXPECT_EQ(w.eps[0].comm->send(1, w.msg(512), {}),
               SendStatus::WouldBlock);
     EXPECT_TRUE(w.eps[1].received.empty());
     w.s.runUntil(sec(40)); // unfreeze: deliveries drain
@@ -317,10 +239,10 @@ TEST(Via, FrozenNodeNicStillAcksButAppStalls)
 TEST(Via, CrashedPeerDetectedOnNextSend)
 {
     ViaWorld w;
-    w.eps[0].via->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
     w.eps[1].node->crash(sec(60));
-    w.eps[0].via->send(1, w.msg(512), {});
+    w.eps[0].comm->send(1, w.msg(512), {});
     w.s.runUntil(sec(2));
     ASSERT_EQ(w.eps[0].broken.size(), 1u);
 }
@@ -328,9 +250,9 @@ TEST(Via, CrashedPeerDetectedOnNextSend)
 TEST(Via, DisconnectBreaksPeerSilentlyLocally)
 {
     ViaWorld w;
-    w.eps[0].via->connect(1);
+    w.eps[0].comm->connect(1);
     w.s.runUntil(sec(1));
-    w.eps[0].via->disconnect(1);
+    w.eps[0].comm->disconnect(1);
     w.s.runUntil(sec(2));
     EXPECT_TRUE(w.eps[0].broken.empty());
     ASSERT_EQ(w.eps[1].broken.size(), 1u);
@@ -345,45 +267,24 @@ TEST(Via, ZeroCopySendCostLowerThanCopyMode)
     zc_cfg.costs.sendPerKb = 3.0;
     ViaWorld a(2, copy_cfg);
     ViaWorld b(2, zc_cfg);
-    EXPECT_GT(a.eps[0].via->sendCost(8192), b.eps[0].via->sendCost(8192));
+    EXPECT_GT(a.eps[0].comm->sendCost(8192), b.eps[0].comm->sendCost(8192));
 }
 
 TEST(Via, SimultaneousConnectsConvergeOnOneVi)
 {
     ViaWorld w;
     // Both ends connect at the same instant (rejoin race).
-    w.eps[0].via->connect(1);
-    w.eps[1].via->connect(0);
+    w.eps[0].comm->connect(1);
+    w.eps[1].comm->connect(0);
     w.s.runUntil(sec(3));
-    ASSERT_TRUE(w.eps[0].via->connected(1));
-    ASSERT_TRUE(w.eps[1].via->connected(0));
+    ASSERT_TRUE(w.eps[0].comm->connected(1));
+    ASSERT_TRUE(w.eps[1].comm->connected(0));
     // The agreed VI must actually carry data in both directions.
-    w.eps[0].via->send(1, w.msg(512), {});
-    w.eps[1].via->send(0, w.msg(512), {});
+    w.eps[0].comm->send(1, w.msg(512), {});
+    w.eps[1].comm->send(0, w.msg(512), {});
     w.s.runUntil(sec(4));
     EXPECT_EQ(w.eps[1].received.size(), 1u);
     EXPECT_EQ(w.eps[0].received.size(), 1u);
     EXPECT_TRUE(w.eps[0].broken.empty());
     EXPECT_TRUE(w.eps[1].broken.empty());
-}
-
-TEST(Via, QuietViReplacementWakesBlockedSender)
-{
-    proto::ViaConfig cfg;
-    cfg.credits = 1;
-    ViaWorld w(2, cfg);
-    w.eps[1].autoCredit = false;
-    w.eps[0].via->connect(1);
-    w.s.runUntil(sec(1));
-    EXPECT_EQ(w.eps[0].via->send(1, w.msg(512), {}), SendStatus::Ok);
-    EXPECT_EQ(w.eps[0].via->send(1, w.msg(512), {}),
-              SendStatus::WouldBlock);
-    // Peer's process bounces and reconnects: the old VI is replaced
-    // quietly; the blocked sender must get a send-ready wakeup.
-    w.eps[1].via->shutdown();
-    w.s.runUntil(sec(2));
-    w.eps[1].via->start();
-    w.eps[1].via->connect(0);
-    w.s.runUntil(sec(3));
-    EXPECT_GE(w.eps[0].sendReady, 1);
 }

@@ -11,9 +11,8 @@ ClientFarm::ClientFarm(sim::Simulation &s, net::Network &client_net,
                        WorkloadConfig cfg, LoadProfileSpec profile)
     : LoadGenerator(s, client_net, std::move(server_ports),
                     std::move(client_ports), cfg, std::move(profile)),
-      shaped_(!profile_.isDefault()),
-      splitRng_(s.splitRng(kLoadgenRngSalt)),
-      zipf_(cfg.numFiles, cfg.zipfAlpha),
+      ClientFarmState(s.splitRng(kLoadgenRngSalt)),
+      shaped_(!profile_.isDefault()), zipf_(cfg.numFiles, cfg.zipfAlpha),
       deadlines_(s.events(), *this, cfg.requestTimeout)
 {
 }
@@ -95,22 +94,15 @@ ClientFarm::onResponse(const press::ClientResponseBody &body)
 ClientFarm::Saved
 ClientFarm::save() const
 {
-    return Saved{recording(), splitRng_, running_, generation_, nextReq_,
-                 rrServer_, rrClient_, deadlines_.save(), pending_};
+    return {ClientFarmState(*this), recording(), deadlines_.save()};
 }
 
 void
 ClientFarm::restore(const Saved &s)
 {
+    ClientFarmState::operator=(s);
     restoreRecording(s.recording);
-    splitRng_ = s.splitRng;
-    running_ = s.running;
-    generation_ = s.generation;
-    nextReq_ = s.nextReq;
-    rrServer_ = s.rrServer;
-    rrClient_ = s.rrClient;
     deadlines_.restore(s.deadlines);
-    pending_ = s.pending;
 }
 
 void

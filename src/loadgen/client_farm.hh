@@ -26,11 +26,26 @@
 
 namespace performa::loadgen {
 
+/** The mutable state of a ClientFarm beside its recording and its
+ *  deadline FIFO (a snapshot copies it whole). */
+struct ClientFarmState
+{
+    explicit ClientFarmState(sim::Rng rng) : splitRng_(rng) {}
+
+    sim::Rng splitRng_;
+    bool running_ = false;
+    std::uint64_t generation_ = 0;
+    sim::RequestId nextReq_ = 1;
+    std::size_t rrServer_ = 0;
+    std::size_t rrClient_ = 0;
+    std::size_t pending_ = 0; ///< unanswered entries of deadlines_
+};
+
 /**
  * Drives the cluster through the client network. One instance models
  * the whole set of client machines.
  */
-class ClientFarm : public LoadGenerator
+class ClientFarm : public LoadGenerator, private ClientFarmState
 {
   public:
     ClientFarm(sim::Simulation &s, net::Network &client_net,
@@ -72,14 +87,7 @@ class ClientFarm : public LoadGenerator
     sim::Rng &genRng() { return shaped_ ? splitRng_ : sim_.rng(); }
 
     bool shaped_; ///< profile_ modulates this farm
-    sim::Rng splitRng_;
     sim::ZipfSampler zipf_;
-
-    bool running_ = false;
-    std::uint64_t generation_ = 0;
-    sim::RequestId nextReq_ = 1;
-    std::size_t rrServer_ = 0;
-    std::size_t rrClient_ = 0;
 
     /**
      * The answered flags of issued requests not yet past their
@@ -91,20 +99,12 @@ class ClientFarm : public LoadGenerator
      * onResponse's age index stays valid.
      */
     sim::DeadlineFifo<bool, ClientFarm> deadlines_;
-    std::size_t pending_ = 0; ///< unanswered entries of deadlines_
 };
 
-struct ClientFarm::Saved
+struct ClientFarm::Saved : ClientFarmState
 {
     Recording recording;
-    sim::Rng splitRng;
-    bool running;
-    std::uint64_t generation;
-    sim::RequestId nextReq;
-    std::size_t rrServer;
-    std::size_t rrClient;
     sim::DeadlineFifo<bool, ClientFarm>::Saved deadlines;
-    std::size_t pending;
 };
 
 } // namespace performa::loadgen

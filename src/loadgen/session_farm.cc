@@ -29,7 +29,7 @@ SessionFarm::SessionFarm(sim::Simulation &s, net::Network &client_net,
                          WorkloadConfig cfg, LoadProfileSpec profile)
     : LoadGenerator(s, client_net, std::move(server_ports),
                     std::move(client_ports), cfg, std::move(profile)),
-      rng_(s.splitRng(kLoadgenRngSalt)),
+      SessionFarmState(s.splitRng(kLoadgenRngSalt)),
       zipf_(cfg.numFiles, cfg.zipfAlpha),
       connectDeadlines_(s.events(), *this, cfg.connectTimeout),
       requestDeadlines_(s.events(), *this, cfg.requestTimeout)
@@ -163,25 +163,17 @@ SessionFarm::deadlineExpired(const Deadline &d)
 SessionFarm::Saved
 SessionFarm::save() const
 {
-    return Saved{recording(), rng_, running_, generation_, rrServer_,
-                 sessions_, connectDeadlines_.save(),
-                 requestDeadlines_.save(), totalAbandoned_,
-                 completedSessions_};
+    return {SessionFarmState(*this), recording(), connectDeadlines_.save(),
+            requestDeadlines_.save()};
 }
 
 void
 SessionFarm::restore(const Saved &s)
 {
+    SessionFarmState::operator=(s);
     restoreRecording(s.recording);
-    rng_ = s.rng;
-    running_ = s.running;
-    generation_ = s.generation;
-    rrServer_ = s.rrServer;
-    sessions_ = s.sessions;
     connectDeadlines_.restore(s.connectDeadlines);
     requestDeadlines_.restore(s.requestDeadlines);
-    totalAbandoned_ = s.totalAbandoned;
-    completedSessions_ = s.completedSessions;
 }
 
 void

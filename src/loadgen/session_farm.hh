@@ -31,7 +31,31 @@
 
 namespace performa::loadgen {
 
-class SessionFarm : public LoadGenerator
+/** The mutable state of a SessionFarm beside its recording and its
+ *  deadline FIFOs (a snapshot copies it whole). */
+struct SessionFarmState
+{
+    struct Session
+    {
+        std::size_t server = 0;   ///< sticky: the reused connection
+        std::uint32_t remaining = 0; ///< requests left in the session
+        std::uint32_t seq = 0;    ///< per-session request sequence
+        bool inFlight = false;
+        bool firstRequest = true; ///< first on this connection
+    };
+
+    explicit SessionFarmState(sim::Rng rng) : rng_(rng) {}
+
+    sim::Rng rng_;
+    bool running_ = false;
+    std::uint64_t generation_ = 0;
+    std::size_t rrServer_ = 0;
+    std::vector<Session> sessions_;
+    std::uint64_t totalAbandoned_ = 0;
+    std::uint64_t completedSessions_ = 0;
+};
+
+class SessionFarm : public LoadGenerator, private SessionFarmState
 {
   public:
     SessionFarm(sim::Simulation &s, net::Network &client_net,
@@ -64,15 +88,6 @@ class SessionFarm : public LoadGenerator
     void registerWith(sim::SnapshotRegistry &reg) override;
 
   private:
-    struct Session
-    {
-        std::size_t server = 0;   ///< sticky: the reused connection
-        std::uint32_t remaining = 0; ///< requests left in the session
-        std::uint32_t seq = 0;    ///< per-session request sequence
-        bool inFlight = false;
-        bool firstRequest = true; ///< first on this connection
-    };
-
     /** A request awaiting its deadline: live while its session still
      *  waits on request @c seq. A session's seq only grows, so a
      *  dead entry stays dead. */
@@ -103,32 +118,16 @@ class SessionFarm : public LoadGenerator
         return (static_cast<sim::RequestId>(idx + 1) << 32) | seq;
     }
 
-    sim::Rng rng_;
     sim::ZipfSampler zipf_;
-
-    bool running_ = false;
-    std::uint64_t generation_ = 0;
-    std::size_t rrServer_ = 0;
-    std::vector<Session> sessions_;
     DeadlineFifo connectDeadlines_; ///< connections' first requests
     DeadlineFifo requestDeadlines_; ///< requests on a reused connection
-
-    std::uint64_t totalAbandoned_ = 0;
-    std::uint64_t completedSessions_ = 0;
 };
 
-struct SessionFarm::Saved
+struct SessionFarm::Saved : SessionFarmState
 {
     Recording recording;
-    sim::Rng rng;
-    bool running;
-    std::uint64_t generation;
-    std::size_t rrServer;
-    std::vector<Session> sessions;
     DeadlineFifo::Saved connectDeadlines;
     DeadlineFifo::Saved requestDeadlines;
-    std::uint64_t totalAbandoned;
-    std::uint64_t completedSessions;
 };
 
 } // namespace performa::loadgen

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "sim/logging.hh"
-
 namespace performa::net {
 
 Network::Network(sim::Simulation &s, NetworkConfig cfg)
@@ -16,13 +14,14 @@ PortId
 Network::addPort()
 {
     ports_.emplace_back();
+    handlers_.emplace_back();
     return static_cast<PortId>(ports_.size() - 1);
 }
 
 void
 Network::setHandler(PortId port, Handler h)
 {
-    ports_.at(port).handler = std::move(h);
+    handlers_.at(port) = std::move(h);
 }
 
 void
@@ -125,43 +124,6 @@ Network::send(Frame &&frame, Outcome outcome)
     sim_.schedule(rx_done, [this, slot] { fireInFlight(slot); });
 }
 
-Network::Saved
-Network::save() const
-{
-    Saved s;
-    s.ports.reserve(ports_.size());
-    for (const Port &p : ports_)
-        s.ports.push_back(Saved::PortState{p.up, p.linkUp, p.txBusyUntil,
-                                           p.rxBusyUntil, p.stats});
-    s.switchUp = switchUp_;
-    s.dropped = dropped_;
-    s.delivered = delivered_;
-    s.inflight = inflight_;
-    s.freeHead = freeHead_;
-    return s;
-}
-
-void
-Network::restore(const Saved &s)
-{
-    if (s.ports.size() != ports_.size())
-        PANIC("network restore with a different port count");
-    for (std::size_t i = 0; i < ports_.size(); ++i) {
-        Port &p = ports_[i];
-        const Saved::PortState &ps = s.ports[i];
-        p.up = ps.up;
-        p.linkUp = ps.linkUp;
-        p.txBusyUntil = ps.txBusyUntil;
-        p.rxBusyUntil = ps.rxBusyUntil;
-        p.stats = ps.stats;
-    }
-    switchUp_ = s.switchUp;
-    dropped_ = s.dropped;
-    delivered_ = s.delivered;
-    inflight_ = s.inflight;
-    freeHead_ = s.freeHead;
-}
-
 void
 Network::fireInFlight(std::uint32_t slot)
 {
@@ -193,8 +155,8 @@ Network::fireInFlight(std::uint32_t slot)
     ++delivered_;
     d.stats.framesReceived++;
     d.stats.bytesReceived += f.bytes;
-    if (d.handler)
-        d.handler(std::move(f));
+    if (const Handler &h = handlers_[f.dstPort])
+        h(std::move(f));
     if (cb)
         cb(true);
 }

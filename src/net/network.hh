@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "net/frame.hh"
+#include "sim/logging.hh"
 #include "sim/simulation.hh"
 #include "sim/types.hh"
 
@@ -75,16 +76,60 @@ struct PortStats
 };
 
 /**
+ * The mutable state of a Network: per-port fault, serialization and
+ * counter state, the fabric-wide flags and counters, and the
+ * in-flight slab. A snapshot copies it whole (frames copy by payload
+ * refcount bump); the slab comes back slot for slot, so pending
+ * delivery events, which capture {network, slot}, find their frames
+ * again.
+ */
+struct NetworkState
+{
+    using Outcome = std::function<void(bool delivered)>;
+
+    struct Port
+    {
+        bool up = true;
+        bool linkUp = true;
+        sim::Tick txBusyUntil = 0; ///< uplink serialization horizon
+        sim::Tick rxBusyUntil = 0; ///< downlink serialization horizon
+        PortStats stats;
+    };
+
+    /**
+     * A frame (or drop notification) between transmission and its
+     * delivery event. Slab-pooled; the scheduled event captures only
+     * {this, slot}.
+     */
+    struct InFlight
+    {
+        Frame frame;
+        Outcome outcome;
+        std::uint32_t next = 0; ///< free-list link while unused
+        bool deliver = false;   ///< false: hardware-ack drop report
+    };
+
+    static constexpr std::uint32_t noSlot = ~std::uint32_t(0);
+
+    std::vector<Port> ports_;
+    bool switchUp_ = true;
+    std::uint64_t dropped_ = 0;
+    std::uint64_t delivered_ = 0;
+    std::vector<InFlight> inflight_;
+    std::uint32_t freeHead_ = noSlot;
+};
+
+/**
  * The simulated fabric. One instance is used (faultable) for
  * intra-cluster traffic and a second (never faulted) for
  * client-server traffic, mirroring how Mendosus distinguishes the two
  * classes when injecting network faults.
  */
-class Network
+class Network : private NetworkState
 {
   public:
     using Handler = std::function<void(Frame &&)>;
-    using Outcome = std::function<void(bool delivered)>;
+    using Outcome = NetworkState::Outcome;
 
     Network(sim::Simulation &s, NetworkConfig cfg = {});
 
@@ -132,45 +177,21 @@ class Network
     /** Number of ports (for stats iteration). */
     std::size_t numPorts() const { return ports_.size(); }
 
-    /**
-     * Snapshot state: per-port fault/serialization/counter state, the
-     * fabric-wide flags and counters, and the in-flight slab (frames
-     * copy by payload-refcount bump). Port handlers are configuration
-     * wired at construction and are not part of the saved state; the
-     * in-flight slab is restored slot for slot so pending delivery
-     * events (which capture {this, slot}) find their frames again.
-     */
-    struct Saved;
+    /** Snapshot state (see NetworkState). Port handlers are wiring,
+     *  installed at construction, and stay in place. */
+    using Saved = NetworkState;
 
-    Saved save() const;
-    void restore(const Saved &s);
+    Saved save() const { return *this; }
+
+    void
+    restore(const Saved &s)
+    {
+        if (s.ports_.size() != handlers_.size())
+            PANIC("network restore with a different port count");
+        NetworkState::operator=(s);
+    }
 
   private:
-    struct Port
-    {
-        bool up = true;
-        bool linkUp = true;
-        sim::Tick txBusyUntil = 0; ///< uplink serialization horizon
-        sim::Tick rxBusyUntil = 0; ///< downlink serialization horizon
-        Handler handler;
-        PortStats stats;
-    };
-
-    /**
-     * A frame (or drop notification) between transmission and its
-     * delivery event. Slab-pooled; the scheduled event captures only
-     * {this, slot}.
-     */
-    struct InFlight
-    {
-        Frame frame;
-        Outcome outcome;
-        std::uint32_t next = 0; ///< free-list link while unused
-        bool deliver = false;   ///< false: hardware-ack drop report
-    };
-
-    static constexpr std::uint32_t noSlot = ~std::uint32_t(0);
-
     /** Serialization delay for @p bytes on one link. */
     sim::Tick txTime(std::uint64_t bytes) const;
 
@@ -182,32 +203,7 @@ class Network
 
     sim::Simulation &sim_;
     NetworkConfig cfg_;
-    std::vector<Port> ports_;
-    bool switchUp_ = true;
-    std::uint64_t dropped_ = 0;
-    std::uint64_t delivered_ = 0;
-    std::vector<InFlight> inflight_;
-    std::uint32_t freeHead_ = noSlot;
-};
-
-struct Network::Saved
-{
-    /** Mutable half of a Port (the handler stays wired in place). */
-    struct PortState
-    {
-        bool up;
-        bool linkUp;
-        sim::Tick txBusyUntil;
-        sim::Tick rxBusyUntil;
-        PortStats stats;
-    };
-
-    std::vector<PortState> ports;
-    bool switchUp;
-    std::uint64_t dropped;
-    std::uint64_t delivered;
-    std::vector<InFlight> inflight;
-    std::uint32_t freeHead;
+    std::vector<Handler> handlers_; ///< by port
 };
 
 } // namespace performa::net

@@ -34,32 +34,6 @@ Cpu::clear()
     running_ = false;
 }
 
-Cpu::Saved
-Cpu::save() const
-{
-    Saved s;
-    s.queue = queue_.clone(
-        [](const Item &it) { return Item{it.cost, it.done.clone()}; });
-    s.inflight = Item{inflight_.cost, inflight_.done.clone()};
-    s.running = running_;
-    s.pauseCount = pauseCount_;
-    s.generation = generation_;
-    s.busyTime = busyTime_;
-    return s;
-}
-
-void
-Cpu::restore(const Saved &s)
-{
-    queue_ = s.queue.clone(
-        [](const Item &it) { return Item{it.cost, it.done.clone()}; });
-    inflight_ = Item{s.inflight.cost, s.inflight.done.clone()};
-    running_ = s.running;
-    pauseCount_ = s.pauseCount;
-    generation_ = s.generation;
-    busyTime_ = s.busyTime;
-}
-
 void
 Cpu::maybeStart()
 {

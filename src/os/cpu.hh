@@ -19,13 +19,31 @@
 
 namespace performa::osim {
 
+/** The mutable state of a Cpu (a snapshot copies it whole). */
+struct CpuState
+{
+    struct Item
+    {
+        sim::Tick cost;
+        sim::SmallFn done;
+    };
+
+    sim::RingBuffer<Item> queue_;
+    Item inflight_{}; ///< item being executed; keeps the completion
+                      ///< event's capture down to {this, generation}
+    bool running_ = false;
+    int pauseCount_ = 0;
+    std::uint64_t generation_ = 0; ///< invalidates in-flight completions
+    sim::Tick busyTime_ = 0;
+};
+
 /**
  * A single execution lane with a FIFO run queue.
  *
  * Work submitted while the lane is busy or paused waits; throughput
  * under saturation therefore emerges naturally from per-item costs.
  */
-class Cpu
+class Cpu : private CpuState
 {
   public:
     explicit Cpu(sim::Simulation &s) : sim_(s)
@@ -64,11 +82,12 @@ class Cpu
     sim::Tick busyTime() const { return busyTime_; }
 
     /** Snapshot state: run queue and in-flight item (completions
-     *  clone()d), pause depth, generation and accounting. */
-    struct Saved;
+     *  copied), pause depth, generation and accounting. Restoring
+     *  refills the run queue in place, keeping its capacity. */
+    using Saved = CpuState;
 
-    Saved save() const;
-    void restore(const Saved &s);
+    Saved save() const { return *this; }
+    void restore(const Saved &s) { CpuState::operator=(s); }
 
   private:
     /**
@@ -79,33 +98,10 @@ class Cpu
      */
     static constexpr std::size_t initialQueueSlots = 64;
 
-    struct Item
-    {
-        sim::Tick cost;
-        sim::SmallFn done;
-    };
-
     /** Start the next item if the lane is free. */
     void maybeStart();
 
     sim::Simulation &sim_;
-    sim::RingBuffer<Item> queue_;
-    Item inflight_{}; ///< item being executed; keeps the completion
-                      ///< event's capture down to {this, generation}
-    bool running_ = false;
-    int pauseCount_ = 0;
-    std::uint64_t generation_ = 0; ///< invalidates in-flight completions
-    sim::Tick busyTime_ = 0;
-};
-
-struct Cpu::Saved
-{
-    sim::RingBuffer<Item> queue;
-    Item inflight;
-    bool running;
-    int pauseCount;
-    std::uint64_t generation;
-    sim::Tick busyTime;
 };
 
 } // namespace performa::osim

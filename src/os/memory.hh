@@ -10,6 +10,8 @@
  *    VIA memory registration; the injector can lower the threshold,
  *    which makes further pin requests fail (exactly how the authors
  *    patched the cLAN driver).
+ *
+ * Both are plain values: a node's snapshot copies them whole.
  */
 
 #ifndef PERFORMA_OS_MEMORY_HH
@@ -63,22 +65,6 @@ class KernelMemory
     {
         used_ = 0;
         failInjected_ = false;
-    }
-
-    /** Snapshot state (capacity is configuration). */
-    struct Saved
-    {
-        std::uint64_t used;
-        bool failInjected;
-    };
-
-    Saved save() const { return Saved{used_, failInjected_}; }
-
-    void
-    restore(const Saved &s)
-    {
-        used_ = s.used;
-        failInjected_ = s.failInjected;
     }
 
   private:
@@ -140,22 +126,6 @@ class PinManager
     {
         pinned_ = 0;
         injectedLimit_ = ~std::uint64_t(0);
-    }
-
-    /** Snapshot state (the configured limit is not mutable). */
-    struct Saved
-    {
-        std::uint64_t pinned;
-        std::uint64_t injectedLimit;
-    };
-
-    Saved save() const { return Saved{pinned_, injectedLimit_}; }
-
-    void
-    restore(const Saved &s)
-    {
-        pinned_ = s.pinned;
-        injectedLimit_ = s.injectedLimit;
     }
 
   private:

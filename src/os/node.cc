@@ -7,9 +7,9 @@ namespace performa::osim {
 Node::Node(sim::Simulation &s, sim::NodeId id, net::Network &intra_net,
            net::PortId intra_port, net::Network &client_net,
            net::PortId client_port, NodeConfig cfg)
-    : sim_(s), id_(id), intraNet_(intra_net), intraPort_(intra_port),
-      clientNet_(client_net), clientPort_(client_port), cfg_(cfg),
-      cpu_(s), kernelMem_(cfg.kernelMemBytes), pins_(cfg.pinLimitBytes)
+    : NodeState(cfg), sim_(s), id_(id), intraNet_(intra_net),
+      intraPort_(intra_port), clientNet_(client_net),
+      clientPort_(client_port), cfg_(cfg), cpu_(s)
 {
 }
 

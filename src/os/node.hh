@@ -36,18 +36,38 @@ struct NodeConfig
 };
 
 /**
- * A cluster node. The node owns the hardware/OS state; the protocol
- * stacks and the PRESS server attach to it.
+ * The mutable state of a Node beside its CPU: lifecycle plus the
+ * kernel-memory and pinned-page managers, which are plain values and
+ * copy whole with it.
  */
-class Node
+struct NodeState
 {
-  public:
     enum class State
     {
         Up,
         Down,   ///< crashed; nothing runs, ports are dark
         Frozen, ///< OS hung; NIC hardware alive, nothing executes
     };
+
+    explicit NodeState(const NodeConfig &cfg)
+        : kernelMem_(cfg.kernelMemBytes), pins_(cfg.pinLimitBytes)
+    {}
+
+    State state_ = State::Up;
+    std::uint64_t incarnation_ = 1;
+    bool restartPending_ = false;
+    KernelMemory kernelMem_;
+    PinManager pins_;
+};
+
+/**
+ * A cluster node. The node owns the hardware/OS state; the protocol
+ * stacks and the PRESS server attach to it.
+ */
+class Node : private NodeState
+{
+  public:
+    using State = NodeState::State;
 
     Node(sim::Simulation &s, sim::NodeId id, net::Network &intra_net,
          net::PortId intra_port, net::Network &client_net,
@@ -124,36 +144,22 @@ class Node
     /** @} */
 
     /**
-     * Snapshot state: lifecycle plus the owned CPU/memory managers.
+     * Snapshot state: lifecycle, the memory managers and the CPU.
      * The attached service and lifecycle callbacks are wiring, saved
      * by their own components (press::Server) or not mutable at all.
      */
-    struct Saved
+    struct Saved : NodeState
     {
-        State state;
-        std::uint64_t incarnation;
-        bool restartPending;
         Cpu::Saved cpu;
-        KernelMemory::Saved kernelMem;
-        PinManager::Saved pins;
     };
 
-    Saved
-    save() const
-    {
-        return Saved{state_,           incarnation_,     restartPending_,
-                     cpu_.save(),      kernelMem_.save(), pins_.save()};
-    }
+    Saved save() const { return {NodeState(*this), cpu_.save()}; }
 
     void
     restore(const Saved &s)
     {
-        state_ = s.state;
-        incarnation_ = s.incarnation;
-        restartPending_ = s.restartPending;
+        NodeState::operator=(s);
         cpu_.restore(s.cpu);
-        kernelMem_.restore(s.kernelMem);
-        pins_.restore(s.pins);
     }
 
   private:
@@ -168,15 +174,8 @@ class Node
     net::PortId clientPort_;
     NodeConfig cfg_;
 
-    State state_ = State::Up;
-    std::uint64_t incarnation_ = 1;
-
     Cpu cpu_;
-    KernelMemory kernelMem_;
-    PinManager pins_;
-
     Service *service_ = nullptr;
-    bool restartPending_ = false;
 
     std::vector<std::function<void()>> crashFns_;
     std::vector<std::function<void()>> rebootFns_;

@@ -19,17 +19,24 @@
 
 namespace performa::press {
 
+/** The mutable state of a DiskArray (a snapshot copies it whole). */
+struct DiskState
+{
+    std::vector<sim::Tick> freeAt_; ///< per-disk booking horizon
+    std::uint64_t reads_ = 0;
+};
+
 /**
  * N independent disks with FIFO queues; a read is dispatched to the
  * disk that frees up first.
  */
-class DiskArray
+class DiskArray : private DiskState
 {
   public:
     DiskArray(sim::Simulation &s, std::uint32_t disks, sim::Tick seek,
               double bytes_per_usec)
-        : sim_(s), seek_(seek), bytesPerUsec_(bytes_per_usec),
-          freeAt_(disks, 0)
+        : DiskState{std::vector<sim::Tick>(disks, 0)}, sim_(s),
+          seek_(seek), bytesPerUsec_(bytes_per_usec)
     {}
 
     /**
@@ -60,20 +67,10 @@ class DiskArray
     std::uint64_t reads() const { return reads_; }
 
     /** Snapshot state: per-disk booking horizon and the read count. */
-    struct Saved
-    {
-        std::vector<sim::Tick> freeAt;
-        std::uint64_t reads;
-    };
+    using Saved = DiskState;
 
-    Saved save() const { return Saved{freeAt_, reads_}; }
-
-    void
-    restore(const Saved &s)
-    {
-        freeAt_ = s.freeAt;
-        reads_ = s.reads;
-    }
+    Saved save() const { return *this; }
+    void restore(const Saved &s) { DiskState::operator=(s); }
 
     /** Mean queue depth proxy: how far ahead of now the disks are booked. */
     sim::Tick
@@ -90,8 +87,6 @@ class DiskArray
     sim::Simulation &sim_;
     sim::Tick seek_;
     double bytesPerUsec_;
-    std::vector<sim::Tick> freeAt_;
-    std::uint64_t reads_ = 0;
 };
 
 } // namespace performa::press

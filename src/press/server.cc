@@ -11,8 +11,8 @@ namespace performa::press {
 Server::Server(osim::Node &node, const PressConfig &cfg,
                std::unique_ptr<proto::FaultInterposer> comm,
                std::vector<sim::NodeId> all_nodes)
-    : node_(node), cfg_(cfg), comm_(std::move(comm)),
-      allNodes_(std::move(all_nodes)), directory_(allNodes_.size())
+    : ServerState(all_nodes.size(), &fwdPool_), node_(node), cfg_(cfg),
+      comm_(std::move(comm)), allNodes_(std::move(all_nodes))
 {
     disk_ = std::make_unique<DiskArray>(node_.simulation(),
                                         cfg_.disksPerNode, cfg_.diskSeek,
@@ -1040,70 +1040,26 @@ Server::sweepTick()
 Server::Saved
 Server::save() const
 {
-    Saved s;
-    s.alive = alive_;
-    s.stopped = stopped_;
-    s.coldStart = coldStart_;
-    s.epoch = epoch_;
-    s.members = members_;
-    s.loads = loads_;
-    s.directory = directory_;
-    s.hasCache = cache_ != nullptr;
-    if (cache_)
-        s.cacheFiles = cache_->files();
-    s.disk = disk_->save();
-    s.pendingFwd = pendingFwd_;
-    s.outstanding = outstanding_;
-    s.pendingSends = pendingSends_;
-    s.stalled = stalled_;
-    s.mainQ = mainQ_.clone(
-        [](const MainItem &it) { return MainItem{it.cost, it.fn.clone()}; });
-    s.mainInflight = mainInflight_.clone();
-    s.mainBusy = mainBusy_;
-    s.joinTries = joinTries_;
-    s.joinResponded = joinResponded_;
-    s.lastHbAt = lastHbAt_;
-    s.stats = stats_;
-    s.stallStartedAt = stallStartedAt_;
-    return s;
+    return {ServerState(*this), disk_->save(), cache_ != nullptr,
+            cache_ ? cache_->files() : std::vector<sim::FileId>{}};
 }
 
 void
 Server::restore(const Saved &s)
 {
-    alive_ = s.alive;
-    stopped_ = s.stopped;
-    coldStart_ = s.coldStart;
-    epoch_ = s.epoch;
-    members_ = s.members;
-    loads_ = s.loads;
-    directory_ = s.directory;
-    if (s.hasCache) {
-        // Recreate the cache so it carries the same pin-hook closures
-        // a fresh start() would install, then rebuild its contents
-        // without firing the hooks — the pin accounting is rewound
-        // wholesale by the node's PinManager / VIA endpoint state.
-        makeFreshCache();
-        cache_->restoreFiles(s.cacheFiles);
-    } else {
-        cache_.reset();
-    }
+    ServerState::operator=(s);
     disk_->restore(s.disk);
-    pendingFwd_ = s.pendingFwd;
-    outstanding_ = s.outstanding;
-    pendingSends_ = s.pendingSends;
-    stalled_ = s.stalled;
-    // Refill in place: the ring keeps its warmed-up capacity.
-    mainQ_.clear();
-    for (std::size_t i = 0; i < s.mainQ.size(); ++i)
-        mainQ_.emplace_back(s.mainQ[i].cost, s.mainQ[i].fn.clone());
-    mainInflight_ = s.mainInflight.clone();
-    mainBusy_ = s.mainBusy;
-    joinTries_ = s.joinTries;
-    joinResponded_ = s.joinResponded;
-    lastHbAt_ = s.lastHbAt;
-    stats_ = s.stats;
-    stallStartedAt_ = s.stallStartedAt;
+    if (!s.hasCache) {
+        cache_.reset();
+        return;
+    }
+    // Refill the cache in place when there is one: it carries the
+    // same pin-hook closures a fresh start() installs. Its contents
+    // come back without firing the hooks — the pin accounting is
+    // rewound wholesale by the node's PinManager / VIA endpoint state.
+    if (!cache_)
+        makeFreshCache();
+    cache_->restoreFiles(s.cacheFiles);
 }
 
 } // namespace performa::press

@@ -76,9 +76,92 @@ struct ServerHooks
 };
 
 /**
+ * The mutable state of a PRESS server process beside its cache and
+ * disks: membership, directory, pending work, heartbeat and counters.
+ * A snapshot copies it whole.
+ */
+struct ServerState
+{
+    struct PendingFwd
+    {
+        sim::FileId file;
+        std::uint32_t clientPort;
+        sim::NodeId target;
+        sim::Tick sentAt;
+        sim::RequestId req;
+        // Client latency stamps, preserved across the forward hop
+        // (and across a re-dispatch when the target node dies).
+        sim::Tick reqSentAt = 0;
+        sim::Tick reqAcceptedAt = 0;
+    };
+    using PendingFwdMap = std::pmr::map<sim::RequestId, PendingFwd>;
+
+    struct MainItem
+    {
+        sim::Tick cost;
+        sim::SmallFn fn;
+    };
+
+    /** @p fwd_pool backs pendingFwd_; a copy's map draws from the
+     *  default resource, and assigning one keeps the target's pool. */
+    ServerState(std::size_t num_nodes, std::pmr::memory_resource *fwd_pool)
+        : directory_(num_nodes), pendingFwd_(fwd_pool)
+    {}
+
+    // process state
+    bool alive_ = false;
+    bool stopped_ = false;
+    bool coldStart_ = true;
+    std::uint64_t epoch_ = 0;
+
+    // cluster state
+    std::set<sim::NodeId> members_;
+    std::map<sim::NodeId, std::uint32_t> loads_;
+    Directory directory_;
+
+    // request state
+    // Ordered: excludeNode() re-dispatches entries in iteration order
+    // (scheduling main-loop work per entry) and sweepTick() walks it,
+    // so the order must be deterministic for byte-identical runs. Its
+    // nodes come from a per-server pool: a forward and its reply
+    // recycle one node instead of a malloc/free pair.
+    PendingFwdMap pendingFwd_;
+    std::size_t outstanding_ = 0;
+
+    // blocking-send state
+    std::deque<std::pair<sim::NodeId, proto::AppMessage>> pendingSends_;
+    bool stalled_ = false;
+
+    // main-loop queue
+    sim::RingBuffer<MainItem> mainQ_;
+    /** The item running on the CPU; parked here so its completion
+     *  event captures only {this, epoch}. */
+    sim::SmallFn mainInflight_;
+    bool mainBusy_ = false;
+
+    // join state
+    int joinTries_ = 0;
+    bool joinResponded_ = false;
+
+    // heartbeat state
+    sim::Tick lastHbAt_ = 0;
+
+    // stats
+    ServerStats stats_;
+    sim::Tick stallStartedAt_ = 0;
+};
+
+/** The pool a server's pendingFwd_ draws its nodes from; a base ahead
+ *  of ServerState, so it is built before the map and outlives it. */
+struct FwdPool
+{
+    std::pmr::unsynchronized_pool_resource fwdPool_;
+};
+
+/**
  * One PRESS server process (see file comment).
  */
-class Server : public osim::Service
+class Server : public osim::Service, private FwdPool, private ServerState
 {
   public:
     /**
@@ -127,9 +210,9 @@ class Server : public osim::Service
      */
     void prewarmFile(sim::FileId f, sim::NodeId owner);
 
-    /** Snapshot state: everything mutable in the process — membership,
-     *  directory, cache contents, queued work, counters. The comm
-     *  endpoint below us saves itself via its own hook. */
+    /** Snapshot state: everything mutable in the process — the server
+     *  state, the disks and the cache contents. The comm endpoint
+     *  below us saves itself via its own hook. */
     struct Saved;
 
     Saved save() const;
@@ -222,8 +305,9 @@ class Server : public osim::Service
 
     /**
      * (Re)create the cache with the version-appropriate pin hooks.
-     * Used by start() and by snapshot restore so a restored cache gets
-     * the exact same hook closures a fresh start would install.
+     * Used by start(), and by a snapshot restore that finds no cache,
+     * so a restored cache has the exact hook closures a fresh start
+     * installs.
      */
     void makeFreshCache();
 
@@ -233,107 +317,15 @@ class Server : public osim::Service
     std::vector<sim::NodeId> allNodes_;
     ServerHooks hooks_;
 
-    // process state
-    bool alive_ = false;
-    bool stopped_ = false;
-    bool coldStart_ = true;
-    std::uint64_t epoch_ = 0;
-
-    // cluster state
-    std::set<sim::NodeId> members_;
-    std::map<sim::NodeId, std::uint32_t> loads_;
-    Directory directory_;
     std::unique_ptr<FileCache> cache_;
     std::unique_ptr<DiskArray> disk_;
-
-    // request state
-    struct PendingFwd
-    {
-        sim::FileId file;
-        std::uint32_t clientPort;
-        sim::NodeId target;
-        sim::Tick sentAt;
-        sim::RequestId req;
-        // Client latency stamps, preserved across the forward hop
-        // (and across a re-dispatch when the target node dies).
-        sim::Tick reqSentAt = 0;
-        sim::Tick reqAcceptedAt = 0;
-    };
-    using PendingFwdMap = std::pmr::map<sim::RequestId, PendingFwd>;
-    // Ordered: excludeNode() re-dispatches entries in iteration order
-    // (scheduling main-loop work per entry) and sweepTick() walks it,
-    // so the order must be deterministic for byte-identical runs. Its
-    // nodes come from a per-server pool: a forward and its reply
-    // recycle one node instead of a malloc/free pair.
-    std::pmr::unsynchronized_pool_resource fwdPool_;
-    PendingFwdMap pendingFwd_{&fwdPool_};
-    std::size_t outstanding_ = 0;
-
-    // blocking-send state
-    std::deque<std::pair<sim::NodeId, proto::AppMessage>> pendingSends_;
-    bool stalled_ = false;
-
-    // main-loop queue
-    struct MainItem
-    {
-        sim::Tick cost;
-        sim::SmallFn fn;
-    };
-    sim::RingBuffer<MainItem> mainQ_;
-    /** The item running on the CPU; parked here so its completion
-     *  event captures only {this, epoch}. */
-    sim::SmallFn mainInflight_;
-    bool mainBusy_ = false;
-
-    // join state
-    int joinTries_ = 0;
-    bool joinResponded_ = false;
-
-    // heartbeat state
-    sim::Tick lastHbAt_ = 0;
-
-    // stats
-    ServerStats stats_;
-    sim::Tick stallStartedAt_ = 0;
 };
 
-struct Server::Saved
+struct Server::Saved : ServerState
 {
-    // process state
-    bool alive;
-    bool stopped;
-    bool coldStart;
-    std::uint64_t epoch;
-
-    // cluster state
-    std::set<sim::NodeId> members;
-    std::map<sim::NodeId, std::uint32_t> loads;
-    Directory directory;
-    bool hasCache;                      ///< cache_ existed (post-start)
-    std::vector<sim::FileId> cacheFiles; ///< MRU-to-LRU contents
     DiskArray::Saved disk;
-
-    // request state
-    PendingFwdMap pendingFwd; ///< on the default resource
-    std::size_t outstanding;
-
-    // blocking-send state
-    std::deque<std::pair<sim::NodeId, proto::AppMessage>> pendingSends;
-    bool stalled;
-
-    // main-loop queue (fn closures are copyable by construction)
-    sim::RingBuffer<MainItem> mainQ;
-    sim::SmallFn mainInflight;
-    bool mainBusy;
-
-    // join + heartbeat state
-    int joinTries;
-    bool joinResponded;
-    sim::Tick lastHbAt;
-
-    // stats
-    ServerStats stats;
-    sim::Tick stallStartedAt;
+    bool hasCache;                       ///< cache_ existed (post-start)
+    std::vector<sim::FileId> cacheFiles; ///< MRU-to-LRU contents
 };
 
 } // namespace performa::press

@@ -60,27 +60,6 @@ struct CommCosts
     double recvPerKb = 0.0;    ///< per-KB receive CPU
 };
 
-/**
- * A ring buffer whose copies are deep clones (payload handles are
- * refcount bumps), so a whole channel copies for a snapshot without a
- * hand-written field list.
- */
-template <typename T>
-struct ChannelRing : sim::RingBuffer<T>
-{
-    ChannelRing() = default;
-    ChannelRing(ChannelRing &&) noexcept = default;
-    ChannelRing &operator=(ChannelRing &&) noexcept = default;
-    ChannelRing(const ChannelRing &o) : sim::RingBuffer<T>(o.clone()) {}
-
-    ChannelRing &
-    operator=(const ChannelRing &o)
-    {
-        sim::RingBuffer<T>::operator=(o.clone());
-        return *this;
-    }
-};
-
 /** A received message waiting for the CPU to hand it to the app. */
 struct InMsg
 {
@@ -101,16 +80,36 @@ struct Channel
     bool established = false;
     bool inFlight = false;      ///< the head of sndQueue is on the wire
     bool senderBlocked = false; ///< a send returned WouldBlock
-    ChannelRing<Out> sndQueue;
-    ChannelRing<InMsg> rcvQueue;
+    sim::RingBuffer<Out> sndQueue;
+    sim::RingBuffer<InMsg> rcvQueue;
     /** Deliveries queued on the CPU but not yet executed. */
     std::size_t scheduledDeliveries = 0;
     int connectTries = 0;
     sim::EventHandle connectTimer;
 };
 
+/**
+ * The mutable state of a channel core: the flags and the channel
+ * table (a snapshot copies it whole; rings copy element by element,
+ * payloads by refcount bump, and timer handles are plain {slot, gen}
+ * pairs that stay valid across an event-queue restore).
+ */
+template <typename Chan>
+struct ChannelState
+{
+    bool listening_ = false;
+    bool appReceiving_ = true;
+    // Ordered maps, deliberately: shutdown(), setAppReceiving() and
+    // closeAll() walk the channel table with wire- and CPU-visible side
+    // effects, so the order must be identical between a warmed endpoint
+    // and its snapshot-restored fork. Every active_ entry names a live
+    // channel: only open() adds one, close() and closeAll() remove them.
+    std::map<std::uint64_t, Chan> chans_;
+    std::map<sim::NodeId, std::uint64_t> active_;
+};
+
 template <typename Derived, typename Config, typename Chan>
-class ChannelCore : public ClusterComm
+class ChannelCore : public ClusterComm, private ChannelState<Chan>
 {
   public:
     ChannelCore(osim::Node &node, Config cfg,
@@ -214,29 +213,18 @@ class ChannelCore : public ClusterComm
 
     const Config &config() const { return cfg_; }
 
-    /** Snapshot state: the flags and every channel (queues
-     *  deep-copied; timer handles are plain {slot, gen} triples that
-     *  stay valid across an event-queue restore). */
-    struct Saved
-    {
-        bool listening;
-        bool appReceiving;
-        std::map<std::uint64_t, Chan> chans;
-        std::map<sim::NodeId, std::uint64_t> active;
-    };
+    /** Snapshot state: the flags and every channel. */
+    using Saved = ChannelState<Chan>;
 
-    Saved save() const { return {listening_, appReceiving_, chans_, active_}; }
-
-    void
-    restore(const Saved &s)
-    {
-        listening_ = s.listening;
-        appReceiving_ = s.appReceiving;
-        chans_ = s.chans;
-        active_ = s.active;
-    }
+    Saved save() const { return *this; }
+    void restore(const Saved &s) { ChannelState<Chan>::operator=(s); }
 
   protected:
+    using ChannelState<Chan>::listening_;
+    using ChannelState<Chan>::appReceiving_;
+    using ChannelState<Chan>::chans_;
+    using ChannelState<Chan>::active_;
+
     using ChanIt = typename std::map<std::uint64_t, Chan>::iterator;
 
     Derived &self() { return static_cast<Derived &>(*this); }
@@ -555,16 +543,6 @@ class ChannelCore : public ClusterComm
     CommCallbacks cbs_;
     std::unordered_map<sim::NodeId, net::PortId> peerPorts_;
     std::unordered_map<net::PortId, sim::NodeId> portPeers_;
-
-    bool listening_ = false;
-    bool appReceiving_ = true;
-    // Ordered maps, deliberately: shutdown(), setAppReceiving() and
-    // closeAll() walk the channel table with wire- and CPU-visible side
-    // effects, so the order must be identical between a warmed endpoint
-    // and its snapshot-restored fork. Every active_ entry names a live
-    // channel: only open() adds one, close() and closeAll() remove them.
-    std::map<std::uint64_t, Chan> chans_;
-    std::map<sim::NodeId, std::uint64_t> active_;
 };
 
 } // namespace performa::proto

@@ -26,11 +26,20 @@ enum class Corruption
     OffByNSize,  ///< buffer size off by N bytes
 };
 
+/** The mutable state of a FaultInterposer: the armed-corruption
+ *  latches (a snapshot copies them whole). */
+struct InterposerState
+{
+    std::optional<Corruption> armedSend_;
+    std::optional<Corruption> armedRecv_;
+    int armedN_ = 16;
+};
+
 /**
  * Decorator that corrupts the parameters of the next send or receive
  * call, then restores transparent pass-through.
  */
-class FaultInterposer : public ClusterComm
+class FaultInterposer : public ClusterComm, private InterposerState
 {
   public:
     explicit FaultInterposer(std::unique_ptr<ClusterComm> inner)
@@ -107,29 +116,14 @@ class FaultInterposer : public ClusterComm
 
     /** Snapshot state: the armed-corruption latches (the inner comm
      *  endpoint is saved by its own hook). */
-    struct Saved
-    {
-        std::optional<Corruption> armedSend;
-        std::optional<Corruption> armedRecv;
-        int armedN;
-    };
+    using Saved = InterposerState;
 
-    Saved save() const { return Saved{armedSend_, armedRecv_, armedN_}; }
-
-    void
-    restore(const Saved &s)
-    {
-        armedSend_ = s.armedSend;
-        armedRecv_ = s.armedRecv;
-        armedN_ = s.armedN;
-    }
+    Saved save() const { return *this; }
+    void restore(const Saved &s) { InterposerState::operator=(s); }
 
   private:
     std::unique_ptr<ClusterComm> inner_;
     CommCallbacks userCbs_;
-    std::optional<Corruption> armedSend_;
-    std::optional<Corruption> armedRecv_;
-    int armedN_ = 16;
 };
 
 } // namespace performa::proto

@@ -72,10 +72,17 @@ struct ViaChannel : Channel<ViaOutMsg>
     std::uint32_t remoteCredits = 0;
 };
 
+/** What a VIA endpoint holds beside its channel core's state. */
+struct ViaState
+{
+    std::uint64_t pinnedByUs_ = 0; ///< total we registered (for shutdown)
+};
+
 /**
  * The VIA provider + VIPL library endpoint for one server process.
  */
-class ViaComm : public ChannelCore<ViaComm, ViaConfig, ViaChannel>
+class ViaComm : public ChannelCore<ViaComm, ViaConfig, ViaChannel>,
+                private ViaState
 {
   public:
     using ChannelCore::ChannelCore;
@@ -101,18 +108,16 @@ class ViaComm : public ChannelCore<ViaComm, ViaConfig, ViaChannel>
     bool started() const { return listening_; }
 
     /** Snapshot state: the channel core's plus the pinned bytes. */
-    struct Saved : ChannelCore::Saved
-    {
-        std::uint64_t pinnedByUs;
-    };
+    struct Saved : ChannelCore::Saved, ViaState
+    {};
 
-    Saved save() const { return {ChannelCore::save(), pinnedByUs_}; }
+    Saved save() const { return {ChannelCore::save(), ViaState(*this)}; }
 
     void
     restore(const Saved &s)
     {
         ChannelCore::restore(s);
-        pinnedByUs_ = s.pinnedByUs;
+        ViaState::operator=(s);
     }
 
   private:
@@ -148,8 +153,6 @@ class ViaComm : public ChannelCore<ViaComm, ViaConfig, ViaChannel>
 
     bool polled() const { return cfg_.mode != ViaMode::SendRecv; }
     bool remoteWrite() const { return cfg_.mode != ViaMode::SendRecv; }
-
-    std::uint64_t pinnedByUs_ = 0; ///< total we registered (for shutdown)
 };
 
 } // namespace performa::proto

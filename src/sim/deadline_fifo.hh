@@ -65,18 +65,11 @@ template <typename T, typename Owner> class DeadlineFifo
      *  the event queue's snapshot). */
     using Saved = RingBuffer<Entry>;
 
-    Saved save() const { return entries_.clone(); }
+    Saved save() const { return entries_; }
 
     /** Refill in place: the ring keeps its warmed-up capacity, so a
      *  restore does not allocate. */
-    void
-    restore(const Saved &s)
-    {
-        entries_.clear();
-        entries_.reserve(s.size());
-        for (std::size_t i = 0; i < s.size(); ++i)
-            entries_.push_back(s[i]);
-    }
+    void restore(const Saved &s) { entries_ = s; }
 
   private:
     void

@@ -123,10 +123,8 @@ EventQueue::save() const
     s.executed = executed_;
     s.live = live_;
     s.records.reserve(slots_);
-    for (std::uint32_t i = 0; i < slots_; ++i) {
-        const Record &r = record(i);
-        s.records.push_back(Record{r.fn.clone(), r.gen});
-    }
+    for (std::uint32_t i = 0; i < slots_; ++i)
+        s.records.push_back(record(i));
     s.freeSlots = freeSlots_;
     s.heap = heap_;
     return s;
@@ -148,11 +146,8 @@ EventQueue::restore(const Saved &s)
     std::uint32_t saved = static_cast<std::uint32_t>(s.records.size());
     while ((saved + chunkSize - 1) >> chunkBits > chunks_.size())
         chunks_.push_back(std::make_unique<Record[]>(chunkSize));
-    for (std::uint32_t i = 0; i < saved; ++i) {
-        Record &r = record(i);
-        r.fn = s.records[i].fn.clone();
-        r.gen = s.records[i].gen;
-    }
+    for (std::uint32_t i = 0; i < saved; ++i)
+        record(i) = s.records[i];
     for (std::uint32_t i = saved; i < slots_; ++i) {
         Record &r = record(i);
         r.fn.reset();

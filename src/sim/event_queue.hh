@@ -176,7 +176,7 @@ class EventQueue
 
     /**
      * A deep copy of the queue's full state: clock, sequence counter,
-     * the record slab (handlers clone()d), free list and heap. Taking
+     * the record slab (handlers copied), free list and heap. Taking
      * one does not disturb the live queue; restore() rewinds the queue
      * to it exactly, slot for slot, so outstanding EventHandle
      * {slot, gen} triples from snapshot time become valid again.
@@ -184,8 +184,8 @@ class EventQueue
     struct Saved;
 
     /** Capture the queue state (every pending handler must be
-     *  cloneable — see SmallFn::clone). Call between events, not
-     *  from a handler. */
+     *  copyable — see SmallFn). Call between events, not from a
+     *  handler. */
     Saved save() const;
 
     /** Rewind the queue to @p s, discarding the current state. Call
@@ -304,7 +304,7 @@ struct EventQueue::Saved
     std::uint64_t nextSeq = 0;
     std::uint64_t executed = 0;
     std::size_t live = 0;
-    std::vector<Record> records; ///< one per carved slot; handlers cloned
+    std::vector<Record> records; ///< one per carved slot; handlers copied
     std::vector<std::uint32_t> freeSlots;
     std::vector<HeapEntry> heap;
 };

@@ -7,6 +7,12 @@
  * forever, so warmed-up queues are allocation-free. Capacity doubles
  * if a push ever outruns the reserved size — a safety valve, since
  * the users size it from their flow-control bounds up front.
+ *
+ * Rings copy as values, element by element, so a component holding
+ * one snapshots it with the rest of its state: a copy reserves the
+ * source's capacity (a snapshot keeps the warmed headroom), and
+ * copy-assignment refills the target in place, keeping its capacity
+ * (a fork allocates nothing).
  */
 
 #ifndef PERFORMA_SIM_RING_BUFFER_HH
@@ -18,7 +24,7 @@
 
 namespace performa::sim {
 
-/** Move-only FIFO ring over raw storage; indexable like a deque. */
+/** FIFO ring over raw storage; indexable like a deque. */
 template <typename T> class RingBuffer
 {
   public:
@@ -48,8 +54,27 @@ template <typename T> class RingBuffer
         return *this;
     }
 
-    RingBuffer(const RingBuffer &) = delete;
-    RingBuffer &operator=(const RingBuffer &) = delete;
+    /** Copy @p o front to back into a ring of @p o's capacity. */
+    RingBuffer(const RingBuffer &o)
+    {
+        reserve(o.cap_);
+        for (std::size_t i = 0; i < o.size_; ++i)
+            emplace_back(o[i]);
+    }
+
+    /** Refill in place with copies of @p o's elements; the ring keeps
+     *  its capacity and grows only if @p o holds more. */
+    RingBuffer &
+    operator=(const RingBuffer &o)
+    {
+        if (this != &o) {
+            clear();
+            reserve(o.size_);
+            for (std::size_t i = 0; i < o.size_; ++i)
+                emplace_back(o[i]);
+        }
+        return *this;
+    }
 
     ~RingBuffer() { destroyAll(); }
 
@@ -105,29 +130,6 @@ template <typename T> class RingBuffer
         while (size_ > 0)
             pop_front();
         head_ = 0;
-    }
-
-    /**
-     * Duplicate the ring, copying each element with @p copy (front to
-     * back). The clone reserves the source's full capacity up front so
-     * a restored queue keeps its warmed-up, allocation-free headroom.
-     */
-    template <typename CopyFn>
-    RingBuffer
-    clone(CopyFn &&copy) const
-    {
-        RingBuffer out;
-        out.reserve(cap_);
-        for (std::size_t i = 0; i < size_; ++i)
-            out.push_back(copy((*this)[i]));
-        return out;
-    }
-
-    /** clone() for copy-constructible element types. */
-    RingBuffer
-    clone() const
-    {
-        return clone([](const T &v) { return T(v); });
     }
 
   private:

@@ -18,6 +18,14 @@
 
 namespace performa::sim {
 
+/** The mutable state of a Simulation beside its event queue (see
+ *  sim/snapshot.hh: a component's snapshot is a copy of its state). */
+struct SimulationState
+{
+    Rng rng_;
+    std::uint64_t nextId_ = 1;
+};
+
 /**
  * Owns the event queue and RNG for one simulated world.
  *
@@ -26,11 +34,11 @@ namespace performa::sim {
  * this is load-bearing for EventHandle, which indexes into the event
  * queue's record slab and must not outlive the queue.
  */
-class Simulation
+class Simulation : private SimulationState
 {
   public:
     explicit Simulation(std::uint64_t seed = 1)
-        : rng_(seed), seed_(seed)
+        : SimulationState{Rng(seed)}, seed_(seed)
     {}
 
     Simulation(const Simulation &) = delete;
@@ -95,32 +103,25 @@ class Simulation
 
     /**
      * Snapshot state: RNG stream, id counter and the full event queue
-     * (handlers cloned). The payload pool itself is NOT part of the
+     * (handlers copied). The payload pool itself is NOT part of the
      * saved state — pooled blocks live at stable addresses until the
-     * pool is destroyed, and the Rc handles inside cloned handlers
+     * pool is destroyed, and the Rc handles inside copied handlers
      * keep every block the snapshot needs referenced, so restoring is
      * purely a matter of refcounts settling. Pool counters
      * (freshAllocs/poolHits) therefore drift across forks; they are
      * diagnostics, not behaviour.
      */
-    struct Saved
+    struct Saved : SimulationState
     {
-        Rng rng;
-        std::uint64_t nextId;
         EventQueue::Saved events;
     };
 
-    Saved
-    save() const
-    {
-        return Saved{rng_, nextId_, events_.save()};
-    }
+    Saved save() const { return {SimulationState(*this), events_.save()}; }
 
     void
     restore(const Saved &s)
     {
-        rng_ = s.rng;
-        nextId_ = s.nextId;
+        SimulationState::operator=(s);
         events_.restore(s.events);
     }
 
@@ -130,9 +131,7 @@ class Simulation
     // frames), and destroying them releases blocks back to the pool.
     PayloadPool pool_;
     EventQueue events_;
-    Rng rng_;
     std::uint64_t seed_ = 1;
-    std::uint64_t nextId_ = 1;
 };
 
 } // namespace performa::sim

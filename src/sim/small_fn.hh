@@ -1,7 +1,7 @@
 /**
  * @file
- * SmallFn: a move-only callable holder with small-buffer optimization,
- * used by the event engine for handler storage. The common event
+ * SmallFn: a callable holder with small-buffer optimization, used by
+ * the event engine for handler storage. The common event
  * handler in this tree — a lambda capturing `this` plus an id or two —
  * fits in the inline buffer and never touches the allocator; only
  * oversized or over-aligned captures fall back to the heap.
@@ -22,10 +22,14 @@ namespace performa::sim {
 
 /**
  * A type-erased `void()` callable, run once: consume() invokes it and
- * destroys it. Move-only (captures need not be copyable) and empty
- * after being moved from. Holders whose captures are copyable can be
- * clone()d — the snapshot/fork machinery duplicates a warmed event
- * queue's handlers this way.
+ * destroys it. Empty after being moved from. Copying a holder copies
+ * its captures, which is how a snapshot duplicates a warmed event
+ * queue's handlers and the work queued behind them. Captures need not
+ * be copyable to be held, only to be copied: every handler in this
+ * tree captures `this`, ids and refcounted handles, so copying one
+ * with a non-copyable capture is a bug and PANICs. The event engine
+ * itself never copies a handler (emplace() takes holders as rvalues
+ * only).
  */
 class SmallFn
 {
@@ -61,8 +65,17 @@ class SmallFn
         return *this;
     }
 
-    SmallFn(const SmallFn &) = delete;
-    SmallFn &operator=(const SmallFn &) = delete;
+    SmallFn(const SmallFn &o) { copyFrom(o); }
+
+    SmallFn &
+    operator=(const SmallFn &o)
+    {
+        if (this != &o) {
+            reset();
+            copyFrom(o);
+        }
+        return *this;
+    }
 
     ~SmallFn() { reset(); }
 
@@ -90,7 +103,8 @@ class SmallFn
         reset();
         if constexpr (std::is_same_v<D, SmallFn>) {
             static_assert(!std::is_lvalue_reference_v<F>,
-                          "SmallFn is move-only: pass an rvalue");
+                          "the event engine never copies a handler: "
+                          "pass an rvalue");
             moveFrom(f);
         } else {
             static_assert(std::is_invocable_r_v<void, D &>,
@@ -123,28 +137,6 @@ class SmallFn
         ops->consume(buf_);
     }
 
-    /** @return true if the held callable can be clone()d (or empty). */
-    bool cloneable() const { return !ops_ || ops_->copy != nullptr; }
-
-    /**
-     * Duplicate the held callable (copy-constructing its captures).
-     * Every event handler in this tree captures only `this`, ids and
-     * refcounted handles, all copyable; a non-copyable capture would
-     * make its event unsnapshottable, so cloning one is a bug.
-     */
-    SmallFn
-    clone() const
-    {
-        SmallFn out;
-        if (ops_) {
-            if (!ops_->copy)
-                PANIC("cloning a SmallFn with non-copyable captures");
-            ops_->copy(out.buf_, buf_);
-            out.ops_ = ops_;
-        }
-        return out;
-    }
-
   private:
     struct Ops
     {
@@ -154,7 +146,7 @@ class SmallFn
         void (*relocate)(void *dst, void *src) noexcept;
         void (*destroy)(void *) noexcept;
         /** Copy src into raw dst; null when the callable is not
-         *  copy-constructible (such a handler cannot be snapshotted). */
+         *  copy-constructible (such a holder cannot be copied). */
         void (*copy)(void *dst, const void *src);
     };
 
@@ -252,6 +244,17 @@ class SmallFn
                                     &HeapImpl<D>::relocate,
                                     &HeapImpl<D>::destroy,
                                     copyOp<D, HeapImpl<D>>};
+
+    void
+    copyFrom(const SmallFn &o)
+    {
+        if (o.ops_) {
+            if (!o.ops_->copy)
+                PANIC("copying a SmallFn with non-copyable captures");
+            o.ops_->copy(buf_, o.buf_);
+            ops_ = o.ops_;
+        }
+    }
 
     void
     moveFrom(SmallFn &o) noexcept

@@ -10,11 +10,21 @@
  * their mutable state is copied out and back in. Event handlers and
  * callbacks capture `this` pointers freely — those pointers remain
  * valid across a fork because the objects they refer to are never
- * moved, so the handler-rebinding contract is the identity map. What
- * every component must guarantee instead is that its Saved struct
- * covers ALL behaviour-affecting mutable state: anything missed leaks
- * one fork's history into the next and shows up as a byte diff in the
- * determinism tests.
+ * moved, so the handler-rebinding contract is the identity map.
+ *
+ * A snapshot is a copy of state, not a field list. Each component
+ * keeps its mutable fields in one state struct that it derives from
+ * privately (`class Cpu : private CpuState`); its Saved is that struct
+ * (plus, by composition, the Saved of each nested component that holds
+ * references and so cannot be copied whole), save() copies it and
+ * restore() assigns it back in place. A new field is snapshotted
+ * because of where it is declared; wiring (references, callbacks,
+ * configuration) stays in the component itself. Rings and SmallFns
+ * copy as values; assigning a ring refills it in place, so a fork
+ * reuses the capacity the warmed world grew. Two snapshots stay
+ * hand-written: the event queue's, restored slot for slot into chunks
+ * that never move, and the page cache's, saved as its MRU list
+ * because its id-indexed arrays are large.
  */
 
 #ifndef PERFORMA_SIM_SNAPSHOT_HH
@@ -35,7 +45,7 @@ class SnapshotRegistry;
  * An immutable capture of one registry's component states, in
  * registration order. Opaque outside the registry that produced it;
  * holding one keeps the captured state (including any refcounted
- * payload handles inside cloned handlers/queues) alive, so a Snapshot
+ * payload handles inside copied handlers/queues) alive, so a Snapshot
  * must not outlive the Simulation whose payload pool backs it.
  */
 class Snapshot

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/small_fn.hh"
 
 using namespace performa::sim;
 
@@ -479,6 +480,38 @@ TEST(EventQueue, SaveRestoreAcrossChunks)
     EXPECT_EQ(order, first);
     EXPECT_EQ(q.executed(), executed_first);
     EXPECT_EQ(q.now(), 101u);
+}
+
+TEST(SmallFn, CopyRunsIndependentlyOfItsOriginal)
+{
+    // A copy holds copies of the captures: each holder runs, and
+    // releases its captures, on its own.
+    auto token = std::make_shared<int>(0);
+    SmallFn a([token] { ++*token; });
+    SmallFn b(a);
+    EXPECT_EQ(token.use_count(), 3);
+    a.consume();
+    EXPECT_EQ(*token, 1);
+    EXPECT_EQ(token.use_count(), 2);
+    EXPECT_FALSE(a);
+    ASSERT_TRUE(b);
+
+    // Copy-assignment, and a capture too big for the inline buffer.
+    std::array<std::uint64_t, 16> big{};
+    big[15] = 7;
+    SmallFn c([big, token] { *token += static_cast<int>(big[15]); });
+    b = c;
+    EXPECT_EQ(token.use_count(), 3); // b's old capture is gone
+    c.consume();
+    b.consume();
+    EXPECT_EQ(*token, 15);
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(SmallFnDeath, CopyingANonCopyableCapturePanics)
+{
+    SmallFn fn([p = std::make_unique<int>(1)] { (void)p; });
+    EXPECT_DEATH({ SmallFn copy(fn); }, "non-copyable");
 }
 
 TEST(EventQueueDeath, SchedulingInThePastPanics)

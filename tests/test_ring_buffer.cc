@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for sim::RingBuffer: FIFO order across wrap-around,
- * growth, indexing, move-only elements, and destruction accounting.
+ * growth, indexing, move-only elements, destruction accounting, and
+ * value semantics (copies keep capacity; assignment refills in place).
  */
 
 #include <gtest/gtest.h>
@@ -130,4 +131,63 @@ TEST(RingBuffer, MoveTransfersOwnership)
     a = std::move(b);
     ASSERT_EQ(a.size(), 2u);
     EXPECT_EQ(a.back(), 8);
+}
+
+namespace {
+
+/** A ring of @p cap slots whose @p n elements 0..n-1 straddle the
+ *  physical end of the buffer. */
+RingBuffer<int>
+straddlingRing(std::size_t cap, int n)
+{
+    RingBuffer<int> rb(cap);
+    for (std::size_t i = 0; i + 2 < cap; ++i)
+        rb.push_back(-1);
+    for (std::size_t i = 0; i + 2 < cap; ++i)
+        rb.pop_front();
+    for (int i = 0; i < n; ++i)
+        rb.push_back(i);
+    return rb;
+}
+
+} // namespace
+
+TEST(RingBuffer, CopyKeepsCapacityAndOrderAcrossTheSeam)
+{
+    RingBuffer<int> src = straddlingRing(64, 10);
+    ASSERT_EQ(src.capacity(), 64u);
+    RingBuffer<int> copy(src);
+    EXPECT_EQ(copy.capacity(), 64u);
+    ASSERT_EQ(copy.size(), 10u);
+    for (int i = 0; i < 10; ++i)
+        EXPECT_EQ(copy[static_cast<std::size_t>(i)], i);
+    // The copy is a value: changing it leaves the source alone.
+    copy.pop_front();
+    copy.push_back(99);
+    EXPECT_EQ(src.front(), 0);
+    EXPECT_EQ(src.back(), 9);
+}
+
+TEST(RingBuffer, CopyAssignRefillsInPlaceKeepingCapacity)
+{
+    RingBuffer<int> big(256);
+    for (int i = 0; i < 200; ++i)
+        big.push_back(-i);
+    big.clear(); // head back at slot 0: &big[0] is the buffer start
+    const int *buffer = &big[0];
+    RingBuffer<int> src = straddlingRing(8, 5);
+
+    big = src;
+    EXPECT_EQ(big.capacity(), 256u);
+    EXPECT_EQ(&big[0], buffer) << "assignment reallocated the buffer";
+    ASSERT_EQ(big.size(), 5u);
+    for (int i = 0; i < 5; ++i)
+        EXPECT_EQ(big[static_cast<std::size_t>(i)], i);
+
+    // A source larger than the target grows it, like a push would.
+    RingBuffer<int> small(8);
+    small = straddlingRing(64, 40);
+    EXPECT_GE(small.capacity(), 40u);
+    ASSERT_EQ(small.size(), 40u);
+    EXPECT_EQ(small.back(), 39);
 }

@@ -214,6 +214,7 @@ TEST(Snapshot, ForkMatchesFreshRunByteForByte)
 {
     const std::pair<press::Version, fault::FaultKind> points[] = {
         {press::Version::TcpPress, fault::FaultKind::AppCrash},
+        {press::Version::TcpPressHb, fault::FaultKind::NodeFreeze},
         {press::Version::ViaPress0, fault::FaultKind::LinkDown},
         {press::Version::ViaPress3, fault::FaultKind::NodeCrash},
         {press::Version::ViaPress5, fault::FaultKind::NodeFreeze},

@@ -8,8 +8,9 @@
  * and event records from the event-engine slab. The measure window
  * of a warmed, fault-free PRESS cluster allocates nothing for every
  * version, a fork of a warmed PRESS experiment is held under 200
- * allocations, independent of cache size and request backlog, and a
- * deadline FIFO restores in place without allocating.
+ * allocations, independent of cache size and request backlog, a
+ * warmed CPU and the warmed servers restore in place without
+ * allocating, and so does a deadline FIFO.
  *
  * This file must stay its own test binary: the hook is global.
  */
@@ -21,6 +22,7 @@
 #include <memory>
 #include <new>
 #include <unordered_map>
+#include <vector>
 
 #include "campaign/phase1.hh"
 #include "exp/experiment.hh"
@@ -390,6 +392,43 @@ TEST(ZeroAlloc, ForkOfAWarmedPressExperimentAllocatesLittle)
     e.forkFrom(snap);
     g_counting = false;
     EXPECT_LT(g_news, 200u) << "allocations in a fork after a run";
+}
+
+TEST(ZeroAlloc, ForkRewindsTheCpuQueueAndThePageCacheInPlace)
+{
+    // A fork refills what the warmed world already holds: a CPU's run
+    // queue keeps its ring, and each server refills its page cache
+    // (same pin hooks, arrays already grown) instead of building a
+    // new one.
+    exp::ExperimentConfig cfg = campaign::phase1WarmConfig(
+        press::Version::TcpPress, {fault::FaultKind::AppCrash});
+    exp::Experiment e(cfg);
+    e.warmUp();
+    press::Cluster &c = e.cluster();
+    osim::Cpu &cpu = c.node(0).cpu();
+    osim::Cpu::Saved cpu_saved = cpu.save();
+    std::vector<press::Server::Saved> servers;
+    for (sim::NodeId i = 0; i < c.numNodes(); ++i)
+        servers.push_back(c.server(i).save());
+    std::size_t cached = c.server(0).cachedFiles();
+    ASSERT_GT(cached, 0u);
+
+    // The campaign's pattern: a measured run, then the next fork.
+    e.sim().runUntil(e.sim().now() + sim::sec(1));
+
+    g_news = 0;
+    g_counting = true;
+    cpu.restore(cpu_saved);
+    g_counting = false;
+    EXPECT_EQ(g_news, 0u) << "allocations restoring a CPU";
+
+    g_news = 0;
+    g_counting = true;
+    for (sim::NodeId i = 0; i < c.numNodes(); ++i)
+        c.server(i).restore(servers[i]);
+    g_counting = false;
+    EXPECT_EQ(g_news, 0u) << "allocations restoring the servers";
+    EXPECT_EQ(c.server(0).cachedFiles(), cached);
 }
 
 namespace {

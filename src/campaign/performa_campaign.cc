@@ -10,6 +10,9 @@
  */
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,9 +50,10 @@ usage(const char *argv0)
         "                 order, 0-4; default: all)\n"
         "  --faults L     comma-separated fault-kind indices (Table 2\n"
         "                 order, 0-11; default: all)\n"
-        "  --nodes LIST   comma-separated cluster sizes (default 4)\n"
-        "  --scale LIST   comma-separated offered-load scales\n"
-        "                 (default 1.0)\n"
+        "  --nodes LIST   comma-separated cluster sizes, each >= 2\n"
+        "                 (default 4)\n"
+        "  --scale LIST   comma-separated offered-load scales, each\n"
+        "                 > 0 (default 1.0)\n"
         "  --profile NAME workload shape: steady (default), sessions,\n"
         "                 pareto, diurnal, flashcrowd; non-default\n"
         "                 shapes get a .pNAME cache suffix\n"
@@ -81,6 +85,40 @@ splitCsv(const std::string &s)
         pos = comma + 1;
     }
     return out;
+}
+
+/** All of @p tok as an unsigned decimal number, or nullopt. */
+std::optional<unsigned long long>
+parseCount(const std::string &tok)
+{
+    if (tok.empty() || !std::isdigit(static_cast<unsigned char>(tok[0])))
+        return std::nullopt;
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
+    if (*end != '\0' || errno == ERANGE)
+        return std::nullopt;
+    return v;
+}
+
+/** All of @p tok as a finite number, or nullopt. */
+std::optional<double>
+parseReal(const std::string &tok)
+{
+    char *end = nullptr;
+    double v = std::strtod(tok.c_str(), &end);
+    if (tok.empty() || *end != '\0' || !std::isfinite(v))
+        return std::nullopt;
+    return v;
+}
+
+/** Append @p x unless @p list already holds it. */
+template <typename T>
+void
+appendOnce(std::vector<T> &list, T x)
+{
+    if (std::find(list.begin(), list.end(), x) == list.end())
+        list.push_back(x);
 }
 
 std::string
@@ -311,42 +349,50 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Reject a malformed number before anything runs or is written.
+        auto bad = [&](const char *opt, const std::string &tok) {
+            std::fprintf(stderr, "bad %s value: %s\n", opt, tok.c_str());
+            std::exit(2);
+        };
+        auto count = [&](const char *opt, const std::string &tok,
+                         unsigned long long lo, unsigned long long hi) {
+            std::optional<unsigned long long> n = parseCount(tok);
+            if (!n || *n < lo || *n > hi)
+                bad(opt, tok);
+            return *n;
+        };
         if (arg == "--jobs") {
             jobs = static_cast<unsigned>(
-                std::strtoul(value("--jobs"), nullptr, 10));
+                count("--jobs", value("--jobs"), 0, UINT32_MAX));
         } else if (arg == "--cache") {
             cache = value("--cache");
         } else if (arg == "--seed") {
-            seed = std::strtoull(value("--seed"), nullptr, 10);
+            seed = count("--seed", value("--seed"), 0, UINT64_MAX);
         } else if (arg == "--versions") {
-            for (const std::string &tok : splitCsv(value("--versions"))) {
-                unsigned long idx = std::strtoul(tok.c_str(), nullptr, 10);
-                if (idx >= std::size(press::allVersions)) {
-                    std::fprintf(stderr, "bad --versions index: %s\n",
-                                 tok.c_str());
-                    return 2;
-                }
-                versionSubset.push_back(press::allVersions[idx]);
-            }
+            for (const std::string &tok : splitCsv(value("--versions")))
+                appendOnce(versionSubset,
+                           press::allVersions[count(
+                               "--versions", tok, 0,
+                               std::size(press::allVersions) - 1)]);
         } else if (arg == "--faults") {
-            for (const std::string &tok : splitCsv(value("--faults"))) {
-                unsigned long idx = std::strtoul(tok.c_str(), nullptr, 10);
-                if (idx >= std::size(fault::allFaultKinds)) {
-                    std::fprintf(stderr, "bad --faults index: %s\n",
-                                 tok.c_str());
-                    return 2;
-                }
-                faultSubset.push_back(fault::allFaultKinds[idx]);
-            }
+            for (const std::string &tok : splitCsv(value("--faults")))
+                appendOnce(faultSubset,
+                           fault::allFaultKinds[count(
+                               "--faults", tok, 0,
+                               std::size(fault::allFaultKinds) - 1)]);
         } else if (arg == "--nodes") {
             nodeAxis.clear();
             for (const std::string &tok : splitCsv(value("--nodes")))
-                nodeAxis.push_back(static_cast<std::uint32_t>(
-                    std::strtoul(tok.c_str(), nullptr, 10)));
+                appendOnce(nodeAxis, static_cast<std::uint32_t>(count(
+                                         "--nodes", tok, 2, UINT32_MAX)));
         } else if (arg == "--scale") {
             scaleAxis.clear();
-            for (const std::string &tok : splitCsv(value("--scale")))
-                scaleAxis.push_back(std::strtod(tok.c_str(), nullptr));
+            for (const std::string &tok : splitCsv(value("--scale"))) {
+                std::optional<double> x = parseReal(tok);
+                if (!x || *x <= 0)
+                    bad("--scale", tok);
+                appendOnce(scaleAxis, *x);
+            }
         } else if (arg == "--profile") {
             std::string name = value("--profile");
             auto p = loadgen::profileByName(name);

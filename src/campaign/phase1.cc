@@ -1,5 +1,6 @@
 #include "campaign/phase1.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <deque>
 #include <iterator>
@@ -11,6 +12,25 @@
 #include "sim/random.hh"
 
 namespace performa::campaign {
+
+namespace {
+
+/** @p subset with repeats dropped (each keeps its first place), or
+ *  all of @p all when the subset is empty. */
+template <typename T, std::size_t N>
+std::vector<T>
+subsetOrAll(const std::vector<T> &subset, const T (&all)[N])
+{
+    if (subset.empty())
+        return std::vector<T>(all, all + N);
+    std::vector<T> out;
+    for (T x : subset)
+        if (std::find(out.begin(), out.end(), x) == out.end())
+            out.push_back(x);
+    return out;
+}
+
+} // namespace
 
 std::uint64_t
 phase1Seed(std::uint64_t campaign_seed, press::Version v,
@@ -85,6 +105,10 @@ phase1Config(press::Version v, fault::FaultKind k,
 {
     exp::ExperimentConfig cfg = exp::experimentFor(v, k);
     cfg.cluster.press.numNodes = opts.numNodes;
+    // Node 3, or the highest node of a smaller cluster: never node 0,
+    // which answers rejoins.
+    cfg.fault->target = std::min<sim::NodeId>(cfg.fault->target,
+                                              opts.numNodes - 1);
     cfg.workload.requestRate *= opts.loadScale;
     cfg.profile = opts.profile;
     cfg.seed = phase1Seed(opts.campaignSeed, v, opts.numNodes,
@@ -117,14 +141,10 @@ Phase1Result
 ensurePhase1(exp::BehaviorDb &db, const std::string &cache_path,
              const Phase1Options &opts)
 {
-    std::vector<press::Version> versions = opts.versions;
-    if (versions.empty())
-        versions.assign(std::begin(press::allVersions),
-                        std::end(press::allVersions));
-    std::vector<fault::FaultKind> faults = opts.faults;
-    if (faults.empty())
-        faults.assign(std::begin(fault::allFaultKinds),
-                      std::end(fault::allFaultKinds));
+    std::vector<press::Version> versions =
+        subsetOrAll(opts.versions, press::allVersions);
+    std::vector<fault::FaultKind> faults =
+        subsetOrAll(opts.faults, fault::allFaultKinds);
 
     Phase1Result result;
     db.setFingerprint(phase1Fingerprint(opts));

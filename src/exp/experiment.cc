@@ -9,30 +9,6 @@
 
 namespace performa::exp {
 
-const char *
-markerName(MarkerKind k)
-{
-    switch (k) {
-      case MarkerKind::Inject:
-        return "inject";
-      case MarkerKind::Recover:
-        return "recover";
-      case MarkerKind::Exclude:
-        return "exclude";
-      case MarkerKind::MemberUp:
-        return "member-up";
-      case MarkerKind::FailFast:
-        return "fail-fast";
-      case MarkerKind::GiveUp:
-        return "give-up";
-      case MarkerKind::Started:
-        return "started";
-      case MarkerKind::OperatorReset:
-        return "operator-reset";
-    }
-    return "?";
-}
-
 ExperimentConfig
 defaultExperimentConfig(press::Version v)
 {
@@ -63,49 +39,14 @@ Experiment::Experiment(ExperimentConfig cfg)
         sim_, cluster_->clientNet(), cluster_->serverClientPorts(),
         cluster_->clientMachinePorts(), cfg_.workload, cfg_.profile);
 
-    // Wire up marker collection (into the experiment-owned log, which
-    // the snapshot registry saves and restores like any component).
-    for (std::uint32_t i = 0; i < cluster_->numNodes(); ++i) {
-        press::ServerHooks hooks;
-        hooks.onExclude = [this](sim::NodeId self, sim::NodeId failed) {
-            markers_.add(sim_.now(), MarkerKind::Exclude, self, failed);
-        };
-        hooks.onMemberUp = [this](sim::NodeId self, sim::NodeId joined) {
-            markers_.add(sim_.now(), MarkerKind::MemberUp, self, joined);
-        };
-        hooks.onFailFast = [this](sim::NodeId self,
-                                  const std::string &why) {
-            markers_.add(sim_.now(), MarkerKind::FailFast, self,
-                         sim::invalidNode, why);
-        };
-        hooks.onGiveUp = [this](sim::NodeId self) {
-            markers_.add(sim_.now(), MarkerKind::GiveUp, self);
-        };
-        hooks.onStarted = [this](sim::NodeId self) {
-            markers_.add(sim_.now(), MarkerKind::Started, self);
-        };
-        cluster_->server(i).setHooks(hooks);
-    }
-
     injector_ = std::make_unique<fault::Injector>(sim_, *cluster_);
-    injector_->setEventFn([this](sim::Tick t, const std::string &what,
-                                 sim::NodeId node) {
-        MarkerKind k = what.rfind("inject", 0) == 0 ? MarkerKind::Inject
-                                                    : MarkerKind::Recover;
-        markers_.add(t, k, node, sim::invalidNode, what);
-    });
 
     // Snapshot wiring, bottom-up: the simulation core first (clock,
-    // RNG, event queue), then every cluster component, the load
-    // generator, and finally the experiment's own marker log.
+    // RNG, event queue), then every cluster component (the marker log
+    // included), then the load generator.
     registry_.attach(sim_);
     cluster_->registerWith(registry_);
     farm_->registerWith(registry_);
-    registry_.add(
-        [this] { return std::make_shared<const MarkerLog>(markers_); },
-        [this](const void *s) {
-            markers_ = *static_cast<const MarkerLog *>(s);
-        });
 }
 
 void
@@ -120,7 +61,8 @@ Experiment::warmUp()
 
     if (cfg_.operatorResetAt) {
         sim_.schedule(*cfg_.operatorResetAt, [this] {
-            markers_.add(sim_.now(), MarkerKind::OperatorReset);
+            cluster_->markers().add(sim_.now(),
+                                    press::MarkerKind::OperatorReset);
             cluster_->operatorReset();
         });
     }
@@ -166,7 +108,7 @@ Experiment::injectAndMeasure(const std::optional<fault::FaultSpec> &f,
     ExperimentResult res;
     res.injectAt = cfg_.injectAt;
     res.runLength = duration;
-    res.markers = markers_;
+    res.markers = cluster_->markers();
 
     // Copy out the series (they span the whole run, warm-up included).
     res.served = farm_->served();

@@ -14,7 +14,6 @@
 
 #include <memory>
 
-#include "exp/markers.hh"
 #include "faults/fault.hh"
 #include "faults/injector.hh"
 #include "net/network.hh"
@@ -57,7 +56,7 @@ struct ExperimentResult
     sim::TimeSeries offered{sim::sec(1)};
     /** Per-stage latency histograms in per-second slices. */
     sim::StageLatencyTimeline latency;
-    MarkerLog markers;
+    press::MarkerLog markers;
 
     /** Mean served rate in the pre-fault steady window. */
     double normalThroughput = 0.0;
@@ -139,7 +138,6 @@ class Experiment
     std::unique_ptr<press::Cluster> cluster_;
     std::unique_ptr<loadgen::LoadGenerator> farm_;
     std::unique_ptr<fault::Injector> injector_;
-    MarkerLog markers_;
     sim::SnapshotRegistry registry_;
     bool warmed_ = false;
 };

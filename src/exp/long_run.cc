@@ -4,6 +4,7 @@
 #include "exp/stages.hh"
 #include "faults/injector.hh"
 #include "sim/simulation.hh"
+#include "sim/small_fn.hh"
 #include "loadgen/client_farm.hh"
 
 namespace performa::exp {
@@ -121,7 +122,7 @@ validateModel(const LongRunConfig &cfg)
 
     // Per-class Poisson arrival processes over the 4 nodes.
     std::uint64_t faults = 0;
-    std::function<void(std::size_t)> arm = [&](std::size_t idx) {
+    sim::SmallFn<void(std::size_t)> arm = [&](std::size_t idx) {
         const ValidationFault &vf = cfg.faults[idx];
         sim::Tick mean = static_cast<sim::Tick>(
             vf.mttfPerNodeSec / 4.0 * 1e6);
@@ -146,7 +147,7 @@ validateModel(const LongRunConfig &cfg)
     // Operator watchdog: reset a persistently splintered cluster.
     sim::Tick splintered_since = 0;
     std::uint64_t resets = 0;
-    std::function<void()> watchdog = [&] {
+    sim::SmallFn<void()> watchdog = [&] {
         if (sim.now() < horizon) {
             if (!cluster.splintered()) {
                 splintered_since = 0;
@@ -160,10 +161,10 @@ validateModel(const LongRunConfig &cfg)
                     ++resets;
                 }
             }
-            sim.scheduleIn(sim::sec(5), watchdog);
+            sim.scheduleIn(sim::sec(5), [&watchdog] { watchdog(); });
         }
     };
-    sim.scheduleIn(sim::sec(5), watchdog);
+    sim.scheduleIn(sim::sec(5), [&watchdog] { watchdog(); });
 
     sim.runUntil(horizon);
     farm.stop();

@@ -25,7 +25,7 @@ printSeries(const ExperimentResult &res, sim::Tick from, sim::Tick to,
             if (m.t >= t && m.t < t + step) {
                 if (!notes.empty())
                     notes += "; ";
-                notes += markerName(m.kind);
+                notes += press::markerName(m.kind);
                 if (!m.detail.empty())
                     notes += ":" + m.detail;
             }
@@ -41,7 +41,7 @@ printMarkers(const ExperimentResult &res, std::FILE *out)
 {
     for (const auto &m : res.markers.all()) {
         std::fprintf(out, "  [%8.2fs] %-14s node=%d other=%d %s\n",
-                     sim::toSeconds(m.t), markerName(m.kind),
+                     sim::toSeconds(m.t), press::markerName(m.kind),
                      m.node == sim::invalidNode ? -1
                                                 : static_cast<int>(m.node),
                      m.other == sim::invalidNode

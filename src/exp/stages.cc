@@ -57,8 +57,8 @@ extractBehavior(const ExperimentResult &res, const fault::FaultSpec &spec,
         win{};
 
     // Detection: the first exclusion or fail-fast after injection.
-    auto excl = res.markers.firstAfter(MarkerKind::Exclude, inject);
-    auto ff = res.markers.firstAfter(MarkerKind::FailFast, inject);
+    auto excl = res.markers.firstAfter(press::MarkerKind::Exclude, inject);
+    auto ff = res.markers.firstAfter(press::MarkerKind::FailFast, inject);
     sim::Tick t_detect = sim::maxTick;
     if (excl)
         t_detect = std::min(t_detect, excl->t);
@@ -72,7 +72,7 @@ extractBehavior(const ExperimentResult &res, const fault::FaultSpec &spec,
     if (fault::hasDuration(spec.kind)) {
         t_repair = inject + spec.duration;
     } else {
-        auto started = res.markers.last(MarkerKind::Started);
+        auto started = res.markers.last(press::MarkerKind::Started);
         t_repair = (started && started->t > inject) ? started->t
                                                     : inject;
     }

@@ -59,12 +59,16 @@ hasDuration(FaultKind k)
 }
 
 void
-Injector::emit(const std::string &what, sim::NodeId node)
+Injector::emit(press::MarkerKind kind, const FaultSpec &spec)
 {
+    std::string what =
+        std::string(press::markerName(kind)) + " " + faultName(spec.kind);
+    sim::NodeId node = spec.kind == FaultKind::SwitchDown ? sim::invalidNode
+                                                          : spec.target;
     sim::Trace::log(sim_.now(), "mendosus", what, " (node ",
                     node == sim::invalidNode ? -1 : (int)node, ")");
-    if (onEvent_)
-        onEvent_(sim_.now(), what, node);
+    cluster_.markers().add(sim_.now(), kind, node, sim::invalidNode,
+                           std::move(what));
 }
 
 void
@@ -79,70 +83,52 @@ Injector::injectNow(const FaultSpec &spec)
     switch (spec.kind) {
       case FaultKind::LinkDown:
         cluster_.intraNet().setLinkUp(spec.target, false);
-        emit("inject link-down", spec.target);
-        sim_.scheduleIn(spec.duration, [this, spec] { recover(spec); });
         break;
 
       case FaultKind::SwitchDown:
         cluster_.intraNet().setSwitchUp(false);
-        emit("inject switch-down", sim::invalidNode);
-        sim_.scheduleIn(spec.duration, [this, spec] { recover(spec); });
         break;
 
       case FaultKind::NodeCrash:
         // Node::crash schedules its own reboot; recovery marker fires
         // when the downtime elapses.
         cluster_.node(spec.target).crash(spec.duration);
-        emit("inject node-crash", spec.target);
-        sim_.scheduleIn(spec.duration, [this, spec] { recover(spec); });
         break;
 
       case FaultKind::NodeFreeze:
         cluster_.node(spec.target).freeze(spec.duration);
-        emit("inject node-freeze", spec.target);
-        sim_.scheduleIn(spec.duration, [this, spec] { recover(spec); });
         break;
 
       case FaultKind::KernelMemAlloc:
         cluster_.node(spec.target).kernelMem().setFailInjected(true);
-        emit("inject kernel-mem-alloc", spec.target);
-        sim_.scheduleIn(spec.duration, [this, spec] { recover(spec); });
         break;
 
       case FaultKind::PinExhaustion:
         cluster_.node(spec.target).pins().setInjectedLimit(
             spec.pinLimitBytes);
-        emit("inject pin-exhaustion", spec.target);
-        sim_.scheduleIn(spec.duration, [this, spec] { recover(spec); });
         break;
 
       case FaultKind::AppCrash:
         cluster_.node(spec.target).killService();
-        emit("inject app-crash", spec.target);
         break;
 
       case FaultKind::AppHang:
         cluster_.node(spec.target).stopService();
-        emit("inject app-hang", spec.target);
-        sim_.scheduleIn(spec.duration, [this, spec] { recover(spec); });
         break;
 
       case FaultKind::BadParamNull:
         cluster_.server(spec.target).interposer().armSend(
             proto::Corruption::NullPointer, spec.offByN);
-        emit("inject bad-param-null", spec.target);
         break;
 
       case FaultKind::BadParamOffPtr:
         cluster_.server(spec.target).interposer().armSend(
             proto::Corruption::OffByNPtr, spec.offByN);
-        emit("inject bad-param-off-ptr", spec.target);
         break;
 
       case FaultKind::BadParamOffSize:
         cluster_.server(spec.target).interposer().armSend(
             proto::Corruption::OffByNSize, spec.offByN);
-        emit("inject bad-param-off-size", spec.target);
         break;
 
       case FaultKind::PacketDrop:
@@ -151,9 +137,11 @@ Injector::injectNow(const FaultSpec &spec)
         // TCP retransmission absorbs it.
         if (press::isVia(cluster_.config().press.version))
             cluster_.node(spec.target).killService();
-        emit("inject packet-drop", spec.target);
         break;
     }
+    emit(press::MarkerKind::Inject, spec);
+    if (hasDuration(spec.kind))
+        sim_.scheduleIn(spec.duration, [this, spec] { recover(spec); });
 }
 
 void
@@ -183,9 +171,7 @@ Injector::recover(const FaultSpec &spec)
       default:
         break;
     }
-    emit(std::string("recover ") + faultName(spec.kind),
-         spec.kind == FaultKind::SwitchDown ? sim::invalidNode
-                                            : spec.target);
+    emit(press::MarkerKind::Recover, spec);
 }
 
 } // namespace performa::fault

@@ -11,9 +11,6 @@
 #ifndef PERFORMA_FAULTS_INJECTOR_HH
 #define PERFORMA_FAULTS_INJECTOR_HH
 
-#include <functional>
-#include <string>
-
 #include "faults/fault.hh"
 #include "press/cluster.hh"
 #include "sim/simulation.hh"
@@ -21,22 +18,16 @@
 namespace performa::fault {
 
 /**
- * Injects faults into a Cluster. Emits inject/recover notifications
- * so experiments can place time markers.
+ * Injects faults into a Cluster. Each injection and recovery appends
+ * an Inject or Recover marker to the cluster's marker log, the
+ * mechanized Mendosus log.
  */
 class Injector
 {
   public:
-    /** (time, what-happened, affected node or invalidNode). */
-    using EventFn =
-        std::function<void(sim::Tick, const std::string &, sim::NodeId)>;
-
     Injector(sim::Simulation &s, press::Cluster &cluster)
         : sim_(s), cluster_(cluster)
     {}
-
-    /** Observe injections and recoveries. */
-    void setEventFn(EventFn fn) { onEvent_ = std::move(fn); }
 
     /**
      * Schedule @p spec: the fault is applied at spec.injectAt and, for
@@ -49,11 +40,11 @@ class Injector
 
   private:
     void recover(const FaultSpec &spec);
-    void emit(const std::string &what, sim::NodeId node);
+    /** Log @p kind ("inject <fault>" / "recover <fault>") for @p spec. */
+    void emit(press::MarkerKind kind, const FaultSpec &spec);
 
     sim::Simulation &sim_;
     press::Cluster &cluster_;
-    EventFn onEvent_;
 };
 
 } // namespace performa::fault

@@ -91,7 +91,7 @@ paretoFileBytes(const ParetoSizes &spec, sim::FileId f)
     return static_cast<std::uint64_t>(size);
 }
 
-std::function<std::uint64_t(sim::FileId)>
+sim::SmallFn<std::uint64_t(sim::FileId)>
 makeFileSizeFn(const ParetoSizes &spec)
 {
     if (!spec.enabled)

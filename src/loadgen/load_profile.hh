@@ -17,10 +17,10 @@
 #define PERFORMA_LOADGEN_LOAD_PROFILE_HH
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 
+#include "sim/small_fn.hh"
 #include "sim/types.hh"
 
 namespace performa::loadgen {
@@ -104,7 +104,7 @@ double rateMultiplierAt(const LoadProfileSpec &spec, sim::Tick t);
 std::uint64_t paretoFileBytes(const ParetoSizes &spec, sim::FileId f);
 
 /** Bind @p spec into a size function for PressConfig::fileSizeFn. */
-std::function<std::uint64_t(sim::FileId)>
+sim::SmallFn<std::uint64_t(sim::FileId)>
 makeFileSizeFn(const ParetoSizes &spec);
 
 } // namespace performa::loadgen

@@ -25,12 +25,12 @@
 #define PERFORMA_NET_NETWORK_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "net/frame.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
+#include "sim/small_fn.hh"
 #include "sim/types.hh"
 
 namespace performa::net {
@@ -85,7 +85,7 @@ struct PortStats
  */
 struct NetworkState
 {
-    using Outcome = std::function<void(bool delivered)>;
+    using Outcome = sim::SmallFn<void(bool delivered)>;
 
     struct Port
     {
@@ -128,7 +128,7 @@ struct NetworkState
 class Network : private NetworkState
 {
   public:
-    using Handler = std::function<void(Frame &&)>;
+    using Handler = sim::SmallFn<void(Frame &&)>;
     using Outcome = NetworkState::Outcome;
 
     Network(sim::Simulation &s, NetworkConfig cfg = {});

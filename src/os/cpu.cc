@@ -5,7 +5,7 @@
 namespace performa::osim {
 
 void
-Cpu::exec(sim::Tick cost, sim::SmallFn done)
+Cpu::exec(sim::Tick cost, sim::SmallFn<void()> done)
 {
     queue_.emplace_back(cost, std::move(done));
     maybeStart();
@@ -53,7 +53,7 @@ Cpu::maybeStart()
         running_ = false;
         // Move out before invoking: the completion may call exec(),
         // which starts the next item and overwrites inflight_.
-        sim::SmallFn done = std::move(inflight_.done);
+        sim::SmallFn<void()> done = std::move(inflight_.done);
         done.consume();
         maybeStart();
     });

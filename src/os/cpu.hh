@@ -25,7 +25,7 @@ struct CpuState
     struct Item
     {
         sim::Tick cost;
-        sim::SmallFn done;
+        sim::SmallFn<void()> done;
     };
 
     sim::RingBuffer<Item> queue_;
@@ -59,7 +59,7 @@ class Cpu : private CpuState
      * when the item retires. Small completions (the common `this` +
      * id captures) are stored inline, allocation-free.
      */
-    void exec(sim::Tick cost, sim::SmallFn done);
+    void exec(sim::Tick cost, sim::SmallFn<void()> done);
 
     /**
      * Suspend processing. Pauses nest (a node freeze on top of a

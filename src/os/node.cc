@@ -41,8 +41,8 @@ Node::crash(sim::Tick downtime)
     pins_.reset();
     if (service_ && service_->alive())
         service_->terminate(/*silent=*/true);
-    for (auto &fn : crashFns_)
-        fn();
+    if (crashFn_)
+        crashFn_();
     sim_.scheduleIn(downtime, [this] { reboot(); });
 }
 
@@ -54,8 +54,6 @@ Node::reboot()
     state_ = State::Up;
     setPorts(true);
     cpu_.resume();
-    for (auto &fn : rebootFns_)
-        fn();
     // Mendosus starts another PRESS process automatically after boot.
     if (service_) {
         sim_.scheduleIn(cfg_.serviceStartDelay, [this] {
@@ -74,16 +72,12 @@ Node::freeze(sim::Tick duration)
                     sim::toSeconds(duration), "s)");
     state_ = State::Frozen;
     cpu_.pause();
-    for (auto &fn : freezeFns_)
-        fn();
     sim_.scheduleIn(duration, [this] {
         if (state_ != State::Frozen)
             return; // crashed while frozen
         state_ = State::Up;
         cpu_.resume();
         sim::Trace::log(sim_.now(), "node", "node ", id_, " unfroze");
-        for (auto &fn : unfreezeFns_)
-            fn();
     });
 }
 

@@ -9,15 +9,14 @@
 #define PERFORMA_OS_NODE_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <vector>
 
 #include "net/network.hh"
 #include "os/cpu.hh"
 #include "os/memory.hh"
 #include "os/service.hh"
 #include "sim/simulation.hh"
+#include "sim/small_fn.hh"
 #include "sim/types.hh"
 
 namespace performa::osim {
@@ -135,17 +134,16 @@ class Node : private NodeState
 
     /** @} */
 
-    /// @name Lifecycle notifications (for protocol stacks)
-    /// @{
-    void onCrash(std::function<void()> fn) { crashFns_.push_back(fn); }
-    void onReboot(std::function<void()> fn) { rebootFns_.push_back(fn); }
-    void onFreeze(std::function<void()> fn) { freezeFns_.push_back(fn); }
-    void onUnfreeze(std::function<void()> fn) { unfreezeFns_.push_back(fn); }
-    /** @} */
+    /**
+     * Run @p fn when the node crashes, after the service is killed
+     * (replaces any earlier hook). The node's comm endpoint installs
+     * it, to vanish with the kernel state.
+     */
+    void onCrash(sim::SmallFn<void()> fn) { crashFn_ = std::move(fn); }
 
     /**
      * Snapshot state: lifecycle, the memory managers and the CPU.
-     * The attached service and lifecycle callbacks are wiring, saved
+     * The attached service and the crash hook are wiring, saved
      * by their own components (press::Server) or not mutable at all.
      */
     struct Saved : NodeState
@@ -176,11 +174,7 @@ class Node : private NodeState
 
     Cpu cpu_;
     Service *service_ = nullptr;
-
-    std::vector<std::function<void()>> crashFns_;
-    std::vector<std::function<void()>> rebootFns_;
-    std::vector<std::function<void()>> freezeFns_;
-    std::vector<std::function<void()>> unfreezeFns_;
+    sim::SmallFn<void()> crashFn_;
 };
 
 } // namespace performa::osim

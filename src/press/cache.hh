@@ -12,9 +12,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "sim/small_fn.hh"
 #include "sim/types.hh"
 
 namespace performa::press {
@@ -33,11 +33,9 @@ class FileCache
 {
   public:
     /** Try to pin @p bytes; false when the budget is exhausted. */
-    using PinHook = std::function<bool(std::uint64_t)>;
+    using PinHook = sim::SmallFn<bool(std::uint64_t)>;
     /** Unpin @p bytes. */
-    using UnpinHook = std::function<void(std::uint64_t)>;
-    /** A file left (or entered) the cache. */
-    using EvictCb = std::function<void(sim::FileId)>;
+    using UnpinHook = sim::SmallFn<void(std::uint64_t)>;
 
     FileCache(std::uint64_t capacity_bytes, std::uint64_t file_bytes)
         : capacityFiles_(file_bytes ? capacity_bytes / file_bytes : 0),
@@ -69,15 +67,16 @@ class FileCache
     }
 
     /**
-     * Insert @p f, evicting LRU files as needed (each eviction invokes
-     * @p on_evict so the server can broadcast it).
+     * Insert @p f, evicting LRU files as needed (each eviction calls
+     * @p on_evict(victim) inline, so the server can broadcast it).
      *
      * @return false when the file could not be cached at all: with
      * dynamic pinning enabled this happens when the pin budget is
      * exhausted even after evicting everything.
      */
+    template <typename OnEvict>
     bool
-    insert(sim::FileId f, const EvictCb &on_evict)
+    insert(sim::FileId f, OnEvict &&on_evict)
     {
         if (capacityFiles_ == 0)
             return false;
@@ -102,9 +101,11 @@ class FileCache
         return true;
     }
 
-    /** Evict the least recently used file (no-op when empty). */
+    /** Evict the least recently used file (no-op when empty), then
+     *  call @p on_evict(victim). */
+    template <typename OnEvict>
     void
-    evictLru(const EvictCb &on_evict)
+    evictLru(OnEvict &&on_evict)
     {
         if (size_ == 0)
             return;
@@ -112,8 +113,7 @@ class FileCache
         unlink(victim);
         if (unpin_)
             unpin_(fileBytes_);
-        if (on_evict)
-            on_evict(victim);
+        on_evict(victim);
     }
 
     /** Drop everything (process restart). */

@@ -10,6 +10,15 @@
 
 namespace performa::press {
 
+const char *
+markerName(MarkerKind k)
+{
+    static const char *const names[] = { // MarkerKind order
+        "inject",    "recover", "exclude", "member-up",
+        "fail-fast", "give-up", "started", "operator-reset"};
+    return names[static_cast<int>(k)];
+}
+
 Cluster::Cluster(sim::Simulation &s, ClusterConfig cfg)
     : sim_(s), cfg_(std::move(cfg))
 {
@@ -50,7 +59,7 @@ Cluster::Cluster(sim::Simulation &s, ClusterConfig cfg)
         auto interposer = std::make_unique<proto::FaultInterposer>(
             std::move(stack));
         servers_.push_back(std::make_unique<Server>(
-            *nodes_[i], cfg_.press, std::move(interposer), all));
+            *nodes_[i], cfg_.press, std::move(interposer), all, markers_));
     }
 }
 
@@ -103,6 +112,7 @@ Cluster::registerWith(sim::SnapshotRegistry &reg)
             PANIC("unknown comm endpoint type in snapshot registration");
         reg.attach(*servers_[i]);
     }
+    reg.attach(markers_);
 }
 
 bool

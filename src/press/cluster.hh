@@ -16,6 +16,7 @@
 #include "net/network.hh"
 #include "os/node.hh"
 #include "press/config.hh"
+#include "press/markers.hh"
 #include "press/server.hh"
 #include "sim/simulation.hh"
 #include "sim/snapshot.hh"
@@ -64,6 +65,10 @@ class Cluster
     net::Network &clientNet() { return *clientNet_; }
     const ClusterConfig &config() const { return cfg_; }
 
+    /** The run's marker log: servers and the fault injector append. */
+    MarkerLog &markers() { return markers_; }
+    const MarkerLog &markers() const { return markers_; }
+
     /** Client-network ports of the servers (DNS round-robin targets). */
     const std::vector<net::PortId> &serverClientPorts() const
     {
@@ -86,8 +91,9 @@ class Cluster
     /**
      * Attach every mutable component of the testbed to @p reg, in
      * deterministic bottom-up order (fabrics, then per node: OS state,
-     * interposer, comm endpoint, server). Load generators and the
-     * Simulation core register themselves separately.
+     * interposer, comm endpoint, server; then the marker log). Load
+     * generators and the Simulation core register themselves
+     * separately.
      */
     void registerWith(sim::SnapshotRegistry &reg);
 
@@ -96,6 +102,7 @@ class Cluster
     ClusterConfig cfg_;
     std::unique_ptr<net::Network> intraNet_;
     std::unique_ptr<net::Network> clientNet_;
+    MarkerLog markers_;
     std::vector<std::unique_ptr<osim::Node>> nodes_;
     std::vector<std::unique_ptr<Server>> servers_;
     std::vector<net::PortId> serverClientPorts_;

@@ -10,11 +10,11 @@
 #define PERFORMA_PRESS_CONFIG_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "proto/tcp.hh"
 #include "proto/via.hh"
+#include "sim/small_fn.hh"
 #include "sim/types.hh"
 
 namespace performa::press {
@@ -83,7 +83,7 @@ struct PressConfig
      * in mean-size (fileBytes) units, so the default uniform set is
      * bit-identical to the historical behaviour.
      */
-    std::function<std::uint64_t(sim::FileId)> fileSizeFn;
+    sim::SmallFn<std::uint64_t(sim::FileId)> fileSizeFn;
 
     std::uint64_t
     sizeOf(sim::FileId f) const

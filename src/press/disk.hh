@@ -45,7 +45,7 @@ class DiskArray : private DiskState
      * completion time.
      */
     sim::Tick
-    read(std::uint64_t bytes, sim::SmallFn done)
+    read(std::uint64_t bytes, sim::SmallFn<void()> done)
     {
         // Pick the disk with the earliest availability.
         std::size_t best = 0;

@@ -10,9 +10,10 @@ namespace performa::press {
 
 Server::Server(osim::Node &node, const PressConfig &cfg,
                std::unique_ptr<proto::FaultInterposer> comm,
-               std::vector<sim::NodeId> all_nodes)
+               std::vector<sim::NodeId> all_nodes, MarkerLog &markers)
     : ServerState(all_nodes.size(), &fwdPool_), node_(node), cfg_(cfg),
-      comm_(std::move(comm)), allNodes_(std::move(all_nodes))
+      comm_(std::move(comm)), allNodes_(std::move(all_nodes)),
+      markers_(markers)
 {
     disk_ = std::make_unique<DiskArray>(node_.simulation(),
                                         cfg_.disksPerNode, cfg_.diskSeek,
@@ -52,6 +53,13 @@ Server::Server(osim::Node &node, const PressConfig &cfg,
     comm_->setCallbacks(std::move(cbs));
 
     node_.attachService(this);
+}
+
+void
+Server::mark(MarkerKind kind, sim::NodeId other, std::string detail)
+{
+    markers_.add(node_.simulation().now(), kind, node_.id(), other,
+                 std::move(detail));
 }
 
 // ---------------------------------------------------------------------
@@ -160,8 +168,7 @@ Server::start()
     }
     scheduleEpoch(sim::sec(2), [this] { sweepTick(); });
 
-    if (hooks_.onStarted)
-        hooks_.onStarted(node_.id());
+    mark(MarkerKind::Started);
 }
 
 void
@@ -216,8 +223,7 @@ Server::failFast(const std::string &reason)
 {
     sim::Trace::log(node_.simulation().now(), "press", "node ",
                     node_.id(), " FAIL-FAST: ", reason);
-    if (hooks_.onFailFast)
-        hooks_.onFailFast(node_.id(), reason);
+    mark(MarkerKind::FailFast, sim::invalidNode, reason);
     terminate(/*silent=*/false);
     node_.serviceSelfExited(osim::ExitReason::FailFast);
 }
@@ -532,8 +538,7 @@ Server::onPeerConnected(sim::NodeId peer)
     bool fresh = members_.insert(peer).second;
     loads_[peer] = 0;
     recomputeRing();
-    if (hooks_.onMemberUp)
-        hooks_.onMemberUp(node_.id(), peer);
+    mark(MarkerKind::MemberUp, peer);
     sim::Trace::log(node_.simulation().now(), "press", "node ",
                     node_.id(), " member up: ", peer);
     if (fresh && cache_ && cache_->size() > 0)
@@ -593,8 +598,7 @@ Server::excludeNode(sim::NodeId failed)
     sim::Trace::log(node_.simulation().now(), "press", "node ",
                     node_.id(), " excluded node ", failed,
                     " (members now ", members_.size(), ")");
-    if (hooks_.onExclude)
-        hooks_.onExclude(node_.id(), failed);
+    mark(MarkerKind::Exclude, failed);
 }
 
 void
@@ -657,8 +661,7 @@ Server::joinTick()
         // intervenes.
         sim::Trace::log(node_.simulation().now(), "press", "node ",
                         node_.id(), " gave up rejoining");
-        if (hooks_.onGiveUp)
-            hooks_.onGiveUp(node_.id());
+        mark(MarkerKind::GiveUp);
         return;
     }
     ++joinTries_;
@@ -763,7 +766,7 @@ Server::hbCheckTick()
 // ---------------------------------------------------------------------
 
 void
-Server::mainExec(sim::Tick cost, sim::SmallFn fn)
+Server::mainExec(sim::Tick cost, sim::SmallFn<void()> fn)
 {
     if (!alive_)
         return;
@@ -788,7 +791,7 @@ Server::pumpMain()
         mainBusy_ = false;
         // Move out before invoking: the item may queue more work,
         // which starts the next item and overwrites mainInflight_.
-        sim::SmallFn fn = std::move(mainInflight_);
+        sim::SmallFn<void()> fn = std::move(mainInflight_);
         if (alive_)
             fn.consume();
         pumpMain();
@@ -982,7 +985,7 @@ Server::prewarmFile(sim::FileId f, sim::NodeId owner)
     if (!alive_)
         return;
     if (owner == node_.id())
-        cache_->insert(f, nullptr);
+        cache_->insert(f, [](sim::FileId) {});
     directory_.add(f, owner);
 }
 

@@ -37,7 +37,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <memory_resource>
@@ -51,6 +50,7 @@
 #include "press/config.hh"
 #include "press/directory.hh"
 #include "press/disk.hh"
+#include "press/markers.hh"
 #include "press/messages.hh"
 #include "press/server_stats.hh"
 #include "proto/interpose.hh"
@@ -59,21 +59,6 @@
 #include "sim/types.hh"
 
 namespace performa::press {
-
-/** Observation hooks used by experiments to place stage markers. */
-struct ServerHooks
-{
-    /** This server excluded @p failed from its cooperating set. */
-    std::function<void(sim::NodeId self, sim::NodeId failed)> onExclude;
-    /** This server added @p joined to its cooperating set. */
-    std::function<void(sim::NodeId self, sim::NodeId joined)> onMemberUp;
-    /** Fail-fast termination with the fatal error text. */
-    std::function<void(sim::NodeId self, const std::string &)> onFailFast;
-    /** Rejoin attempts exhausted; continuing as a singleton. */
-    std::function<void(sim::NodeId self)> onGiveUp;
-    /** Process (re)started. */
-    std::function<void(sim::NodeId self)> onStarted;
-};
 
 /**
  * The mutable state of a PRESS server process beside its cache and
@@ -99,7 +84,7 @@ struct ServerState
     struct MainItem
     {
         sim::Tick cost;
-        sim::SmallFn fn;
+        sim::SmallFn<void()> fn;
     };
 
     /** @p fwd_pool backs pendingFwd_; a copy's map draws from the
@@ -136,7 +121,7 @@ struct ServerState
     sim::RingBuffer<MainItem> mainQ_;
     /** The item running on the CPU; parked here so its completion
      *  event captures only {this, epoch}. */
-    sim::SmallFn mainInflight_;
+    sim::SmallFn<void()> mainInflight_;
     bool mainBusy_ = false;
 
     // join state
@@ -170,10 +155,12 @@ class Server : public osim::Service, private FwdPool, private ServerState
      * @param comm Interposed communication endpoint (owned).
      * @param all_nodes Identities of every node in the static cluster
      * configuration file.
+     * @param markers The cluster's marker log: the server appends its
+     * Started, MemberUp, Exclude, FailFast and GiveUp markers.
      */
     Server(osim::Node &node, const PressConfig &cfg,
            std::unique_ptr<proto::FaultInterposer> comm,
-           std::vector<sim::NodeId> all_nodes);
+           std::vector<sim::NodeId> all_nodes, MarkerLog &markers);
 
     // osim::Service interface -----------------------------------------
     void start() override;
@@ -187,8 +174,6 @@ class Server : public osim::Service, private FwdPool, private ServerState
 
     /** Next start() performs initial cluster formation, not a rejoin. */
     void markColdStart() { coldStart_ = true; }
-
-    void setHooks(ServerHooks hooks) { hooks_ = std::move(hooks); }
 
     // Introspection (tests, experiments) ------------------------------
     const std::set<sim::NodeId> &members() const { return members_; }
@@ -277,6 +262,9 @@ class Server : public osim::Service, private FwdPool, private ServerState
     void sendCacheInfoTo(sim::NodeId peer);
     void onSendReady();
     void failFast(const std::string &reason);
+    /** Append a marker observed by this server, stamped now. */
+    void mark(MarkerKind kind, sim::NodeId other = sim::invalidNode,
+              std::string detail = {});
 
     // -- cache helpers ------------------------------------------------------
     /** Insert into the local cache, broadcasting insert + evictions. */
@@ -295,7 +283,7 @@ class Server : public osim::Service, private FwdPool, private ServerState
      * (stack deliveries, acks, credit returns) keeps running on the
      * CPU regardless, mirroring PRESS's helper-thread structure.
      */
-    void mainExec(sim::Tick cost, sim::SmallFn fn);
+    void mainExec(sim::Tick cost, sim::SmallFn<void()> fn);
     void pumpMain();
 
     // -- lifecycle helpers -----------------------------------------------
@@ -315,7 +303,7 @@ class Server : public osim::Service, private FwdPool, private ServerState
     PressConfig cfg_;
     std::unique_ptr<proto::FaultInterposer> comm_;
     std::vector<sim::NodeId> allNodes_;
-    ServerHooks hooks_;
+    MarkerLog &markers_;
 
     std::unique_ptr<FileCache> cache_;
     std::unique_ptr<DiskArray> disk_;

@@ -16,11 +16,11 @@
 #define PERFORMA_PROTO_COMM_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "sim/pool.hh"
+#include "sim/small_fn.hh"
 #include "sim/types.hh"
 
 namespace performa::proto {
@@ -77,29 +77,28 @@ enum class BreakReason
 struct CommCallbacks
 {
     /** A message from @p peer was handed to the application. */
-    std::function<void(sim::NodeId, AppMessage &&)> onMessage;
+    sim::SmallFn<void(sim::NodeId, AppMessage &&)> onMessage;
 
     /** A channel to @p peer is now established (either initiative). */
-    std::function<void(sim::NodeId)> onPeerConnected;
+    sim::SmallFn<void(sim::NodeId)> onPeerConnected;
 
     /** An outgoing connect() to @p peer failed. */
-    std::function<void(sim::NodeId)> onConnectFailed;
+    sim::SmallFn<void(sim::NodeId)> onConnectFailed;
 
     /** The channel to @p peer broke. */
-    std::function<void(sim::NodeId, BreakReason)> onPeerBroken;
+    sim::SmallFn<void(sim::NodeId, BreakReason)> onPeerBroken;
 
     /** Space/credits freed after a SendStatus::WouldBlock. */
-    std::function<void()> onSendReady;
+    sim::SmallFn<void()> onSendReady;
 
     /**
      * The library hit a fatal error (bad descriptor, framing desync).
      * PRESS reacts fail-fast: it terminates the process.
      */
-    std::function<void(const std::string &)> onFatalError;
+    sim::SmallFn<void(const std::string &)> onFatalError;
 
     /** An unreliable datagram (heartbeat, join message) arrived. */
-    std::function<void(sim::NodeId, std::uint32_t,
-                       sim::RcAny)> onDatagram;
+    sim::SmallFn<void(sim::NodeId, std::uint32_t, sim::RcAny)> onDatagram;
 };
 
 /**

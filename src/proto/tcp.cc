@@ -51,7 +51,9 @@ TcpComm::send(sim::NodeId peer, AppMessage msg, const SendParams &params)
         return SendStatus::NotConnected;
 
     std::uint64_t wire = msg.bytes + cfg_.headerBytes;
-    if (c->sndBytes + msg.bytes > cfg_.sndBufBytes) {
+    // An empty queue takes any message, as a blocking send() larger
+    // than SO_SNDBUF completes; otherwise one over the buffer waits.
+    if (c->sndBytes > 0 && c->sndBytes + msg.bytes > cfg_.sndBufBytes) {
         c->senderBlocked = true;
         return SendStatus::WouldBlock;
     }

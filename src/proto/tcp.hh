@@ -16,7 +16,12 @@
  *  - kernel-memory coupling: every queued segment needs an skbuf; when
  *    the allocator fails (resource-exhaustion fault) outbound traffic
  *    stalls inside the OS and inbound segments are dropped;
- *  - synchronous EFAULT on a NULL user pointer.
+ *  - synchronous EFAULT on a NULL user pointer;
+ *  - a bounded send buffer: send() returns WouldBlock when the
+ *    message would take the queued bytes past sndBufBytes, except
+ *    into an empty queue, which accepts a message of any size (a
+ *    blocking send() larger than SO_SNDBUF completes). A blocked
+ *    sender is woken once acks drain the queue to 3/4 of the buffer.
  *
  * Granularity: one frame per application message (not per MSS
  * segment); retransmission, acking and windowing operate on message

@@ -92,7 +92,7 @@ class EventQueue
 
     /**
      * Schedule @p fn to run at absolute time @p when. @p fn is any
-     * void() callable, or a SmallFn rvalue; it is built in place in
+     * void() callable, or a SmallFn<void()> rvalue; it is built in place in
      * the event's record. Scheduling in the past is a bug and panics.
      */
     template <typename F>
@@ -198,7 +198,7 @@ class EventQueue
     /** Slab cell: handler storage plus the slot's current generation. */
     struct Record
     {
-        SmallFn fn;
+        SmallFn<void()> fn;
         std::uint32_t gen = 0;
     };
 

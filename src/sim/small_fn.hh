@@ -1,10 +1,13 @@
 /**
  * @file
- * SmallFn: a callable holder with small-buffer optimization, used by
- * the event engine for handler storage. The common event
- * handler in this tree — a lambda capturing `this` plus an id or two —
- * fits in the inline buffer and never touches the allocator; only
- * oversized or over-aligned captures fall back to the heap.
+ * SmallFn<Sig>: the one callable holder inside a simulated world, with
+ * small-buffer optimization. The event engine stores its handlers in
+ * SmallFn<void()>; network port handlers, comm-stack callbacks, the
+ * page cache's pin hooks and the file-size function use it with their
+ * own signatures. The common callable in this tree — a lambda
+ * capturing `this` plus an id or two — fits in the inline buffer and
+ * never touches the allocator; only oversized or over-aligned
+ * captures fall back to the heap.
  */
 
 #ifndef PERFORMA_SIM_SMALL_FN_HH
@@ -20,22 +23,28 @@
 
 namespace performa::sim {
 
+template <typename Sig>
+class SmallFn;
+
 /**
- * A type-erased `void()` callable, run once: consume() invokes it and
- * destroys it. Empty after being moved from. Copying a holder copies
- * its captures, which is how a snapshot duplicates a warmed event
- * queue's handlers and the work queued behind them. Captures need not
- * be copyable to be held, only to be copied: every handler in this
- * tree captures `this`, ids and refcounted handles, so copying one
- * with a non-copyable capture is a bug and PANICs. The event engine
- * itself never copies a handler (emplace() takes holders as rvalues
- * only).
+ * A type-erased callable of signature R(Args...). operator() calls it
+ * any number of times, also through a const reference, as the standard
+ * library's function wrapper does; on SmallFn<void()>, consume() calls it once and destroys it,
+ * which is how the event engine runs a handler. Empty after being
+ * moved from. Copying a holder copies its captures, which is how a
+ * snapshot duplicates a warmed event queue's handlers, the work
+ * queued behind them and the frames in flight. Captures need not be
+ * copyable to be held, only to be copied: every callable in this tree
+ * captures `this`, ids and refcounted handles, so copying one with a
+ * non-copyable capture is a bug and PANICs. The event engine itself
+ * never copies a handler (emplace() takes holders as rvalues only).
  */
-class SmallFn
+template <typename R, typename... Args>
+class SmallFn<R(Args...)>
 {
   public:
     /**
-     * Inline storage size. 56 bytes covers every handler in the tree
+     * Inline storage size. 56 bytes covers every callable in the tree
      * today and keeps sizeof(SmallFn) at one cache line. The largest
      * is exactly 56 bytes: the disk-read completion in
      * press/server.cc, `[this, e, req, svc]`, which carries a whole
@@ -46,8 +55,9 @@ class SmallFn
     SmallFn() = default;
 
     template <typename F, typename D = std::decay_t<F>,
-              typename = std::enable_if_t<!std::is_same_v<D, SmallFn> &&
-                                          std::is_invocable_r_v<void, D &>>>
+              typename = std::enable_if_t<
+                  !std::is_same_v<D, SmallFn> &&
+                  std::is_invocable_r_v<R, D &, Args...>>>
     SmallFn(F &&f)
     {
         emplace(std::forward<F>(f));
@@ -107,30 +117,37 @@ class SmallFn
                           "pass an rvalue");
             moveFrom(f);
         } else {
-            static_assert(std::is_invocable_r_v<void, D &>,
-                          "SmallFn holds void() callables");
+            static_assert(std::is_invocable_r_v<R, D &, Args...>,
+                          "callable does not match the SmallFn signature");
             if constexpr (fitsInline<D>) {
                 ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
-                ops_ = &inlineOps<D>;
             } else {
                 D *p = new D(std::forward<F>(f));
                 std::memcpy(buf_, &p, sizeof p);
-                ops_ = &heapOps<D>;
             }
+            ops_ = &opsFor<D>;
         }
     }
 
     /** @return true if a callable is held. */
     explicit operator bool() const { return ops_ != nullptr; }
 
+    /** Call the held callable (must be non-empty); it stays held. */
+    R
+    operator()(Args... args) const
+    {
+        return ops_->call(buf_, std::forward<Args>(args)...);
+    }
+
     /**
-     * Invoke the held callable once and destroy it, in one indirect
-     * call (must be non-empty). The holder reads as empty from the
-     * start of the call, so nothing the callable does can reset or
-     * replace it while it runs.
+     * Call the held void() callable once and destroy it, in one
+     * indirect call (must be non-empty). The holder reads as empty
+     * from the start of the call, so nothing the callable does can
+     * reset or replace it while it runs.
      */
     void
     consume()
+        requires std::is_same_v<R(Args...), void()>
     {
         const Ops *ops = ops_;
         ops_ = nullptr;
@@ -140,14 +157,15 @@ class SmallFn
   private:
     struct Ops
     {
-        /** Invoke, then destroy. */
+        R (*call)(void *, Args &&...);
+        /** Call, then destroy (used on SmallFn<void()> only). */
         void (*consume)(void *);
         /** Move the callable from src into raw dst, destroying src. */
         void (*relocate)(void *dst, void *src) noexcept;
         void (*destroy)(void *) noexcept;
         /** Copy src into raw dst; null when the callable is not
          *  copy-constructible (such a holder cannot be copied). */
-        void (*copy)(void *dst, const void *src);
+        void (*copy)(void *dst, void *src);
     };
 
     /**
@@ -160,90 +178,81 @@ class SmallFn
         alignof(D) <= alignof(std::max_align_t) &&
         std::is_nothrow_move_constructible_v<D>;
 
+    /** The operations on a D held inline or, when it does not fit,
+     *  through a pointer stored in the buffer. */
     template <typename D>
-    struct InlineImpl
+    struct Impl
     {
-        static void
-        consume(void *b)
-        {
-            D &f = *static_cast<D *>(b);
-            f();
-            f.~D();
-        }
-
-        static void
-        relocate(void *dst, void *src) noexcept
-        {
-            D *s = static_cast<D *>(src);
-            ::new (dst) D(std::move(*s));
-            s->~D();
-        }
-
-        static void destroy(void *b) noexcept { static_cast<D *>(b)->~D(); }
-
-        static void
-        copy(void *dst, const void *src)
-        {
-            if constexpr (std::is_copy_constructible_v<D>)
-                ::new (dst) D(*static_cast<const D *>(src));
-        }
-    };
-
-    template <typename D>
-    struct HeapImpl
-    {
-        static D *
+        static D &
         get(void *b)
         {
-            D *p;
-            std::memcpy(&p, b, sizeof p);
-            return p;
+            if constexpr (fitsInline<D>) {
+                return *static_cast<D *>(b);
+            } else {
+                D *p;
+                std::memcpy(&p, b, sizeof p);
+                return *p;
+            }
+        }
+
+        static void
+        drop(D &f) noexcept
+        {
+            if constexpr (fitsInline<D>)
+                f.~D();
+            else
+                delete &f;
+        }
+
+        static R
+        call(void *b, Args &&...args)
+        {
+            return static_cast<R>(get(b)(std::forward<Args>(args)...));
         }
 
         static void
         consume(void *b)
         {
-            D *p = get(b);
-            (*p)();
-            delete p;
+            if constexpr (std::is_invocable_v<D &>) {
+                D &f = get(b);
+                f();
+                drop(f);
+            }
         }
 
         static void
         relocate(void *dst, void *src) noexcept
         {
-            std::memcpy(dst, src, sizeof(D *));
+            if constexpr (fitsInline<D>) {
+                D &s = get(src);
+                ::new (dst) D(std::move(s));
+                s.~D();
+            } else {
+                std::memcpy(dst, src, sizeof(D *));
+            }
         }
 
-        static void destroy(void *b) noexcept { delete get(b); }
+        static void destroy(void *b) noexcept { drop(get(b)); }
 
         static void
-        copy(void *dst, const void *src)
+        copy(void *dst, void *src)
         {
-            if constexpr (std::is_copy_constructible_v<D>) {
-                D *p;
-                std::memcpy(&p, src, sizeof p);
-                D *fresh = new D(*p);
+            if constexpr (!std::is_copy_constructible_v<D>) {
+                // never called: opsFor<D> holds no copy op
+            } else if constexpr (fitsInline<D>) {
+                ::new (dst) D(get(src));
+            } else {
+                D *fresh = new D(get(src));
                 std::memcpy(dst, &fresh, sizeof fresh);
             }
         }
     };
 
-    /** Copy op for @p Impl, or null when D is not copy-constructible. */
-    template <typename D, typename Impl>
-    static constexpr auto copyOp =
-        std::is_copy_constructible_v<D> ? &Impl::copy : nullptr;
-
     template <typename D>
-    static constexpr Ops inlineOps = {&InlineImpl<D>::consume,
-                                      &InlineImpl<D>::relocate,
-                                      &InlineImpl<D>::destroy,
-                                      copyOp<D, InlineImpl<D>>};
-
-    template <typename D>
-    static constexpr Ops heapOps = {&HeapImpl<D>::consume,
-                                    &HeapImpl<D>::relocate,
-                                    &HeapImpl<D>::destroy,
-                                    copyOp<D, HeapImpl<D>>};
+    static constexpr Ops opsFor = {
+        &Impl<D>::call, &Impl<D>::consume, &Impl<D>::relocate,
+        &Impl<D>::destroy,
+        std::is_copy_constructible_v<D> ? &Impl<D>::copy : nullptr};
 
     void
     copyFrom(const SmallFn &o)
@@ -266,7 +275,9 @@ class SmallFn
         }
     }
 
-    alignas(std::max_align_t) std::byte buf_[inlineBytes];
+    /** Mutable: a call through a const holder may change the
+     *  callable's own state, as with the standard wrapper. */
+    alignas(std::max_align_t) mutable std::byte buf_[inlineBytes];
     const Ops *ops_ = nullptr;
 };
 

@@ -31,11 +31,11 @@
 #define PERFORMA_SIM_SNAPSHOT_HH
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/small_fn.hh"
 
 namespace performa::sim {
 
@@ -76,19 +76,9 @@ class Snapshot
 class SnapshotRegistry
 {
   public:
-    using SaveFn = std::function<std::shared_ptr<const void>()>;
-    using RestoreFn = std::function<void(const void *)>;
-
     SnapshotRegistry() = default;
     SnapshotRegistry(const SnapshotRegistry &) = delete;
     SnapshotRegistry &operator=(const SnapshotRegistry &) = delete;
-
-    /** Register a raw save/restore hook pair. */
-    void
-    add(SaveFn save, RestoreFn restore)
-    {
-        hooks_.push_back(Hook{std::move(save), std::move(restore)});
-    }
 
     /**
      * Register a component exposing the Saved/save()/restore() trio:
@@ -99,13 +89,13 @@ class SnapshotRegistry
     void
     attach(C &c)
     {
-        add(
+        hooks_.push_back(Hook{
             [&c]() -> std::shared_ptr<const void> {
                 return std::make_shared<const typename C::Saved>(c.save());
             },
             [&c](const void *s) {
                 c.restore(*static_cast<const typename C::Saved *>(s));
-            });
+            }});
     }
 
     /** Number of registered hooks (a Snapshot only fits a registry
@@ -141,8 +131,8 @@ class SnapshotRegistry
   private:
     struct Hook
     {
-        SaveFn save;
-        RestoreFn restore;
+        SmallFn<std::shared_ptr<const void>()> save;
+        SmallFn<void(const void *)> restore;
     };
 
     std::vector<Hook> hooks_;

@@ -19,10 +19,15 @@
 using namespace performa;
 using press::FileCache;
 
+namespace {
+/** An eviction callback for tests that do not watch evictions. */
+constexpr auto noEvict = [](sim::FileId) {};
+} // namespace
+
 TEST(FileCache, InsertAndContains)
 {
     FileCache c(4 * 100, 100); // 4 files
-    EXPECT_TRUE(c.insert(1, nullptr));
+    EXPECT_TRUE(c.insert(1, noEvict));
     EXPECT_TRUE(c.contains(1));
     EXPECT_FALSE(c.contains(2));
     EXPECT_EQ(c.size(), 1u);
@@ -60,9 +65,9 @@ TEST(FileCache, TouchProtectsFromEviction)
 TEST(FileCache, ReinsertTouches)
 {
     FileCache c(2 * 100, 100);
-    c.insert(1, nullptr);
-    c.insert(2, nullptr);
-    EXPECT_TRUE(c.insert(1, nullptr)); // bumps 1
+    c.insert(1, noEvict);
+    c.insert(2, noEvict);
+    EXPECT_TRUE(c.insert(1, noEvict)); // bumps 1
     std::vector<sim::FileId> evicted;
     c.insert(3, [&](sim::FileId f) { evicted.push_back(f); });
     EXPECT_EQ(evicted, (std::vector<sim::FileId>{2}));
@@ -82,8 +87,8 @@ TEST(FileCache, PinHooksGateInsertion)
         },
         [&](std::uint64_t b) { pinned -= b; });
 
-    EXPECT_TRUE(c.insert(1, nullptr));
-    EXPECT_TRUE(c.insert(2, nullptr));
+    EXPECT_TRUE(c.insert(1, noEvict));
+    EXPECT_TRUE(c.insert(2, noEvict));
     // Third pin would exceed 250: the cache sheds LRU file 1 first.
     std::vector<sim::FileId> evicted;
     EXPECT_TRUE(c.insert(3, [&](sim::FileId f) { evicted.push_back(f); }));
@@ -97,7 +102,7 @@ TEST(FileCache, PinImpossibleReturnsFalse)
     FileCache c(10 * 100, 100);
     c.setPinHooks([](std::uint64_t) { return false; },
                   [](std::uint64_t) {});
-    EXPECT_FALSE(c.insert(1, nullptr));
+    EXPECT_FALSE(c.insert(1, noEvict));
     EXPECT_EQ(c.size(), 0u);
 }
 
@@ -111,8 +116,8 @@ TEST(FileCache, ClearUnpinsEverything)
             return true;
         },
         [&](std::uint64_t b) { pinned -= b; });
-    c.insert(1, nullptr);
-    c.insert(2, nullptr);
+    c.insert(1, noEvict);
+    c.insert(2, noEvict);
     EXPECT_EQ(pinned, 200u);
     c.clear();
     EXPECT_EQ(pinned, 0u);
@@ -122,14 +127,14 @@ TEST(FileCache, ClearUnpinsEverything)
 TEST(FileCache, ZeroCapacityRejectsEverything)
 {
     FileCache c(0, 100);
-    EXPECT_FALSE(c.insert(1, nullptr));
+    EXPECT_FALSE(c.insert(1, noEvict));
 }
 
 TEST(FileCache, FilesIteratesMruFirst)
 {
     FileCache c(3 * 100, 100);
-    c.insert(1, nullptr);
-    c.insert(2, nullptr);
+    c.insert(1, noEvict);
+    c.insert(2, noEvict);
     c.touch(1);
     EXPECT_EQ(c.files(), (std::vector<sim::FileId>{1, 2}));
 }
@@ -144,7 +149,7 @@ TEST_P(CacheCapacitySweep, SizeBounded)
     FileCache c(cap * 10, 10);
     std::mt19937_64 rng(7);
     for (int i = 0; i < 2000; ++i) {
-        c.insert(static_cast<sim::FileId>(rng() % 200), nullptr);
+        c.insert(static_cast<sim::FileId>(rng() % 200), noEvict);
         ASSERT_LE(c.size(), cap);
         if (i % 3 == 0)
             c.touch(static_cast<sim::FileId>(rng() % 200));
@@ -179,8 +184,9 @@ struct ReferenceLru
             lru.splice(lru.begin(), lru, it->second);
     }
 
+    template <typename OnEvict>
     void
-    evictLru(const FileCache::EvictCb &on_evict)
+    evictLru(OnEvict &&on_evict)
     {
         if (lru.empty())
             return;
@@ -191,8 +197,9 @@ struct ReferenceLru
         on_evict(victim);
     }
 
+    template <typename OnEvict>
     bool
-    insert(sim::FileId f, const FileCache::EvictCb &on_evict)
+    insert(sim::FileId f, OnEvict &&on_evict)
     {
         if (contains(f)) {
             touch(f);

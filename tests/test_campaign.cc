@@ -300,6 +300,52 @@ TEST(Phase1, FailedJobReportedWhileRestOfCampaignCompletes)
             EXPECT_TRUE(db.has(v, k));
 }
 
+TEST(Phase1, DuplicateSubsetEntriesAreMeasuredOnce)
+{
+    campaign::Phase1Options opts;
+    opts.workers = 2;
+    opts.versions = {press::Version::ViaPress3, press::Version::TcpPress,
+                     press::Version::ViaPress3};
+    opts.faults = {fault::FaultKind::AppCrash, fault::FaultKind::AppCrash,
+                   fault::FaultKind::LinkDown, fault::FaultKind::AppCrash};
+    std::mutex mu;
+    std::vector<exp::BehaviorDb::Key> calls;
+    opts.measureFn = [&](const exp::ExperimentConfig &cfg) {
+        std::lock_guard<std::mutex> lock(mu);
+        calls.push_back({cfg.cluster.press.version, cfg.fault->kind});
+        return fakeBehavior(cfg.seed);
+    };
+    exp::BehaviorDb db;
+    campaign::Phase1Result res = campaign::ensurePhase1(db, "", opts);
+    EXPECT_TRUE(res.ok());
+    EXPECT_EQ(res.measured, 4u); // 2 distinct versions x 2 faults
+    EXPECT_EQ(calls.size(), 4u);
+    std::sort(calls.begin(), calls.end());
+    EXPECT_EQ(std::adjacent_find(calls.begin(), calls.end()), calls.end());
+    EXPECT_EQ(db.size(), 4u);
+}
+
+TEST(Phase1, FaultTargetFitsTheClusterSize)
+{
+    // Node 3 on the paper's 4 nodes and on larger clusters; the
+    // highest node of a smaller one. Never node 0, which answers
+    // rejoins.
+    const std::pair<std::uint32_t, sim::NodeId> want[] = {
+        {2, 1}, {3, 2}, {4, 3}, {8, 3}};
+    for (auto [nodes, target] : want) {
+        campaign::Phase1Options opts;
+        opts.numNodes = nodes;
+        for (fault::FaultKind k : fault::allFaultKinds) {
+            exp::ExperimentConfig cfg =
+                campaign::phase1Config(press::Version::TcpPress, k, opts);
+            EXPECT_EQ(cfg.cluster.press.numNodes, nodes);
+            ASSERT_TRUE(cfg.fault);
+            EXPECT_EQ(cfg.fault->target, target)
+                << nodes << " nodes, " << fault::faultName(k);
+        }
+    }
+}
+
 TEST(Phase1, SecondRunUsesCacheAndMeasuresNothing)
 {
     std::string path = tmpPath("campaign_cache.csv");

@@ -487,8 +487,8 @@ TEST(SmallFn, CopyRunsIndependentlyOfItsOriginal)
     // A copy holds copies of the captures: each holder runs, and
     // releases its captures, on its own.
     auto token = std::make_shared<int>(0);
-    SmallFn a([token] { ++*token; });
-    SmallFn b(a);
+    SmallFn<void()> a([token] { ++*token; });
+    SmallFn<void()> b(a);
     EXPECT_EQ(token.use_count(), 3);
     a.consume();
     EXPECT_EQ(*token, 1);
@@ -499,7 +499,7 @@ TEST(SmallFn, CopyRunsIndependentlyOfItsOriginal)
     // Copy-assignment, and a capture too big for the inline buffer.
     std::array<std::uint64_t, 16> big{};
     big[15] = 7;
-    SmallFn c([big, token] { *token += static_cast<int>(big[15]); });
+    SmallFn<void()> c([big, token] { *token += static_cast<int>(big[15]); });
     b = c;
     EXPECT_EQ(token.use_count(), 3); // b's old capture is gone
     c.consume();
@@ -510,8 +510,78 @@ TEST(SmallFn, CopyRunsIndependentlyOfItsOriginal)
 
 TEST(SmallFnDeath, CopyingANonCopyableCapturePanics)
 {
-    SmallFn fn([p = std::make_unique<int>(1)] { (void)p; });
-    EXPECT_DEATH({ SmallFn copy(fn); }, "non-copyable");
+    SmallFn<void()> fn([p = std::make_unique<int>(1)] { (void)p; });
+    EXPECT_DEATH({ SmallFn<void()> copy(fn); }, "non-copyable");
+}
+
+TEST(SmallFn, CallsRepeatedlyWithArgumentsAndAResult)
+{
+    // A stateful callable keeps its state across calls, also through a
+    // const holder, inline and on the heap fallback alike.
+    const SmallFn<int(int, int)> sum(
+        [total = 0](int a, int b) mutable { return total += a * b; });
+    EXPECT_EQ(sum(2, 3), 6);
+    EXPECT_EQ(sum(1, 4), 10);
+    EXPECT_EQ(sum(0, 9), 10);
+    ASSERT_TRUE(sum); // calling does not consume
+
+    std::array<std::uint64_t, 16> big{};
+    big[15] = 5;
+    SmallFn<std::uint64_t(std::uint64_t)> scaled(
+        [big](std::uint64_t x) { return x * big[15]; });
+    EXPECT_EQ(scaled(3), 15u);
+    EXPECT_EQ(scaled(4), 20u);
+}
+
+TEST(SmallFn, RvalueReferenceArgumentIsMoved)
+{
+    std::unique_ptr<int> kept;
+    SmallFn<void(std::unique_ptr<int> &&)> take(
+        [&kept](std::unique_ptr<int> &&p) { kept = std::move(p); });
+    auto p = std::make_unique<int>(42);
+    int *raw = p.get();
+    take(std::move(p));
+    EXPECT_EQ(p, nullptr);
+    ASSERT_EQ(kept.get(), raw); // the same object, never copied
+    EXPECT_EQ(*kept, 42);
+
+    // A by-value parameter receives the argument by move as well.
+    SmallFn<std::size_t(std::vector<int>)> sink(
+        [](std::vector<int> v) { return v.size(); });
+    std::vector<int> v(100, 1);
+    EXPECT_EQ(sink(std::move(v)), 100u);
+}
+
+TEST(SmallFn, CopiedHookRunsIndependently)
+{
+    SmallFn<int()> a([n = 0]() mutable { return ++n; });
+    EXPECT_EQ(a(), 1);
+    SmallFn<int()> b(a); // copies the captured counter at 1
+    EXPECT_EQ(a(), 2);
+    EXPECT_EQ(a(), 3);
+    EXPECT_EQ(b(), 2);
+    SmallFn<int()> c;
+    c = b;
+    EXPECT_EQ(c(), 3);
+    EXPECT_EQ(b(), 3);
+    EXPECT_EQ(a(), 4);
+}
+
+TEST(SmallFn, EmptyHolderTestsFalse)
+{
+    SmallFn<bool(int)> empty;
+    EXPECT_FALSE(empty);
+    SmallFn<bool(int)> odd([](int x) { return x % 2 != 0; });
+    ASSERT_TRUE(odd);
+    EXPECT_TRUE(odd(3));
+    SmallFn<bool(int)> moved(std::move(odd));
+    EXPECT_FALSE(odd); // moved from
+    ASSERT_TRUE(moved);
+    EXPECT_FALSE(moved(4));
+    SmallFn<bool(int)> copy(empty);
+    EXPECT_FALSE(copy); // copying an empty holder is fine
+    moved.reset();
+    EXPECT_FALSE(moved);
 }
 
 TEST(EventQueueDeath, SchedulingInThePastPanics)

@@ -48,8 +48,8 @@ TEST(Experiment, FaultFreeRunIsCleanAndStable)
     EXPECT_GT(res.normalThroughput, 1000);
     EXPECT_GT(res.availability, 0.99);
     EXPECT_FALSE(res.endSplintered);
-    EXPECT_EQ(res.markers.count(exp::MarkerKind::Inject), 0u);
-    EXPECT_EQ(res.markers.count(exp::MarkerKind::Started), 4u);
+    EXPECT_EQ(res.markers.count(press::MarkerKind::Inject), 0u);
+    EXPECT_EQ(res.markers.count(press::MarkerKind::Started), 4u);
 }
 
 TEST(Experiment, MarkersRecordInjectAndRecover)
@@ -57,9 +57,9 @@ TEST(Experiment, MarkersRecordInjectAndRecover)
     auto cfg = fastConfig(press::Version::ViaPress0,
                           fault::FaultKind::KernelMemAlloc);
     exp::ExperimentResult res = exp::runExperiment(cfg);
-    EXPECT_EQ(res.markers.count(exp::MarkerKind::Inject), 1u);
-    EXPECT_EQ(res.markers.count(exp::MarkerKind::Recover), 1u);
-    auto inj = res.markers.firstAfter(exp::MarkerKind::Inject, 0);
+    EXPECT_EQ(res.markers.count(press::MarkerKind::Inject), 1u);
+    EXPECT_EQ(res.markers.count(press::MarkerKind::Recover), 1u);
+    auto inj = res.markers.firstAfter(press::MarkerKind::Inject, 0);
     ASSERT_TRUE(inj.has_value());
     EXPECT_EQ(inj->t, sec(20));
 }
@@ -115,7 +115,7 @@ TEST(Experiment, OperatorResetRestoresCluster)
                           fault::FaultKind::LinkDown);
     cfg.operatorResetAt = sec(70);
     exp::ExperimentResult res = exp::runExperiment(cfg);
-    EXPECT_EQ(res.markers.count(exp::MarkerKind::OperatorReset), 1u);
+    EXPECT_EQ(res.markers.count(press::MarkerKind::OperatorReset), 1u);
     EXPECT_FALSE(res.endSplintered);
     // Post-reset throughput back near normal.
     double tail = res.served.meanRate(sec(90), sec(110));

@@ -199,9 +199,9 @@ TEST(FaultMatrixTiming, RdmaBadParamKillsTwoNodes)
     exp::ExperimentConfig cfg =
         matrixConfig(Version::ViaPress5, FaultKind::BadParamNull);
     exp::ExperimentResult res = exp::runExperiment(cfg);
-    EXPECT_EQ(res.markers.count(exp::MarkerKind::FailFast), 2u);
+    EXPECT_EQ(res.markers.count(press::MarkerKind::FailFast), 2u);
     exp::ExperimentConfig cfg0 =
         matrixConfig(Version::ViaPress0, FaultKind::BadParamNull);
     exp::ExperimentResult res0 = exp::runExperiment(cfg0);
-    EXPECT_EQ(res0.markers.count(exp::MarkerKind::FailFast), 1u);
+    EXPECT_EQ(res0.markers.count(press::MarkerKind::FailFast), 1u);
 }

@@ -23,15 +23,24 @@ struct World
     Simulation s{5};
     press::Cluster cluster;
     fault::Injector injector;
-    std::vector<std::string> events;
 
     explicit World(press::Version v = press::Version::TcpPress)
         : cluster(s, makeCfg(v)), injector(s, cluster)
     {
-        injector.setEventFn([this](Tick, const std::string &what,
-                                   NodeId) { events.push_back(what); });
         cluster.startAll();
         s.runUntil(sec(1));
+    }
+
+    /** The injector's Inject and Recover markers, in log order. */
+    std::vector<press::Marker>
+    faultMarkers() const
+    {
+        std::vector<press::Marker> out;
+        for (const press::Marker &m : cluster.markers().all())
+            if (m.kind == press::MarkerKind::Inject ||
+                m.kind == press::MarkerKind::Recover)
+                out.push_back(m);
+        return out;
     }
 
     static press::ClusterConfig
@@ -64,9 +73,16 @@ TEST(Injector, LinkDownAndRecovery)
     EXPECT_TRUE(w.cluster.clientNet().linkUp(2)); // clients untouched
     w.s.runUntil(sec(12));
     EXPECT_TRUE(w.cluster.intraNet().linkUp(2));
-    ASSERT_EQ(w.events.size(), 2u);
-    EXPECT_EQ(w.events[0], "inject link-down");
-    EXPECT_EQ(w.events[1], "recover link-down");
+    std::vector<press::Marker> events = w.faultMarkers();
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].kind, press::MarkerKind::Inject);
+    EXPECT_EQ(events[0].detail, "inject link-down");
+    EXPECT_EQ(events[0].node, 2u);
+    EXPECT_EQ(events[0].t, sec(1));
+    EXPECT_EQ(events[1].kind, press::MarkerKind::Recover);
+    EXPECT_EQ(events[1].detail, "recover link-down");
+    EXPECT_EQ(events[1].node, 2u);
+    EXPECT_EQ(events[1].t, sec(11));
 }
 
 TEST(Injector, SwitchDownAndRecovery)
@@ -77,6 +93,14 @@ TEST(Injector, SwitchDownAndRecovery)
     EXPECT_TRUE(w.cluster.clientNet().switchUp());
     w.s.runUntil(sec(12));
     EXPECT_TRUE(w.cluster.intraNet().switchUp());
+    std::vector<press::Marker> events = w.faultMarkers();
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].kind, press::MarkerKind::Inject);
+    EXPECT_EQ(events[0].detail, "inject switch-down");
+    EXPECT_EQ(events[0].node, invalidNode); // the fabric, not a node
+    EXPECT_EQ(events[1].kind, press::MarkerKind::Recover);
+    EXPECT_EQ(events[1].detail, "recover switch-down");
+    EXPECT_EQ(events[1].node, invalidNode);
 }
 
 TEST(Injector, NodeCrashPowersOffAndRebootsNode)
@@ -127,6 +151,10 @@ TEST(Injector, AppCrashKillsProcessDaemonRestarts)
     EXPECT_FALSE(w.cluster.server(2).alive());
     w.s.runUntil(sec(15)); // restart delay (10 s)
     EXPECT_TRUE(w.cluster.server(2).alive());
+    std::vector<press::Marker> events = w.faultMarkers();
+    ASSERT_EQ(events.size(), 1u); // no duration, so no recovery
+    EXPECT_EQ(events[0].kind, press::MarkerKind::Inject);
+    EXPECT_EQ(events[0].detail, "inject app-crash");
 }
 
 TEST(Injector, AppHangStopsAndContinuesProcess)

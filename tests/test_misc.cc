@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exp/markers.hh"
+#include "press/markers.hh"
 #include "press/config.hh"
 
 using namespace performa;
@@ -81,33 +81,33 @@ TEST(PressConfigDeath, FactoriesRejectWrongFamily)
 
 TEST(MarkerLog, QueriesWork)
 {
-    exp::MarkerLog log;
-    log.add(sec(10), exp::MarkerKind::Inject);
-    log.add(sec(20), exp::MarkerKind::Exclude, 0, 3);
-    log.add(sec(25), exp::MarkerKind::Exclude, 1, 3);
-    log.add(sec(90), exp::MarkerKind::Recover);
+    press::MarkerLog log;
+    log.add(sec(10), press::MarkerKind::Inject);
+    log.add(sec(20), press::MarkerKind::Exclude, 0, 3);
+    log.add(sec(25), press::MarkerKind::Exclude, 1, 3);
+    log.add(sec(90), press::MarkerKind::Recover);
 
-    auto first = log.firstAfter(exp::MarkerKind::Exclude, sec(15));
+    auto first = log.firstAfter(press::MarkerKind::Exclude, sec(15));
     ASSERT_TRUE(first.has_value());
     EXPECT_EQ(first->t, sec(20));
     EXPECT_EQ(first->node, 0u);
     EXPECT_EQ(first->other, 3u);
 
     EXPECT_FALSE(
-        log.firstAfter(exp::MarkerKind::FailFast, 0).has_value());
+        log.firstAfter(press::MarkerKind::FailFast, 0).has_value());
 
-    auto last = log.last(exp::MarkerKind::Exclude);
+    auto last = log.last(press::MarkerKind::Exclude);
     ASSERT_TRUE(last.has_value());
     EXPECT_EQ(last->t, sec(25));
 
-    EXPECT_EQ(log.count(exp::MarkerKind::Exclude), 2u);
-    EXPECT_EQ(log.count(exp::MarkerKind::Exclude, sec(21)), 1u);
-    EXPECT_EQ(log.count(exp::MarkerKind::Exclude, 0, sec(21)), 1u);
+    EXPECT_EQ(log.count(press::MarkerKind::Exclude), 2u);
+    EXPECT_EQ(log.count(press::MarkerKind::Exclude, sec(21)), 1u);
+    EXPECT_EQ(log.count(press::MarkerKind::Exclude, 0, sec(21)), 1u);
 }
 
 TEST(MarkerLog, NamesAreStable)
 {
-    EXPECT_STREQ(exp::markerName(exp::MarkerKind::Inject), "inject");
-    EXPECT_STREQ(exp::markerName(exp::MarkerKind::OperatorReset),
+    EXPECT_STREQ(press::markerName(press::MarkerKind::Inject), "inject");
+    EXPECT_STREQ(press::markerName(press::MarkerKind::OperatorReset),
                  "operator-reset");
 }

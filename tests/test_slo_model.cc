@@ -207,7 +207,7 @@ TEST(ExtractionSlo, SlicesTheTimelineAtStageBoundaries)
         else if (t >= 75)
             res.served.record(sim::sec(t), 800);
     }
-    res.markers.add(sim::sec(75), exp::MarkerKind::Exclude, 0, 3);
+    res.markers.add(sim::sec(75), press::MarkerKind::Exclude, 0, 3);
 
     // Normal operation: fast. Degraded regime: slow.
     constexpr auto total = sim::LatencyStage::Total;

@@ -163,8 +163,8 @@ expectIdentical(const exp::ExperimentResult &a,
 
     ASSERT_EQ(a.markers.all().size(), b.markers.all().size());
     for (std::size_t i = 0; i < a.markers.all().size(); ++i) {
-        const exp::Marker &ma = a.markers.all()[i];
-        const exp::Marker &mb = b.markers.all()[i];
+        const press::Marker &ma = a.markers.all()[i];
+        const press::Marker &mb = b.markers.all()[i];
         EXPECT_EQ(ma.t, mb.t);
         EXPECT_EQ(ma.kind, mb.kind);
         EXPECT_EQ(ma.node, mb.node);

@@ -70,7 +70,7 @@ TEST(StageExtractorUnit, DetectedSplinterNeedsOperator)
     fill(res, 0, 60, 1000);
     fill(res, 60, 75, 0);     // detection window
     fill(res, 75, 300, 800);  // splintered forever
-    res.markers.add(sec(75), exp::MarkerKind::Exclude, 0, 3);
+    res.markers.add(sec(75), press::MarkerKind::Exclude, 0, 3);
     res.endSplintered = true;
 
     auto mb = exp::extractBehavior(res, linkSpec());
@@ -86,7 +86,7 @@ TEST(StageExtractorUnit, HighThroughputButSplinteredIsNotHealed)
     exp::ExperimentResult res = baseResult();
     fill(res, 0, 60, 1000);
     fill(res, 60, 300, 990); // barely degraded...
-    res.markers.add(sec(60), exp::MarkerKind::Exclude, 0, 3);
+    res.markers.add(sec(60), press::MarkerKind::Exclude, 0, 3);
     res.endSplintered = true; // ...but structurally split
 
     auto mb = exp::extractBehavior(res, linkSpec());
@@ -99,8 +99,8 @@ TEST(StageExtractorUnit, FailFastCountsAsDetection)
     fill(res, 0, 60, 1000);
     fill(res, 60, 90, 700);
     fill(res, 90, 300, 1000);
-    res.markers.add(sec(60), exp::MarkerKind::FailFast, 3);
-    res.markers.add(sec(90), exp::MarkerKind::Started, 3);
+    res.markers.add(sec(60), press::MarkerKind::FailFast, 3);
+    res.markers.add(sec(90), press::MarkerKind::Started, 3);
 
     fault::FaultSpec spec;
     spec.kind = fault::FaultKind::BadParamNull; // no duration

@@ -169,6 +169,27 @@ TEST(Tcp, SenderBlocksWhenBufferFullAndUnblocksOnDrain)
               static_cast<std::size_t>(ok));
 }
 
+TEST(Tcp, MessageLargerThanTheSendBufferGoesIntoAnEmptyQueue)
+{
+    TcpWorld w; // 128 KiB send buffer
+    w.eps[0].comm->connect(1);
+    w.s.runUntil(sec(1));
+    EXPECT_EQ(w.eps[0].comm->send(1, w.msg(200 * 1024, 7), {}),
+              SendStatus::Ok);
+    EXPECT_EQ(w.eps[0].comm->send(1, w.msg(1000, 8), {}),
+              SendStatus::WouldBlock);
+    EXPECT_EQ(w.eps[0].sendReady, 0);
+    w.s.runUntil(sec(2));
+    ASSERT_EQ(w.eps[1].received.size(), 1u);
+    EXPECT_EQ(w.eps[1].received[0].type, 7u);
+    EXPECT_EQ(w.eps[1].received[0].bytes, 200u * 1024);
+    EXPECT_EQ(w.eps[0].sendReady, 1); // woken by the ack
+    EXPECT_EQ(w.eps[0].comm->send(1, w.msg(1000, 8), {}), SendStatus::Ok);
+    w.s.runUntil(sec(3));
+    ASSERT_EQ(w.eps[1].received.size(), 2u);
+    EXPECT_EQ(w.eps[1].received[1].type, 8u);
+}
+
 TEST(Tcp, ReceiverStopsAckingWhenAppStopsReceiving)
 {
     proto::TcpConfig cfg;

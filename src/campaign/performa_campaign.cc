@@ -530,9 +530,13 @@ main(int argc, char **argv)
             campaign::Phase1Result res =
                 campaign::ensurePhase1(db, path, opts);
             std::printf("campaign: %zu measured, %zu cached, "
-                        "%zu failed in %s\n",
+                        "%zu failed in %s",
                         res.measured, res.cached, res.failed,
                         fmtDuration(res.wallSeconds).c_str());
+            if (res.measured + res.failed > 0)
+                std::printf(", workers %.0f%% busy",
+                            res.busyFraction * 100.0);
+            std::printf("\n");
             for (const campaign::JobReport &f : res.failures)
                 std::printf("  FAILED %s: %s\n", f.label.c_str(),
                             f.error.c_str());

@@ -171,8 +171,15 @@ ensurePhase1(exp::BehaviorDb &db, const std::string &cache_path,
     std::vector<std::vector<net::PortStats>> statSlots(
         collect_stats ? todo.size() : 0);
 
-    auto secondsOf = [](sim::Tick t) {
-        return static_cast<double>(t) / static_cast<double>(sim::sec(1));
+    // A job's predicted cost (Job::units): the requests it offers
+    // over @p t simulated time. Every version runs the same simulated
+    // durations, but a version offered more load costs more host
+    // time, so simulated seconds alone would tie every strand.
+    auto requestsOffered = [](const exp::ExperimentConfig &cfg,
+                              sim::Tick t) {
+        return static_cast<double>(t) /
+               static_cast<double>(sim::sec(1)) *
+               cfg.workload.requestRate;
     };
 
     std::vector<Job> jobs;
@@ -204,7 +211,7 @@ ensurePhase1(exp::BehaviorDb &db, const std::string &cache_path,
                         fault::faultName(k);
             job.seed = cfg.seed;
             job.tag = phase1Tag(v, k);
-            job.units = secondsOf(cfg.duration);
+            job.units = requestsOffered(cfg, cfg.duration);
             job.work = [&slots, i, cfg, &opts](const Job &) {
                 slots[i] = opts.measureFn(cfg);
             };
@@ -241,7 +248,7 @@ ensurePhase1(exp::BehaviorDb &db, const std::string &cache_path,
             wj.seed = warmCfg.seed;
             wj.tag = kWarmupJobTag;
             wj.strand = strand;
-            wj.units = secondsOf(warmCfg.injectAt);
+            wj.units = requestsOffered(warmCfg, warmCfg.injectAt);
             wj.work = [&ws, warmCfg](const Job &) {
                 ws.exp = std::make_unique<exp::Experiment>(warmCfg);
                 ws.exp->warmUp();
@@ -259,7 +266,8 @@ ensurePhase1(exp::BehaviorDb &db, const std::string &cache_path,
                 job.seed = cfg.seed;
                 job.tag = phase1Tag(vv, k);
                 job.strand = strand;
-                job.units = secondsOf(cfg.duration - cfg.injectAt);
+                job.units =
+                    requestsOffered(cfg, cfg.duration - cfg.injectAt);
                 job.work = [&slots, &statSlots, collect_stats, &ws, i,
                             cfg, &opts](const Job &) {
                     struct Release
@@ -316,6 +324,7 @@ ensurePhase1(exp::BehaviorDb &db, const std::string &cache_path,
         }
     }
     result.wallSeconds = report.wallSeconds;
+    result.busyFraction = report.busyFraction();
 
     if (collect_stats) {
         for (std::size_t j = 0; j < jobs.size(); ++j) {

@@ -18,6 +18,10 @@
  * exploits this by running the fault-free warm phase once per
  * combination, snapshotting it (sim/snapshot.hh), and forking each
  * fault run from the snapshot on the same worker strand.
+ *
+ * Scheduling: each job's Job::units is the number of requests it
+ * offers (simulated seconds x offered rate), so the runner starts the
+ * most heavily loaded version's strand first. Units never reach a row.
  */
 
 #ifndef PERFORMA_CAMPAIGN_PHASE1_HH
@@ -113,6 +117,9 @@ struct Phase1Result
     std::size_t failed = 0;   ///< jobs that threw; not merged
     std::vector<JobReport> failures;
     double wallSeconds = 0;
+    /** Share of worker time spent inside jobs
+     *  (CampaignReport::busyFraction); the rest is idle workers. */
+    double busyFraction = 0;
 
     bool ok() const { return failed == 0; }
 };

@@ -1,9 +1,11 @@
 #include "campaign/runner.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <unordered_map>
 
 #include "campaign/thread_pool.hh"
@@ -67,12 +69,30 @@ runCampaign(const std::vector<Job> &jobs, const RunnerConfig &cfg)
             groups[it->second].push_back(i);
     }
 
+    // Longest predicted work first (Graham's LPT rule): the group with
+    // the largest sum of units is dispatched first, so the longest
+    // strand does not start last and run on while the other workers
+    // idle. stable_sort keeps ties in submission order.
+    std::vector<double> groupUnits(groups.size(), 0.0);
+    for (std::size_t g = 0; g < groups.size(); ++g)
+        for (std::size_t i : groups[g])
+            groupUnits[g] += jobs[i].units;
+    std::vector<std::size_t> order(groups.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return groupUnits[a] > groupUnits[b];
+                     });
+
+    // A worker beyond the group count would never get work.
     unsigned workers = cfg.workers ? cfg.workers : defaultWorkerCount();
+    report.workers = static_cast<unsigned>(
+        std::min<std::size_t>(workers, groups.size()));
     {
-        ThreadPool pool(workers);
-        for (const auto &group : groups) {
-            pool.submit([&, group] {
-                for (std::size_t i : group) {
+        ThreadPool pool(report.workers);
+        for (std::size_t g : order) {
+            pool.submit([&, g] {
+                for (std::size_t i : groups[g]) {
                     if (abandon.load(std::memory_order_relaxed))
                         break; // remaining strand jobs stay skipped
                     const Job &job = jobs[i];
@@ -94,6 +114,7 @@ runCampaign(const std::vector<Job> &jobs, const RunnerConfig &cfg)
                     std::lock_guard<std::mutex> lk(state_mu);
                     completed[i] = 1;
                     ++done;
+                    report.busySeconds += jr.wallSeconds;
                     units_done += job.units;
                     if (!jr.ok) {
                         ++report.failed;

@@ -5,12 +5,18 @@
  * the campaign, and streams structured progress (done/total, elapsed,
  * ETA, per-job wall time) through a serialized callback.
  *
+ * Scheduling: jobs are grouped into execution groups (one per strand,
+ * one per strandless job), and groups are dispatched largest predicted
+ * cost first — the sum of their jobs' units, ties in submission order
+ * (Graham's LPT rule) — so the longest strand starts early instead of
+ * running alone at the end.
+ *
  * Determinism contract: a job's observable result may depend only on
  * its own inputs (label, seed, captured state) — never on worker
- * count, submission order, or completion order. The runner enforces
- * the frame for this (per-job seeds, indexed result slots); the
- * phase-1 grid driver (phase1.hh) supplies seeds that are pure
- * functions of (campaign seed, job identity).
+ * count, submission order, dispatch order, or completion order. The
+ * runner enforces the frame for this (per-job seeds, indexed result
+ * slots); the phase-1 grid driver (phase1.hh) supplies seeds that are
+ * pure functions of (campaign seed, job identity).
  */
 
 #ifndef PERFORMA_CAMPAIGN_RUNNER_HH
@@ -38,16 +44,20 @@ struct Job
     /** Opaque caller identity, echoed back in the JobReport. */
     std::uint64_t tag = 0;
     /**
-     * Sequencing key: jobs sharing a non-empty strand run
-     * sequentially, in submission order, on one worker — e.g. a
-     * warm-up job followed by the fault runs forked from its
-     * snapshot. Jobs with an empty strand run independently.
+     * Sequencing key: jobs sharing a non-empty strand form one
+     * execution group and run sequentially, in submission order, on
+     * one worker — e.g. a warm-up job followed by the fault runs
+     * forked from its snapshot. Jobs with an empty strand are groups
+     * of their own.
      */
     std::string strand;
     /**
-     * Relative work weight for progress/ETA accounting. A shared
-     * warm-up job carries its own (one-off) weight, so the ETA does
-     * not count the warm-up once per fault.
+     * Predicted cost, in any unit proportional to host time. Groups
+     * are dispatched by descending sum of units, and the progress ETA
+     * is computed over units. A shared warm-up job carries its own
+     * (one-off) cost, so the ETA does not count the warm-up once per
+     * fault. Must be deterministic: it decides dispatch order, which
+     * must never reach a job's result.
      */
     double units = 1.0;
     /** The work. May throw; the runner records, the campaign lives. */
@@ -87,7 +97,8 @@ using ProgressFn = std::function<void(const Progress &)>;
 
 struct RunnerConfig
 {
-    /** Worker threads; 0 means defaultWorkerCount(). */
+    /** Worker threads; 0 means defaultWorkerCount(). Capped at the
+     *  number of execution groups. */
     unsigned workers = 0;
     /**
      * Invoked after each job completes. Calls are serialized (one at
@@ -95,7 +106,9 @@ struct RunnerConfig
      * worker count — don't let output depend on it.
      */
     ProgressFn progress;
-    /** Abandon queued jobs after the first failure. */
+    /** Abandon queued jobs after the first failure: every group not
+     *  yet dispatched, and the jobs not yet started of every running
+     *  strand. */
     bool cancelOnFailure = false;
 };
 
@@ -107,8 +120,22 @@ struct CampaignReport
     std::size_t failed = 0;
     std::size_t skipped = 0; ///< cancelled before starting
     double wallSeconds = 0;
+    /** Threads the pool ran: the configured count, capped at the
+     *  number of execution groups. */
+    unsigned workers = 0;
+    /** Sum of every job's wall time. */
+    double busySeconds = 0;
 
     bool allOk() const { return failed == 0 && skipped == 0; }
+
+    /** Share of worker time spent inside jobs:
+     *  busySeconds / (workers * wallSeconds); 0 for an empty run. */
+    double busyFraction() const
+    {
+        return workers && wallSeconds > 0
+                   ? busySeconds / (workers * wallSeconds)
+                   : 0.0;
+    }
 };
 
 /**

@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -17,6 +19,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "campaign/phase1.hh"
 #include "campaign/runner.hh"
@@ -176,6 +179,120 @@ TEST(Runner, ProgressStreamsDoneTotalAndLabels)
                                                 "j3", "j4"}));
 }
 
+TEST(Runner, DispatchesLargestGroupFirstTiesInSubmissionOrder)
+{
+    // {label, strand, units}: groups s1 (2 units), c (5), s2 (3),
+    // e (2), f (5). One worker runs them in dispatch order.
+    struct Spec
+    {
+        const char *label, *strand;
+        double units;
+    };
+    const Spec specs[] = {{"a", "s1", 1}, {"c", "", 5}, {"d", "s2", 3},
+                          {"b", "s1", 1}, {"e", "", 2}, {"f", "", 5}};
+    std::vector<std::string> ran;
+    std::vector<campaign::Job> jobs;
+    for (const Spec &sp : specs) {
+        campaign::Job j;
+        j.label = sp.label;
+        j.strand = sp.strand;
+        j.units = sp.units;
+        j.work = [&ran](const campaign::Job &self) {
+            ran.push_back(self.label);
+        };
+        jobs.push_back(std::move(j));
+    }
+    campaign::RunnerConfig rc;
+    rc.workers = 1;
+    campaign::CampaignReport rep = campaign::runCampaign(jobs, rc);
+    // c and f tie at 5 (c submitted first), then s2, then s1 and e
+    // tie at 2 (s1 first); a strand keeps its own order.
+    EXPECT_EQ(ran, (std::vector<std::string>{"c", "f", "d", "a", "b",
+                                             "e"}));
+    // Reports stay indexed by submission.
+    ASSERT_EQ(rep.jobs.size(), std::size(specs));
+    for (std::size_t i = 0; i < rep.jobs.size(); ++i) {
+        EXPECT_EQ(rep.jobs[i].index, i);
+        EXPECT_EQ(rep.jobs[i].label, specs[i].label);
+        EXPECT_TRUE(rep.jobs[i].ok);
+    }
+    EXPECT_EQ(rep.workers, 1u);
+}
+
+TEST(Runner, CancelOnFailureSkipsInDispatchOrder)
+{
+    // Dispatch order j1 (3 units, fails), j2 (2), j0 (1): the failure
+    // comes first, so both others are skipped.
+    std::vector<std::string> ran;
+    std::vector<campaign::Job> jobs(3);
+    const double units[] = {1, 3, 2};
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        jobs[i].label = "j" + std::to_string(i);
+        jobs[i].units = units[i];
+        jobs[i].work = [&ran, i](const campaign::Job &self) {
+            ran.push_back(self.label);
+            if (i == 1)
+                throw std::runtime_error("fail fast");
+        };
+    }
+    campaign::RunnerConfig rc;
+    rc.workers = 1;
+    rc.cancelOnFailure = true;
+    campaign::CampaignReport rep = campaign::runCampaign(jobs, rc);
+    EXPECT_EQ(ran, (std::vector<std::string>{"j1"}));
+    EXPECT_EQ(rep.failed, 1u);
+    EXPECT_EQ(rep.skipped, 2u);
+    EXPECT_FALSE(rep.jobs[1].ok);
+    EXPECT_EQ(rep.jobs[1].error, "fail fast");
+}
+
+TEST(Runner, CapsThePoolAtTheGroupCount)
+{
+    // Two strandless jobs are two groups: however many workers are
+    // asked for, the runner adds two threads to the process (counted
+    // against the threads already there, e.g. a sanitizer's own).
+    auto threads = [] {
+        std::filesystem::directory_iterator tasks("/proc/self/task");
+        return std::distance(begin(tasks), end(tasks));
+    };
+    const std::ptrdiff_t before = threads();
+    std::mutex mu;
+    std::ptrdiff_t most = 0;
+    std::vector<campaign::Job> jobs(2);
+    for (campaign::Job &j : jobs)
+        j.work = [&](const campaign::Job &) {
+            std::ptrdiff_t n = threads();
+            std::lock_guard<std::mutex> lk(mu);
+            most = std::max(most, n);
+        };
+    campaign::RunnerConfig rc;
+    rc.workers = 16;
+    campaign::CampaignReport rep = campaign::runCampaign(jobs, rc);
+    EXPECT_TRUE(rep.allOk());
+    EXPECT_EQ(rep.workers, 2u);
+    EXPECT_GE(most, before + 1);
+    EXPECT_LE(most, before + 2);
+}
+
+TEST(Runner, BusyFractionIsJobWallOverWorkerWall)
+{
+    std::vector<campaign::Job> jobs(3);
+    for (campaign::Job &j : jobs)
+        j.work = [](const campaign::Job &) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        };
+    campaign::RunnerConfig rc;
+    rc.workers = 1;
+    campaign::CampaignReport rep = campaign::runCampaign(jobs, rc);
+    double sum = 0;
+    for (const campaign::JobReport &r : rep.jobs)
+        sum += r.wallSeconds;
+    EXPECT_DOUBLE_EQ(rep.busySeconds, sum);
+    EXPECT_GT(rep.busyFraction(), 0.5);
+    EXPECT_LE(rep.busyFraction(), 1.0);
+    EXPECT_EQ(campaign::CampaignReport{}.busyFraction(), 0.0);
+}
+
 TEST(Seeds, PureFunctionOfIdentityNotOrder)
 {
     auto grid = fullGrid();
@@ -268,6 +385,58 @@ TEST(Phase1, ParallelRunIsByteIdenticalToSerialRun)
     EXPECT_EQ(serial, parallel); // byte-identical cache
     std::remove(p1.c_str());
     std::remove(p4.c_str());
+}
+
+TEST(Phase1, MostLoadedVersionRunsFirst)
+{
+    // Jobs are weighed by the requests they offer: VIA-PRESS-5 is
+    // offered the most load, so at one worker its longest point (the
+    // 1-hour switch-down) is the first to finish.
+    campaign::Phase1Options opts;
+    opts.workers = 1;
+    opts.measureFn = [](const exp::ExperimentConfig &cfg) {
+        return fakeBehavior(cfg.seed);
+    };
+    std::vector<std::string> labels;
+    opts.progress = [&labels](const campaign::Progress &p) {
+        labels.push_back(p.last->label);
+    };
+    exp::BehaviorDb db;
+    campaign::Phase1Result res = campaign::ensurePhase1(db, "", opts);
+    EXPECT_TRUE(res.ok());
+    ASSERT_EQ(labels.size(), fullGrid().size());
+    EXPECT_EQ(labels.front(),
+              std::string(press::versionName(press::Version::ViaPress5)) +
+                  " x " + fault::faultName(fault::FaultKind::SwitchDown));
+}
+
+TEST(Phase1, CacheIsByteIdenticalForAnyVersionOrderAndWorkerCount)
+{
+    using press::Version;
+    const std::vector<Version> forward = {
+        Version::TcpPress, Version::TcpPressHb, Version::ViaPress0,
+        Version::ViaPress3, Version::ViaPress5};
+    const std::vector<Version> reverse(forward.rbegin(), forward.rend());
+    std::vector<std::string> bodies;
+    for (const auto &versions : {forward, reverse}) {
+        for (unsigned workers : {1u, 4u}) {
+            std::string path = tmpPath("campaign_order.csv");
+            std::remove(path.c_str());
+            campaign::Phase1Options opts;
+            opts.workers = workers;
+            opts.versions = versions;
+            opts.measureFn = [](const exp::ExperimentConfig &cfg) {
+                return fakeBehavior(cfg.seed);
+            };
+            exp::BehaviorDb db;
+            EXPECT_TRUE(campaign::ensurePhase1(db, path, opts).ok());
+            bodies.push_back(slurp(path));
+            std::remove(path.c_str());
+        }
+    }
+    ASSERT_FALSE(bodies.front().empty());
+    for (const std::string &b : bodies)
+        EXPECT_EQ(b, bodies.front());
 }
 
 TEST(Phase1, FailedJobReportedWhileRestOfCampaignCompletes)

@@ -58,10 +58,10 @@ usage(const char *argv0)
         "                 pareto, diurnal, flashcrowd; non-default\n"
         "                 shapes get a .pNAME cache suffix\n"
         "  --slo SPEC     latency SLO, e.g. p99=500ms (also p50/p90/\n"
-        "                 p99.9; units s/ms/us). Records per-stage\n"
-        "                 latency histograms, adds SLO columns to the\n"
-        "                 cache (own .sloSPEC suffix), and prints the\n"
-        "                 phase-2 P vs P_slo comparison\n"
+        "                 p99.9; units s/ms/us). Scores each stage's\n"
+        "                 total response times against it, adds SLO\n"
+        "                 columns to the cache (own .sloSPEC suffix),\n"
+        "                 and prints the phase-2 P vs P_slo comparison\n"
         "  --fresh        re-measure everything, ignore cached rows\n"
         "  --net-stats    print per-port NIC counters (traffic and\n"
         "                 drops by cause) for each measured point\n"

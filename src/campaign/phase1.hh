@@ -81,7 +81,8 @@ struct Phase1Options
 
     /** Workload shape (default: the paper's flat open-loop load). */
     loadgen::LoadProfileSpec profile;
-    /** Record latencies and attach SLO columns to the behaviours. */
+    /** Score each stage's total response times against this SLO:
+     *  adds SLO columns to the behaviours and the P_slo report. */
     std::optional<model::LatencySlo> slo;
 
     /** Re-measure everything, ignoring cached rows. */

@@ -54,7 +54,8 @@ struct ExperimentResult
     sim::TimeSeries served{sim::sec(1)};
     sim::TimeSeries failed{sim::sec(1)};
     sim::TimeSeries offered{sim::sec(1)};
-    /** Per-stage latency histograms in per-second slices. */
+    /** Whole-run per-stage latency histograms, plus one-second
+     *  slices of the total stage (what SLO rows window). */
     sim::StageLatencyTimeline latency;
     press::MarkerLog markers;
 

@@ -17,9 +17,7 @@ LoadGenerator::LoadGenerator(sim::Simulation &s, net::Network &client_net,
 {
     if (serverPorts_.empty() || clientPorts_.empty())
         FATAL("a load generator needs at least one server and client port");
-    sim::StageLatencyTimeline::Config slices; // one-second slices
-    slices.reserveSlices = profile_.reserveSlices;
-    rec_.timeline = sim::StageLatencyTimeline(slices);
+    rec_.timeline = sim::StageLatencyTimeline(profile_.reserveSlices);
     reserveSeries();
     for (net::PortId p : clientPorts_) {
         net_.setHandler(p, [this](net::Frame &&f) {

@@ -74,8 +74,8 @@ class LoadGenerator
     std::uint64_t totalFailed() const { return rec_.totalFailed; }
     std::uint64_t totalOffered() const { return rec_.totalOffered; }
 
-    /** Per-stage (connect/queue/service/total) latency histograms,
-     *  one slice per second. */
+    /** Whole-run latency histograms per stage (connect/queue/
+     *  service/total), plus one-second slices of the total stage. */
     const sim::StageLatencyTimeline &timeline() const { return rec_.timeline; }
 
     const WorkloadConfig &config() const { return cfg_; }

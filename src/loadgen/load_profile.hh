@@ -74,7 +74,7 @@ struct LoadProfileSpec
     Diurnal diurnal;
     ParetoSizes pareto;
 
-    /** Slices to pre-reserve in the latency timeline (zero-alloc
+    /** One-second slices to pre-reserve in the recording (zero-alloc
      *  steady state needs the whole run reserved up front). */
     std::size_t reserveSlices = 0;
 

@@ -3,51 +3,37 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 #include "sim/logging.hh"
 
 namespace performa::sim {
 
-LatencyHistogram::LatencyHistogram(LatencyHistogramConfig cfg)
-    : cfg_(cfg), linearMax_(1ull << cfg.subBucketBits)
-{
-    if (cfg_.maxValue <= linearMax_)
-        cfg_.maxValue = linearMax_;
-    // Highest octave holding a representable value (maxValue - 1).
-    std::uint64_t top = cfg_.maxValue - 1;
-    topOctave_ = top ? 63u - static_cast<unsigned>(std::countl_zero(top))
-                     : 0u;
-    std::size_t octaves =
-        topOctave_ >= cfg_.subBucketBits
-            ? topOctave_ - cfg_.subBucketBits + 1
-            : 0;
-    // Linear region + per-octave sub-buckets + one overflow bucket.
-    counts_.assign(linearMax_ + octaves * (linearMax_ / 2) + 1, 0);
-}
-
 std::size_t
-LatencyHistogram::indexFor(std::uint64_t v) const
+LatencyHistogram::indexFor(std::uint64_t v)
 {
-    if (v >= cfg_.maxValue)
-        return counts_.size() - 1; // overflow
-    if (v < linearMax_)
+    static_assert(numBuckets == 705);
+    static_assert(std::is_trivially_copyable_v<LatencyHistogram>);
+    if (v >= maxValue)
+        return numBuckets - 1; // overflow
+    if (v < linearMax)
         return static_cast<std::size_t>(v);
     unsigned k = 63u - static_cast<unsigned>(std::countl_zero(v));
-    unsigned s = cfg_.subBucketBits;
-    return linearMax_ + (k - s) * (linearMax_ / 2) +
+    unsigned s = subBucketBits;
+    return linearMax + (k - s) * (linearMax / 2) +
            ((v - (1ull << k)) >> (k - s + 1));
 }
 
 std::uint64_t
-LatencyHistogram::bucketUpperBound(std::size_t idx) const
+LatencyHistogram::bucketUpperBound(std::size_t idx)
 {
-    if (idx + 1 == counts_.size())
+    if (idx + 1 == numBuckets)
         return std::numeric_limits<std::uint64_t>::max();
-    if (idx < linearMax_)
+    if (idx < linearMax)
         return idx;
-    unsigned s = cfg_.subBucketBits;
-    std::size_t o = (idx - linearMax_) / (linearMax_ / 2);
-    std::size_t r = (idx - linearMax_) % (linearMax_ / 2);
+    unsigned s = subBucketBits;
+    std::size_t o = (idx - linearMax) / (linearMax / 2);
+    std::size_t r = (idx - linearMax) % (linearMax / 2);
     unsigned k = s + static_cast<unsigned>(o);
     std::uint64_t width = 1ull << (k - s + 1);
     return (1ull << k) + r * width + width - 1;
@@ -67,7 +53,7 @@ LatencyHistogram::quantile(double q) const
     if (rank == 0)
         rank = 1;
     std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
+    for (std::size_t i = 0; i < numBuckets; ++i) {
         cum += counts_[i];
         if (cum >= rank) {
             std::uint64_t hi = bucketUpperBound(i);
@@ -81,7 +67,7 @@ std::uint64_t
 LatencyHistogram::countAtOrBelow(std::uint64_t value_us) const
 {
     std::uint64_t c = 0;
-    for (std::size_t i = 0; i + 1 < counts_.size(); ++i) {
+    for (std::size_t i = 0; i + 1 < numBuckets; ++i) {
         if (bucketUpperBound(i) > value_us)
             return c;
         c += counts_[i];
@@ -95,23 +81,12 @@ LatencyHistogram::countAtOrBelow(std::uint64_t value_us) const
 void
 LatencyHistogram::merge(const LatencyHistogram &other)
 {
-    if (!(cfg_ == other.cfg_))
-        FATAL("LatencyHistogram::merge: bucket layouts differ");
-    for (std::size_t i = 0; i < counts_.size(); ++i)
+    for (std::size_t i = 0; i < numBuckets; ++i)
         counts_[i] += other.counts_[i];
     total_ += other.total_;
     sum_ += other.sum_;
     if (other.max_ > max_)
         max_ = other.max_;
-}
-
-void
-LatencyHistogram::clear()
-{
-    counts_.assign(counts_.size(), 0);
-    total_ = 0;
-    sum_ = 0;
-    max_ = 0;
 }
 
 const char *
@@ -130,46 +105,21 @@ latencyStageName(LatencyStage s)
     return "?";
 }
 
-StageLatencyTimeline::StageLatencyTimeline()
-    : StageLatencyTimeline(Config{})
-{
-}
-
-StageLatencyTimeline::StageLatencyTimeline(Config cfg)
-    : cfg_(cfg),
-      cumulative_{{LatencyHistogram(cfg.hist), LatencyHistogram(cfg.hist),
-                   LatencyHistogram(cfg.hist), LatencyHistogram(cfg.hist)}}
-{
-    if (cfg_.sliceWidth == 0)
-        cfg_.sliceWidth = sec(1);
-    if (cfg_.reserveSlices)
-        growTo(cfg_.reserveSlices);
-}
-
-void
-StageLatencyTimeline::growTo(std::size_t n)
-{
-    for (auto &v : slices_) {
-        v.reserve(n);
-        while (v.size() < n)
-            v.emplace_back(cfg_.hist);
-    }
-}
-
 LatencyHistogram
 StageLatencyTimeline::window(LatencyStage s, Tick from, Tick to) const
 {
-    LatencyHistogram out(cfg_.hist);
+    if (s != LatencyStage::Total)
+        PANIC("StageLatencyTimeline::window: the ", latencyStageName(s),
+              " stage keeps no per-second slices");
+    LatencyHistogram out;
     if (to <= from)
         return out;
-    const auto &v = slices_[static_cast<int>(s)];
-    std::size_t i0 = static_cast<std::size_t>(from / cfg_.sliceWidth);
-    std::size_t i1 = static_cast<std::size_t>(
-        (to + cfg_.sliceWidth - 1) / cfg_.sliceWidth);
-    if (i1 > v.size())
-        i1 = v.size();
+    std::size_t i0 = static_cast<std::size_t>(from / sec(1));
+    std::size_t i1 = static_cast<std::size_t>((to + sec(1) - 1) / sec(1));
+    if (i1 > slices_.size())
+        i1 = slices_.size();
     for (std::size_t i = i0; i < i1; ++i)
-        out.merge(v[i]);
+        out.merge(slices_[i]);
     return out;
 }
 

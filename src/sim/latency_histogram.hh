@@ -1,26 +1,29 @@
 /**
  * @file
- * Fixed-bin HDR-style latency histogram plus a per-second, per-stage
- * timeline of them.
+ * Fixed-layout HDR-style latency histogram, and the latency timeline
+ * a load generator records: four whole-run stage histograms plus
+ * per-second slices of the total stage.
  *
  * LatencyHistogram is log-linear bucketed: values below 2^S land in
  * width-1 buckets; each octave [2^k, 2^{k+1}) above that is split
  * into 2^(S-1) equal buckets, bounding the relative quantile error at
- * 2^(1-S) (~3% for the default S = 6). All storage is allocated in
- * the constructor — record() and merge() never touch the heap, which
- * lets the workload generators record per-request latencies inside
- * the allocation-free message path.
+ * 2^(1-S) (~3% for S = 6). The layout is fixed at compile time and the
+ * counts live inline, so a histogram is trivially copyable, record()
+ * and merge() never touch the heap, and a vector of them is one heap
+ * block — which lets the load generators record per-request
+ * latencies inside the allocation-free message path.
  *
- * StageLatencyTimeline keeps one histogram per (latency stage, wall
- * slice) so tail latencies can be sliced against the fault timeline
- * (the 7-stage windows of exp/stages.cc), plus a cumulative histogram
- * per stage for whole-run quantiles.
+ * StageLatencyTimeline keeps a cumulative histogram per stage for
+ * whole-run quantiles, and one histogram per second for the total
+ * stage only, so total response times can be sliced against the fault
+ * timeline (the 7-stage windows of exp/stages.cc).
  */
 
 #ifndef PERFORMA_SIM_LATENCY_HISTOGRAM_HH
 #define PERFORMA_SIM_LATENCY_HISTOGRAM_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -28,27 +31,14 @@
 
 namespace performa::sim {
 
-/** Bucket layout; two histograms merge only when these match. */
-struct LatencyHistogramConfig
-{
-    /** Sub-bucket resolution: 2^subBucketBits buckets per octave
-     *  doubling; relative error <= 2^(1-subBucketBits). */
-    unsigned subBucketBits = 6;
-    /** Values at or above this saturate into the overflow bucket
-     *  (microseconds; default covers well past the 6 s timeout). */
-    std::uint64_t maxValue = sec(64);
-
-    bool
-    operator==(const LatencyHistogramConfig &o) const
-    {
-        return subBucketBits == o.subBucketBits && maxValue == o.maxValue;
-    }
-};
-
 class LatencyHistogram
 {
   public:
-    explicit LatencyHistogram(LatencyHistogramConfig cfg = {});
+    /** Sub-bucket resolution: relative error <= 2^(1-subBucketBits). */
+    static constexpr unsigned subBucketBits = 6;
+    /** Values at or above this saturate into the overflow bucket
+     *  (microseconds; well past the 6 s request timeout). */
+    static constexpr std::uint64_t maxValue = sec(64);
 
     /** Record one (or @p n) sample(s) of @p value_us microseconds. */
     void
@@ -83,10 +73,10 @@ class LatencyHistogram
                static_cast<double>(total_);
     }
 
-    /** Add @p other's samples into this histogram (same config). */
+    /** Add @p other's samples into this histogram. */
     void merge(const LatencyHistogram &other);
 
-    void clear();
+    void clear() { *this = LatencyHistogram{}; }
 
     std::uint64_t count() const { return total_; }
     bool empty() const { return total_ == 0; }
@@ -99,19 +89,19 @@ class LatencyHistogram
                       : 0.0;
     }
 
-    const LatencyHistogramConfig &config() const { return cfg_; }
-    std::size_t bucketCount() const { return counts_.size(); }
-
-    /** Highest value mapping to bucket @p idx (inclusive bound). */
-    std::uint64_t bucketUpperBound(std::size_t idx) const;
-
   private:
-    std::size_t indexFor(std::uint64_t v) const;
+    static constexpr std::uint64_t linearMax = 1ull << subBucketBits;
+    /** Highest octave holding a representable value (maxValue - 1). */
+    static constexpr unsigned topOctave = std::bit_width(maxValue - 1) - 1;
+    /** Linear region + per-octave sub-buckets + one overflow bucket. */
+    static constexpr std::size_t numBuckets =
+        linearMax + (topOctave - subBucketBits + 1) * (linearMax / 2) + 1;
 
-    LatencyHistogramConfig cfg_;
-    std::uint64_t linearMax_;   ///< 2^subBucketBits
-    unsigned topOctave_;        ///< floor(log2(maxValue - 1)), >= S
-    std::vector<std::uint64_t> counts_; ///< last bucket = overflow
+    static std::size_t indexFor(std::uint64_t v);
+    /** Highest value mapping to bucket @p idx (inclusive bound). */
+    static std::uint64_t bucketUpperBound(std::size_t idx);
+
+    std::array<std::uint64_t, numBuckets> counts_{}; ///< last = overflow
     std::uint64_t total_ = 0;
     std::uint64_t sum_ = 0;
     std::uint64_t max_ = 0;
@@ -131,34 +121,32 @@ inline constexpr int numLatencyStages = 4;
 const char *latencyStageName(LatencyStage s);
 
 /**
- * Per-stage latency histograms recorded per wall-clock slice (default
- * one second), mirroring the per-second throughput series.
+ * Whole-run latency histograms for every stage, plus one-second
+ * slices of the total stage, mirroring the per-second throughput
+ * series.
  */
 class StageLatencyTimeline
 {
   public:
-    struct Config
+    StageLatencyTimeline() = default;
+    /** Pre-construct @p reserve_slices one-second slices; recording
+     *  past them grows the slice vector (allocates). */
+    explicit StageLatencyTimeline(std::size_t reserve_slices)
+        : slices_(reserve_slices)
     {
-        LatencyHistogramConfig hist;
-        Tick sliceWidth = sec(1);
-        /** Slices to pre-construct; recording past the reservation
-         *  grows the slice vectors (allocates). */
-        std::size_t reserveSlices = 0;
-    };
-
-    StageLatencyTimeline();
-    explicit StageLatencyTimeline(Config cfg);
+    }
 
     /** Record a @p value_us sample completed at time @p at. */
     void
     record(LatencyStage s, Tick at, std::uint64_t value_us)
     {
-        std::size_t idx = static_cast<std::size_t>(at / cfg_.sliceWidth);
-        auto &v = slices_[static_cast<int>(s)];
-        if (idx >= v.size())
-            growTo(idx + 1);
-        v[idx].record(value_us);
         cumulative_[static_cast<int>(s)].record(value_us);
+        if (s != LatencyStage::Total)
+            return;
+        std::size_t idx = static_cast<std::size_t>(at / sec(1));
+        if (idx >= slices_.size())
+            slices_.resize(idx + 1);
+        slices_[idx].record(value_us);
     }
 
     /** Whole-run histogram for one stage. */
@@ -168,17 +156,15 @@ class StageLatencyTimeline
         return cumulative_[static_cast<int>(s)];
     }
 
-    /** Merged histogram over slices overlapping [from, to). */
+    /** Merged histogram over the total stage's slices overlapping
+     *  [from, to). PANICs for any other stage: only Total keeps
+     *  slices. */
     LatencyHistogram window(LatencyStage s, Tick from, Tick to) const;
 
-    std::size_t sliceCount() const { return slices_[0].size(); }
-    const Config &config() const { return cfg_; }
+    std::size_t sliceCount() const { return slices_.size(); }
 
   private:
-    void growTo(std::size_t n);
-
-    Config cfg_;
-    std::array<std::vector<LatencyHistogram>, numLatencyStages> slices_;
+    std::vector<LatencyHistogram> slices_; ///< Total, one per second
     std::array<LatencyHistogram, numLatencyStages> cumulative_;
 };
 

@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit tests for the log-linear latency histogram and the per-stage
- * slice timeline: empty-histogram semantics, bucket boundaries,
- * relative quantile error, merge associativity, overflow saturation,
- * and window slicing against wall-clock boundaries.
+ * timeline: empty-histogram semantics, bucket boundaries, relative
+ * quantile error, merge associativity, overflow saturation at the
+ * fixed 64 s bound, window slicing against wall-clock boundaries, and
+ * per-second slices kept for the total stage only.
  */
 
 #include <gtest/gtest.h>
@@ -78,16 +79,14 @@ TEST(LatencyHistogram, CountAtOrBelowIsBucketGranular)
 
 TEST(LatencyHistogram, OverflowSaturatesAtMaxValue)
 {
-    LatencyHistogramConfig cfg;
-    cfg.maxValue = sec(1);
-    LatencyHistogram h(cfg);
-    h.record(sec(5));
+    LatencyHistogram h;
+    h.record(sec(100)); // both past the 64 s bound: the overflow bucket
     h.record(sec(500));
     EXPECT_EQ(h.count(), 2u);
     EXPECT_EQ(h.maxRecorded(), sec(500));
     // Overflowed samples only count as within-bound at the recorded
     // maximum and above.
-    EXPECT_EQ(h.countAtOrBelow(sec(2)), 0u);
+    EXPECT_EQ(h.countAtOrBelow(sec(200)), 0u);
     EXPECT_EQ(h.countAtOrBelow(sec(500)), 2u);
     EXPECT_DOUBLE_EQ(h.quantile(1.0), static_cast<double>(sec(500)));
 }
@@ -180,13 +179,40 @@ TEST(StageLatencyTimeline, WindowSelectsOverlappingSlices)
 
 TEST(StageLatencyTimeline, ReservedSlicesCoverRecording)
 {
-    StageLatencyTimeline::Config cfg;
-    cfg.reserveSlices = 20;
-    StageLatencyTimeline tl(cfg);
+    StageLatencyTimeline tl(20);
     EXPECT_EQ(tl.sliceCount(), 20u);
-    tl.record(LatencyStage::Service, sec(19), msec(3));
+    tl.record(LatencyStage::Total, sec(19), msec(3));
     EXPECT_EQ(tl.sliceCount(), 20u); // no growth needed
-    tl.record(LatencyStage::Service, sec(25), msec(4));
+    tl.record(LatencyStage::Total, sec(25), msec(4));
     EXPECT_GE(tl.sliceCount(), 26u); // grew past the reservation
-    EXPECT_EQ(tl.cumulative(LatencyStage::Service).count(), 2u);
+    EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(), 2u);
+}
+
+TEST(StageLatencyTimeline, OnlyTheTotalStageKeepsSlices)
+{
+    StageLatencyTimeline tl;
+    tl.record(LatencyStage::Connect, sec(30), msec(1));
+    tl.record(LatencyStage::Queue, sec(40), msec(2));
+    tl.record(LatencyStage::Service, sec(50), msec(3));
+    EXPECT_EQ(tl.sliceCount(), 0u);
+    EXPECT_EQ(tl.cumulative(LatencyStage::Connect).count(), 1u);
+    EXPECT_EQ(tl.cumulative(LatencyStage::Queue).count(), 1u);
+    EXPECT_EQ(tl.cumulative(LatencyStage::Service).count(), 1u);
+    EXPECT_DOUBLE_EQ(tl.cumulative(LatencyStage::Service).quantile(1.0),
+                     static_cast<double>(msec(3)));
+
+    tl.record(LatencyStage::Total, sec(7), msec(4));
+    EXPECT_EQ(tl.sliceCount(), 8u);
+    EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(), 1u);
+    EXPECT_EQ(tl.window(LatencyStage::Total, sec(7), sec(8)).count(), 1u);
+}
+
+TEST(StageLatencyTimelineDeath, WindowOfAnotherStagePanics)
+{
+    StageLatencyTimeline tl(10);
+    tl.record(LatencyStage::Service, sec(1), msec(3));
+    EXPECT_DEATH(tl.window(LatencyStage::Service, 0, sec(5)),
+                 "no per-second slices");
+    EXPECT_DEATH(tl.window(LatencyStage::Connect, 0, sec(5)),
+                 "connect stage");
 }

@@ -145,7 +145,8 @@ fastConfig(press::Version v, fault::FaultKind k)
 }
 
 /**
- * Full-surface equality of two experiment results. Slice *counts* of
+ * Full-surface equality of two experiment results, down to each
+ * one-second total-latency window an SLO row reads. Slice *counts* of
  * the latency timeline are excluded on purpose: they reflect the
  * reserve sizing (which may legitimately differ between a fresh run
  * and a fork from a longer warm config), not behaviour.
@@ -190,6 +191,16 @@ expectIdentical(const exp::ExperimentResult &a,
         if (ha.count()) {
             EXPECT_EQ(ha.quantile(0.5), hb.quantile(0.5));
             EXPECT_EQ(ha.quantile(0.99), hb.quantile(0.99));
+        }
+    }
+    constexpr auto total = sim::LatencyStage::Total;
+    for (sim::Tick t = 0; t < a.runLength; t += sim::sec(1)) {
+        SCOPED_TRACE("second " + std::to_string(t / sim::sec(1)));
+        sim::LatencyHistogram wa = a.latency.window(total, t, t + sim::sec(1));
+        sim::LatencyHistogram wb = b.latency.window(total, t, t + sim::sec(1));
+        ASSERT_EQ(wa.count(), wb.count());
+        if (wa.count()) {
+            ASSERT_EQ(wa.quantile(0.99), wb.quantile(0.99));
         }
     }
 

@@ -10,7 +10,8 @@
  * version, a fork of a warmed PRESS experiment is held under 200
  * allocations, independent of cache size and request backlog, a
  * warmed CPU and the warmed servers restore in place without
- * allocating, and so does a deadline FIFO.
+ * allocating, and so does a deadline FIFO. A latency timeline reserves
+ * a whole run of slices in one heap block.
  *
  * This file must stay its own test binary: the hook is global.
  */
@@ -32,6 +33,7 @@
 #include "press/messages.hh"
 #include "proto/tcp.hh"
 #include "sim/deadline_fifo.hh"
+#include "sim/latency_histogram.hh"
 #include "sim/simulation.hh"
 
 namespace {
@@ -328,6 +330,23 @@ TEST(ZeroAlloc, SessionClientFloodSteadyStateAllocatesNothing)
     EXPECT_EQ(g_news, 0u) << "heap allocations in the steady state";
     EXPECT_EQ(s.pool().freshAllocs(), fresh_before)
         << "payload pool carved fresh blocks in the steady state";
+}
+
+TEST(ZeroAlloc, TimelineReservesItsSlicesInOneBlock)
+{
+    // A switch-down run's worth of one-second slices: the histograms
+    // hold their counts inline and only the total stage keeps slices,
+    // so reserving them is one vector block, however long the run.
+    g_news = 0;
+    g_counting = true;
+    {
+        sim::StageLatencyTimeline tl(4000);
+        tl.record(sim::LatencyStage::Total, sim::sec(3999), sim::msec(5));
+        tl.record(sim::LatencyStage::Service, sim::sec(3999), sim::msec(4));
+        EXPECT_EQ(tl.sliceCount(), 4000u);
+    }
+    g_counting = false;
+    EXPECT_LE(g_news, 2u) << "allocations to reserve 4 000 slices";
 }
 
 TEST(ZeroAlloc, PressMeasureWindowAllocatesNothing)

@@ -18,6 +18,7 @@
 #include "press/messages.hh"
 #include "proto/tcp.hh"
 #include "proto/via.hh"
+#include "sim/deadline_fifo.hh"
 #include "sim/latency_histogram.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
@@ -89,6 +90,83 @@ BM_EventQueueExpiryFlood(benchmark::State &state)
     state.counters["peak_heap"] = static_cast<double>(peak);
 }
 BENCHMARK(BM_EventQueueExpiryFlood)->Iterations(1 << 18);
+
+namespace {
+
+/**
+ * The campaign's delay mix for BM_EventQueueNearFuture: most events
+ * re-arm well under 1 ms ahead, a few far timers sit 10 ms to 1 s
+ * out, and a deadline FIFO re-arms its head under a seq reserved when
+ * the deadline was pushed.
+ */
+struct NearFutureLoad
+{
+    static constexpr int nearChains = 192;
+    static constexpr int farTimers = 48;
+    static constexpr std::size_t tableSize = 4096;
+
+    /** Every 8th pushed deadline is still live when it comes due. */
+    struct Owner
+    {
+        bool deadlineLive(const int &v) const { return v % 8 == 0; }
+        void deadlineExpired(const int &) {}
+    };
+
+    sim::EventQueue q;
+    Owner owner;
+    sim::DeadlineFifo<int, Owner> deadlines{q, owner, sim::msec(50)};
+    std::vector<sim::Tick> nearDelay, farDelay;
+    std::size_t nextNear = 0, nextFar = 0;
+    int pushed = 0;
+
+    NearFutureLoad() : nearDelay(tableSize), farDelay(tableSize)
+    {
+        sim::Rng rng(7);
+        for (std::size_t i = 0; i < tableSize; ++i) {
+            nearDelay[i] = static_cast<sim::Tick>(rng.uniformInt(1, 999));
+            farDelay[i] = static_cast<sim::Tick>(
+                rng.uniformInt(sim::msec(10), sim::sec(1)));
+        }
+        for (int i = 0; i < nearChains; ++i)
+            armNear();
+        for (int i = 0; i < farTimers; ++i)
+            armFar();
+    }
+
+    void
+    armNear()
+    {
+        q.scheduleIn(nearDelay[nextNear++ % tableSize], [this] {
+            if (nextNear % 8 == 0)
+                deadlines.push(pushed++);
+            armNear();
+        });
+    }
+
+    void
+    armFar()
+    {
+        q.scheduleIn(farDelay[nextFar++ % tableSize], [this] { armFar(); });
+    }
+};
+
+} // namespace
+
+static void
+BM_EventQueueNearFuture(benchmark::State &state)
+{
+    // Steady state of the campaign's event mix (88-98% of schedules
+    // are due under 1 ms ahead, none at the current tick): 192 event
+    // chains re-arming 1-999 ticks ahead, 48 timers 10 ms-1 s ahead,
+    // and a 50 ms deadline FIFO pushed by every 8th event. One item is
+    // one event fired.
+    NearFutureLoad load;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(load.q.runOne());
+    state.SetItemsProcessed(state.iterations());
+    state.counters["heap_final"] = static_cast<double>(load.q.heapSize());
+}
+BENCHMARK(BM_EventQueueNearFuture);
 
 static void
 BM_ZipfSample(benchmark::State &state)

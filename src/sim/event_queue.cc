@@ -1,6 +1,7 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -23,16 +24,72 @@ EventQueue::cancel(EventHandle &h)
 {
     if (h.queue_ == this && record(h.slot_).gen == h.gen_) {
         Record &r = record(h.slot_);
-        // Bumping the generation invalidates the heap entry and every
-        // outstanding copy of the handle in one step; the slot is
-        // immediately reusable.
+        // Bumping the generation invalidates the event and every
+        // outstanding copy of the handle in one step.
         ++r.gen;
         r.fn.reset(); // release captured state eagerly
-        freeSlots_.push_back(h.slot_);
         --live_;
-        maybeCompact();
+        if (r.next == inHeap) {
+            // The heap entry goes stale and the slot is reusable now.
+            freeSlots_.push_back(h.slot_);
+            --heapLive_;
+            maybeCompact();
+        }
+        // A near event stays linked, its empty handler marking it
+        // cancelled, until it reaches the front of the wheel:
+        // nearHead() frees it then.
     }
     h = EventHandle();
+}
+
+void
+EventQueue::insertSorted(Bucket &b, std::uint32_t slot)
+{
+    // A reserved seq scheduled late: it goes before every later seq.
+    // The tail's seq is larger, so the walk stops before it.
+    Record &r = record(slot);
+    if (record(b.head).seq > r.seq) {
+        r.next = b.head;
+        b.head = slot;
+        return;
+    }
+    std::uint32_t prev = b.head;
+    while (record(record(prev).next).seq < r.seq)
+        prev = record(prev).next;
+    r.next = record(prev).next;
+    record(prev).next = slot;
+}
+
+std::uint32_t
+EventQueue::firstBucket() const
+{
+    // Every near event is due in [now, now + wheelSize), so bucket
+    // order from now's bucket on, wrapping once, is time order.
+    std::uint32_t start = static_cast<std::uint32_t>(now_) & wheelMask;
+    std::uint32_t w = start >> 6;
+    std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (start & 63));
+    for (std::uint32_t i = 0; i <= bitmapWords; ++i) {
+        if (bits)
+            return (w << 6) |
+                static_cast<std::uint32_t>(std::countr_zero(bits));
+        w = (w + 1) & (bitmapWords - 1);
+        bits = occupied_[w];
+    }
+    return nil;
+}
+
+std::uint32_t
+EventQueue::unlinkHead(std::uint32_t i)
+{
+    Bucket &b = buckets_[i];
+    std::uint32_t slot = b.head;
+    b.head = record(slot).next;
+    if (b.head == nil) {
+        b.tail = nil;
+        occupied_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+    }
+    --wheelEntries_;
+    return slot;
 }
 
 void
@@ -53,11 +110,59 @@ EventQueue::popHead()
     return e;
 }
 
-void
-EventQueue::fire(const HeapEntry &e)
+std::uint32_t
+EventQueue::nearHead()
 {
-    Record &r = record(e.slot);
-    now_ = e.when;
+    std::uint32_t i = firstBucket();
+    while (i != nil && !record(buckets_[i].head).fn) {
+        freeSlots_.push_back(unlinkHead(i)); // a cancelled near event
+        if (buckets_[i].head == nil)
+            i = wheelEntries_ ? firstBucket() : nil;
+    }
+    return i;
+}
+
+bool
+EventQueue::peek(Next &n)
+{
+    if (!heap_.empty() && !live(heap_.front()))
+        pruneStaleHead();
+    std::uint32_t i = wheelEntries_ ? nearHead() : nil;
+    if (i == nil) {
+        if (heap_.empty())
+            return false;
+        n = Next{heap_.front().when, nil};
+        return true;
+    }
+    Tick when = now_ + ((i - static_cast<std::uint32_t>(now_)) & wheelMask);
+    if (!heap_.empty()) {
+        const HeapEntry &top = heap_.front();
+        if (top.when < when ||
+            (top.when == when && top.seq < record(buckets_[i].head).seq)) {
+            n = Next{top.when, nil};
+            return true;
+        }
+    }
+    n = Next{when, i};
+    return true;
+}
+
+void
+EventQueue::take(const Next &n)
+{
+    if (n.bucket != nil) {
+        fire(unlinkHead(n.bucket), n.when);
+    } else {
+        --heapLive_;
+        fire(popHead().slot, n.when);
+    }
+}
+
+void
+EventQueue::fire(std::uint32_t slot, Tick when)
+{
+    Record &r = record(slot);
+    now_ = when;
     ++r.gen; // handles to this event are stale from here on
     --live_;
     ++executed_;
@@ -67,7 +172,7 @@ EventQueue::fire(const HeapEntry &e)
     firing_ = true;
     r.fn.consume();
     firing_ = false;
-    freeSlots_.push_back(e.slot);
+    freeSlots_.push_back(slot);
 }
 
 void
@@ -78,7 +183,7 @@ EventQueue::maybeCompact()
     // until their original due time. Rebuild once they outnumber the
     // live ones; the (when, seq) key survives the rebuild, so FIFO
     // tie-break order — and thus determinism — is unaffected.
-    std::size_t stale = heap_.size() - live_;
+    std::size_t stale = heap_.size() - heapLive_;
     if (heap_.size() < 64 || stale * 2 <= heap_.size())
         return;
     heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
@@ -92,22 +197,17 @@ EventQueue::maybeCompact()
 bool
 EventQueue::runOne()
 {
-    pruneStaleHead();
-    if (heap_.empty())
+    Next n;
+    if (!peek(n))
         return false;
-    fire(popHead());
+    take(n);
     return true;
 }
 
 void
 EventQueue::runUntil(Tick limit)
 {
-    for (;;) {
-        pruneStaleHead();
-        if (heap_.empty() || heap_.front().when > limit)
-            break;
-        fire(popHead());
-    }
+    runAll(limit);
     if (now_ < limit)
         now_ = limit;
 }
@@ -126,7 +226,11 @@ EventQueue::save() const
     for (std::uint32_t i = 0; i < slots_; ++i)
         s.records.push_back(record(i));
     s.freeSlots = freeSlots_;
+    s.buckets = buckets_;
+    s.occupied = occupied_;
+    s.wheelEntries = wheelEntries_;
     s.heap = heap_;
+    s.heapLive = heapLive_;
     return s;
 }
 
@@ -155,21 +259,23 @@ EventQueue::restore(const Saved &s)
     }
     slots_ = saved;
     freeSlots_ = s.freeSlots;
+    buckets_ = s.buckets;
+    occupied_ = s.occupied;
+    wheelEntries_ = s.wheelEntries;
     heap_ = s.heap;
+    heapLive_ = s.heapLive;
 }
 
 void
 EventQueue::runAll(Tick limit)
 {
-    // Prune before the limit check: a cancelled head must not let an
-    // event scheduled after @p limit execute (historical overshoot
-    // bug — runOne() skips cancelled entries unconditionally).
-    for (;;) {
-        pruneStaleHead();
-        if (heap_.empty() || heap_.front().when > limit)
-            break;
-        fire(popHead());
-    }
+    // peek() drops cancelled heads before the limit check: a
+    // cancelled head must not let an event scheduled after @p limit
+    // execute (historical overshoot bug — runOne() skips cancelled
+    // entries unconditionally).
+    Next n;
+    while (peek(n) && n.when <= limit)
+        take(n);
 }
 
 } // namespace performa::sim

@@ -127,9 +127,11 @@ TEST(Runner, ThrowingJobIsReportedOthersComplete)
     EXPECT_EQ(ran.load(), 7);
     EXPECT_FALSE(rep.jobs[3].ok);
     EXPECT_EQ(rep.jobs[3].error, "deliberate failure");
-    for (int i = 0; i < 8; ++i)
-        if (i != 3)
+    for (int i = 0; i < 8; ++i) {
+        if (i != 3) {
             EXPECT_TRUE(rep.jobs[static_cast<std::size_t>(i)].ok);
+        }
+    }
 }
 
 TEST(Runner, CancelOnFailureSkipsRemainingJobs)
@@ -464,9 +466,11 @@ TEST(Phase1, FailedJobReportedWhileRestOfCampaignCompletes)
                   fault::faultName(badK));
     EXPECT_EQ(res.measured, fullGrid().size() - 1);
     EXPECT_FALSE(db.has(badV, badK));
-    for (auto [v, k] : fullGrid())
-        if (!(v == badV && k == badK))
+    for (auto [v, k] : fullGrid()) {
+        if (!(v == badV && k == badK)) {
             EXPECT_TRUE(db.has(v, k));
+        }
+    }
 }
 
 TEST(Phase1, DuplicateSubsetEntriesAreMeasuredOnce)

@@ -1,15 +1,19 @@
 /**
  * @file
  * Unit tests for the discrete-event engine: ordering, determinism,
- * cancellation, and time-advance semantics.
+ * cancellation, and time-advance semantics, plus a randomized
+ * differential test of both tiers against a reference set ordered by
+ * (when, seq).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <memory>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -482,6 +486,272 @@ TEST(EventQueue, SaveRestoreAcrossChunks)
     EXPECT_EQ(q.now(), 101u);
 }
 
+TEST(EventQueue, ReservedSeqLandsInsideANonEmptyNearBucket)
+{
+    // Reserved seqs scheduled into a near bucket that already holds
+    // later seqs go to the front and into the middle of its list.
+    EventQueue q;
+    std::vector<int> order;
+    std::uint64_t first = q.reserveSeq();
+    q.schedule(7, [&] { order.push_back(2); });
+    std::uint64_t middle = q.reserveSeq();
+    q.schedule(7, [&] { order.push_back(4); });
+    q.schedule(7, middle, [&] { order.push_back(3); });
+    q.schedule(7, first, [&] { order.push_back(1); });
+    q.runAll();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(EventQueue, CancelledNearHeadIsSkippedAtTheLimit)
+{
+    // A cancelled near event stays linked until it reaches the front
+    // of the wheel; it counts in heapSize() until then, never fires,
+    // and does not let runAll() run past its limit.
+    EventQueue q;
+    bool late_ran = false;
+    EventHandle head = q.schedule(5, [] {});
+    q.schedule(5 + EventQueue::wheelSize, [&] { late_ran = true; });
+    q.cancel(head);
+    EXPECT_EQ(q.pending(), 1u);
+    EXPECT_EQ(q.heapSize(), 2u);
+    q.runAll(5 + EventQueue::wheelSize - 1);
+    EXPECT_FALSE(late_ran);
+    EXPECT_EQ(q.heapSize(), 1u); // the cancelled record was freed
+    q.runAll();
+    EXPECT_TRUE(late_ran);
+    EXPECT_EQ(q.heapSize(), 0u);
+}
+
+namespace {
+
+/**
+ * Drives an EventQueue with a random mix of schedules (delays 0, 1,
+ * W-1, W, W+1, small, up to W and many W ahead, W the wheel width),
+ * reserved seqs scheduled late, cancels (the next event among them)
+ * and runUntil/runAll/runOne calls with limits anywhere in the next
+ * three wheel widths. A reference map ordered by (when, seq) says
+ * which event must fire next; handlers schedule, cancel and cancel
+ * themselves too. The model is copyable, so a run can be saved with
+ * the queue and replayed.
+ */
+class Differential
+{
+  public:
+    explicit Differential(std::uint64_t seed) { m_.rng.seed(seed); }
+
+    /** One step: a few actions, then one run call. */
+    void
+    step()
+    {
+        for (int n = static_cast<int>(m_.rng() % 6); n > 0; --n)
+            act();
+        Tick limit = q_.now() + m_.rng() % (3 * W);
+        switch (m_.rng() % 4) {
+        case 0:
+            q_.runUntil(limit);
+            check(q_.now() == limit, "runUntil left the clock off the limit");
+            break;
+        case 1:
+            q_.runAll(limit);
+            check(q_.now() <= limit, "runAll moved past the limit");
+            break;
+        case 2:
+            q_.runOne();
+            limit = 0; // what is due next may be due now
+            break;
+        default:
+            limit = q_.now();
+            q_.runUntil(limit); // runs what is due now
+            break;
+        }
+        check(limit == 0 || m_.ref.empty() ||
+                  m_.ref.begin()->first.first > limit,
+              "an event due by the limit did not run");
+        check(q_.pending() == m_.ref.size(), "pending() differs");
+        check(q_.heapSize() >= q_.pending(), "heapSize() below pending()");
+    }
+
+    /** Run to the end; the queue must end empty. */
+    void
+    drain()
+    {
+        q_.runAll();
+        check(m_.ref.empty(), "events left after runAll()");
+        check(q_.pending() == 0 && q_.heapSize() == 0, "queue not empty");
+    }
+
+    /** Save, run @p steps, rewind, run them again: same events. */
+    void
+    replay(int steps)
+    {
+        EventQueue::Saved saved = q_.save();
+        Model model = m_;
+        auto run = [&] {
+            for (int i = 0; i < steps && !broken_; ++i)
+                step();
+            auto from = static_cast<std::ptrdiff_t>(model.log.size());
+            return std::vector<int>(m_.log.begin() + from, m_.log.end());
+        };
+        std::vector<int> first = run();
+        Tick end = q_.now();
+        q_.restore(saved);
+        m_ = model;
+        std::vector<int> second = run();
+        check(first == second, "replay after restore differs");
+        check(q_.now() == end, "replay ends at another time");
+    }
+
+    bool broken() const { return broken_; }
+    std::size_t fired() const { return m_.log.size(); }
+
+  private:
+    static constexpr Tick W = EventQueue::wheelSize;
+    using Key = std::pair<Tick, std::uint64_t>; ///< (when, seq)
+
+    struct Model
+    {
+        std::mt19937_64 rng;
+        std::uint64_t seq = 0; ///< mirrors the queue's sequence counter
+        std::map<Key, int> ref; ///< pending events by (when, seq)
+        std::vector<EventHandle> handles; ///< by event id
+        std::vector<Key> keys;            ///< by event id
+        std::vector<std::pair<std::uint64_t, Tick>> reserved; ///< seq, due
+        std::vector<int> log; ///< event ids in firing order
+    };
+
+    void
+    check(bool ok, const char *what)
+    {
+        if (!ok && !broken_) {
+            ADD_FAILURE() << what << " (now " << q_.now() << ", fired "
+                          << m_.log.size() << ")";
+            broken_ = true;
+        }
+    }
+
+    Tick
+    delay()
+    {
+        switch (m_.rng() % 9) {
+        case 0: return 0;
+        case 1: return 1;
+        case 2: return W - 1;
+        case 3: return W;
+        case 4: return W + 1;
+        case 5: return m_.rng() % W;
+        case 6:
+        case 7: return m_.rng() % 8; // crowd a few buckets
+        default: return W * (2 + m_.rng() % 40) + m_.rng() % W;
+        }
+    }
+
+    void
+    add(Tick when, std::uint64_t seq, EventHandle h)
+    {
+        int id = static_cast<int>(m_.handles.size());
+        m_.handles.push_back(h);
+        m_.keys.push_back({when, seq});
+        m_.ref.emplace(Key{when, seq}, id);
+    }
+
+    void
+    cancel(int id)
+    {
+        auto it = m_.ref.find(m_.keys[static_cast<std::size_t>(id)]);
+        if (it != m_.ref.end() && it->second == id)
+            m_.ref.erase(it);
+        q_.cancel(m_.handles[static_cast<std::size_t>(id)]);
+    }
+
+    void
+    act()
+    {
+        int id = static_cast<int>(m_.handles.size());
+        switch (m_.rng() % 7) {
+        case 0:
+        case 1: {
+            Tick when = q_.now() + delay();
+            add(when, m_.seq++, q_.schedule(when, [this, id] { fired(id); }));
+            break;
+        }
+        case 2: {
+            Tick d = delay();
+            add(q_.now() + d, m_.seq++,
+                q_.scheduleIn(d, [this, id] { fired(id); }));
+            break;
+        }
+        case 3: { // reserve now, schedule later (DeadlineFifo, TCP RTO)
+            std::uint64_t seq = q_.reserveSeq();
+            check(seq == m_.seq++, "reserveSeq() out of step");
+            m_.reserved.push_back({seq, q_.now() + m_.rng() % 8});
+            break;
+        }
+        case 4: {
+            if (m_.reserved.empty())
+                break;
+            std::size_t i = m_.rng() % m_.reserved.size();
+            auto [seq, due] = m_.reserved[i];
+            m_.reserved.erase(m_.reserved.begin() +
+                              static_cast<std::ptrdiff_t>(i));
+            Tick when = std::max(due, q_.now());
+            add(when, seq, q_.schedule(when, seq, [this, id] { fired(id); }));
+            break;
+        }
+        case 5: // any event, maybe long gone
+            if (id > 0)
+                cancel(static_cast<int>(m_.rng() %
+                                        static_cast<std::uint64_t>(id)));
+            break;
+        default: // the next event to fire, in whichever tier
+            if (!m_.ref.empty())
+                cancel(m_.ref.begin()->second);
+            break;
+        }
+    }
+
+    void
+    fired(int id)
+    {
+        if (broken_)
+            return;
+        check(!m_.ref.empty() && m_.ref.begin()->second == id,
+              "fired out of (when, seq) order");
+        if (broken_)
+            return;
+        check(m_.ref.begin()->first.first == q_.now(), "fired at wrong time");
+        m_.ref.erase(m_.ref.begin());
+        m_.log.push_back(id);
+        if (m_.rng() % 4 == 0)
+            act();
+        if (m_.rng() % 8 == 0)
+            q_.cancel(m_.handles[static_cast<std::size_t>(id)]); // no-op
+    }
+
+    EventQueue q_;
+    Model m_;
+    bool broken_ = false;
+};
+
+} // namespace
+
+class EventQueueDifferential : public ::testing::TestWithParam<int>
+{};
+
+TEST_P(EventQueueDifferential, MatchesAReferenceOrderedByWhenAndSeq)
+{
+    Differential d(static_cast<std::uint64_t>(GetParam()));
+    for (int round = 0; round < 20 && !d.broken(); ++round) {
+        for (int i = 0; i < 100 && !d.broken(); ++i)
+            d.step();
+        d.replay(40);
+    }
+    d.drain();
+    EXPECT_GT(d.fired(), 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueDifferential,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
 TEST(SmallFn, CopyRunsIndependentlyOfItsOriginal)
 {
     // A copy holds copies of the captures: each holder runs, and
@@ -597,6 +867,12 @@ TEST(EventQueueDeath, SchedulingUnderAnUnreservedSeqPanics)
     EventQueue q;
     std::uint64_t seq = q.reserveSeq();
     EXPECT_DEATH(q.schedule(10, seq + 1, [] {}), "unreserved");
+}
+
+TEST(EventQueueDeath, SchedulingAnEmptyHandlerPanics)
+{
+    EventQueue q;
+    EXPECT_DEATH(q.scheduleIn(1, SmallFn<void()>()), "empty handler");
 }
 
 /** Property sweep: N events at random times always run sorted. */

@@ -147,8 +147,9 @@ TEST_P(FaultMatrix, SectionFiveContractHolds)
         EXPECT_EQ(mb.detected, e.detected) << ctx;
         EXPECT_EQ(mb.healed, e.healed) << ctx;
         // Healed must agree with the cluster's structural state.
-        if (e.healed)
+        if (e.healed) {
             EXPECT_FALSE(res.endSplintered) << ctx;
+        }
         // Normal throughput is sane in every run.
         EXPECT_GT(mb.normalTput, 1200) << ctx;
     }

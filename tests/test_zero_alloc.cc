@@ -10,8 +10,9 @@
  * version, a fork of a warmed PRESS experiment is held under 200
  * allocations, independent of cache size and request backlog, a
  * warmed CPU and the warmed servers restore in place without
- * allocating, and so does a deadline FIFO. A latency timeline reserves
- * a whole run of slices in one heap block.
+ * allocating, and so does a deadline FIFO. An event queue with both
+ * tiers populated schedules, fires and restores without allocating. A
+ * latency timeline reserves a whole run of slices in one heap block.
  *
  * This file must stay its own test binary: the hook is global.
  */
@@ -448,6 +449,48 @@ TEST(ZeroAlloc, ForkRewindsTheCpuQueueAndThePageCacheInPlace)
     g_counting = false;
     EXPECT_EQ(g_news, 0u) << "allocations restoring the servers";
     EXPECT_EQ(c.server(0).cachedFiles(), cached);
+}
+
+TEST(ZeroAlloc, EventQueueBothTiersScheduleFireAndRestore)
+{
+    // Near events (the wheel) and far ones (the heap), some cancelled
+    // in each tier, then a run across both and a restore: once the
+    // slab, free list and heap have grown to the pattern's size, none
+    // of it allocates. The wheel's buckets and bitmap are fixed-size
+    // arrays, so a restore copies them in place.
+    sim::EventQueue q;
+    constexpr sim::Tick wheel = sim::EventQueue::wheelSize;
+    std::uint64_t fired = 0;
+    auto load = [&] {
+        for (sim::Tick i = 0; i < 300; ++i) {
+            q.scheduleIn(1 + i % (wheel - 1), [&fired] { ++fired; });
+            q.scheduleIn(wheel + i * 37, [&fired] { ++fired; });
+        }
+    };
+    load();
+    sim::EventQueue::Saved saved = q.save();
+    ASSERT_EQ(q.pending(), 600u);
+    auto round = [&] {
+        load();
+        sim::EventHandle near = q.scheduleIn(3, [&fired] { ++fired; });
+        sim::EventHandle far = q.scheduleIn(sim::sec(1), [&fired] { ++fired; });
+        q.cancel(near);
+        q.cancel(far);
+        q.runUntil(q.now() + 2 * wheel);
+        q.restore(saved);
+    };
+    round(); // grows the slab, free list and heap to the pattern's size
+
+    g_news = 0;
+    g_counting = true;
+    for (int i = 0; i < 3; ++i)
+        round();
+    g_counting = false;
+    EXPECT_EQ(g_news, 0u) << "allocations scheduling, firing or restoring";
+    EXPECT_EQ(q.pending(), 600u);
+    fired = 0;
+    q.runAll();
+    EXPECT_EQ(fired, 600u);
 }
 
 namespace {

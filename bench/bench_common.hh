@@ -14,7 +14,7 @@
 #include <string>
 
 #include "campaign/phase1.hh"
-#include "campaign/thread_pool.hh"
+#include "campaign/runner.hh"
 #include "exp/behavior_db.hh"
 #include "exp/report.hh"
 #include "exp/stages.hh"
@@ -35,9 +35,9 @@ cachePath()
 
 /**
  * Load-or-measure the full behaviour database. Missing grid points
- * are measured in parallel on the campaign worker pool (--jobs via
- * PERFORMA_JOBS; defaults to the hardware threads) with structured
- * done/total progress. Per-job seeds are scheduling-independent, so
+ * are measured in parallel on the campaign's worker threads
+ * (--jobs via PERFORMA_JOBS; defaults to the hardware threads) with
+ * structured done/total progress. Per-job seeds are scheduling-independent, so
  * the resulting cache is byte-identical for any worker count.
  */
 inline exp::BehaviorDb

@@ -2,8 +2,8 @@
  * @file
  * performa_campaign: CLI driver for the phase-1 measurement campaign.
  * Runs the full (PRESS version x fault kind) behaviour grid — plus
- * optional cluster-size and load-scale axes — sharded across a worker
- * thread pool, and writes the behaviour cache atomically.
+ * optional cluster-size and load-scale axes — sharded across worker
+ * threads, and writes the behaviour cache atomically.
  *
  * Results are bit-identical for any --jobs value: per-job seeds are
  * derived from (campaign seed, grid point), never from scheduling.
@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "campaign/phase1.hh"
-#include "campaign/thread_pool.hh"
+#include "campaign/runner.hh"
 #include "core/scenarios.hh"
 
 using namespace performa;
@@ -35,8 +35,8 @@ usage(const char *argv0)
         "usage: %s [options]\n"
         "\n"
         "Measure the phase-1 behaviour grid (every PRESS version x fault\n"
-        "kind) with fault-injection experiments sharded across a worker\n"
-        "pool, and cache the results.\n"
+        "kind) with fault-injection experiments sharded across worker\n"
+        "threads, and cache the results.\n"
         "\n"
         "options:\n"
         "  --jobs N       worker threads (default: PERFORMA_JOBS env,\n"
@@ -246,18 +246,23 @@ printSloReport(const exp::BehaviorDb &db, const model::LatencySlo &slo,
                     r.pr.performability, r.pr.sloNormalTput,
                     r.pr.sloPerformability);
 
+    // A pair flips when the two metrics order it strictly and in
+    // opposite directions (cmp(..) * cmp(..) < 0); a tie on either
+    // metric is no flip.
+    auto cmp = [](double a, double b) { return (a > b) - (a < b); };
+
     // Overall ranking flips.
     bool anyFlip = false;
     for (std::size_t i = 0; i < rows.size(); ++i) {
         for (std::size_t j = i + 1; j < rows.size(); ++j) {
-            bool byTput = rows[i].pr.performability >
-                          rows[j].pr.performability;
-            bool bySlo = rows[i].pr.sloPerformability >
-                         rows[j].pr.sloPerformability;
-            if (byTput != bySlo) {
+            int byTput = cmp(rows[i].pr.performability,
+                             rows[j].pr.performability);
+            int bySlo = cmp(rows[i].pr.sloPerformability,
+                            rows[j].pr.sloPerformability);
+            if (byTput * bySlo < 0) {
                 anyFlip = true;
-                const Row &w = byTput ? rows[i] : rows[j];
-                const Row &l = byTput ? rows[j] : rows[i];
+                const Row &w = byTput > 0 ? rows[i] : rows[j];
+                const Row &l = byTput > 0 ? rows[j] : rows[i];
                 std::printf("  ranking flip: %s > %s on throughput-P "
                             "but %s > %s on SLO-P\n",
                             press::versionName(w.v),
@@ -285,18 +290,19 @@ printSloReport(const exp::BehaviorDb &db, const model::LatencySlo &slo,
         }
         for (std::size_t i = 0; i < contrib.size(); ++i) {
             for (std::size_t j = i + 1; j < contrib.size(); ++j) {
-                bool byTput = contrib[i].second.first <
-                              contrib[j].second.first;
-                bool bySlo = contrib[i].second.second <
-                             contrib[j].second.second;
-                if (byTput != bySlo) {
+                int byTput = cmp(contrib[i].second.first,
+                                 contrib[j].second.first);
+                int bySlo = cmp(contrib[i].second.second,
+                                contrib[j].second.second);
+                if (byTput * bySlo < 0) {
                     anyFlip = true;
-                    auto &a = contrib[byTput ? i : j];
-                    auto &b = contrib[byTput ? j : i];
+                    // Less unavailability wins.
+                    auto &a = contrib[byTput < 0 ? i : j];
+                    auto &b = contrib[byTput < 0 ? j : i];
                     std::printf(
                         "  ranking flip under %s: %s beats %s on "
-                        "throughput unavailability (%.3g < %.3g) but "
-                        "loses on SLO unavailability (%.3g > %.3g)\n",
+                        "throughput unavailability (%.6g < %.6g) but "
+                        "loses on SLO unavailability (%.6g > %.6g)\n",
                         fault::faultName(k),
                         press::versionName(a.first),
                         press::versionName(b.first), a.second.first,
@@ -534,7 +540,7 @@ main(int argc, char **argv)
                         res.measured, res.cached, res.failed,
                         fmtDuration(res.wallSeconds).c_str());
             if (res.measured + res.failed > 0)
-                std::printf(", workers %.0f%% busy",
+                std::printf(", workers=%u %.0f%% busy", res.workers,
                             res.busyFraction * 100.0);
             std::printf("\n");
             for (const campaign::JobReport &f : res.failures)

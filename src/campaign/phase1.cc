@@ -325,6 +325,7 @@ ensurePhase1(exp::BehaviorDb &db, const std::string &cache_path,
     }
     result.wallSeconds = report.wallSeconds;
     result.busyFraction = report.busyFraction();
+    result.workers = report.workers;
 
     if (collect_stats) {
         for (std::size_t j = 0; j < jobs.size(); ++j) {

@@ -2,7 +2,7 @@
  * @file
  * The phase-1 measurement campaign: every (PRESS version, fault kind)
  * pair of the study, measured as independent fault-injection
- * experiments sharded across a worker pool. The performa_campaign
+ * experiments sharded across worker threads. The performa_campaign
  * CLI, the benches' phase-1 cache and the what-if designer example
  * all measure through ensurePhase1.
  *
@@ -121,6 +121,9 @@ struct Phase1Result
     /** Share of worker time spent inside jobs
      *  (CampaignReport::busyFraction); the rest is idle workers. */
     double busyFraction = 0;
+    /** Worker threads that ran (CampaignReport::workers): the
+     *  requested count, capped at the number of strands. */
+    unsigned workers = 0;
 
     bool ok() const { return failed == 0; }
 };

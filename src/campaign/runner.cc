@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <numeric>
+#include <thread>
 #include <unordered_map>
-
-#include "campaign/thread_pool.hh"
 
 namespace performa::campaign {
 
@@ -23,6 +23,19 @@ secondsSince(Clock::time_point t0)
 }
 
 } // namespace
+
+unsigned
+defaultWorkerCount()
+{
+    if (const char *env = std::getenv("PERFORMA_JOBS")) {
+        char *end = nullptr;
+        long n = std::strtol(env, &end, 10);
+        if (end && *end == '\0' && n > 0)
+            return static_cast<unsigned>(n);
+    }
+    unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
+}
 
 CampaignReport
 runCampaign(const std::vector<Job> &jobs, const RunnerConfig &cfg)
@@ -44,8 +57,6 @@ runCampaign(const std::vector<Job> &jobs, const RunnerConfig &cfg)
     std::mutex state_mu;
     std::size_t done = 0;
     double units_done = 0;
-    std::vector<char> completed(jobs.size(), 0);
-    std::atomic<bool> abandon{false};
 
     double units_total = 0;
     for (const Job &j : jobs)
@@ -84,71 +95,62 @@ runCampaign(const std::vector<Job> &jobs, const RunnerConfig &cfg)
                          return groupUnits[a] > groupUnits[b];
                      });
 
-    // A worker beyond the group count would never get work.
+    auto runJob = [&](std::size_t i) {
+        const Job &job = jobs[i];
+        JobReport &jr = report.jobs[i];
+        Clock::time_point js = Clock::now();
+        try {
+            if (job.work)
+                job.work(job);
+            jr.ok = true;
+        } catch (const std::exception &e) {
+            jr.ok = false;
+            jr.error = e.what();
+        } catch (...) {
+            jr.ok = false;
+            jr.error = "unknown exception";
+        }
+        jr.wallSeconds = secondsSince(js);
+
+        std::lock_guard<std::mutex> lk(state_mu);
+        ++done;
+        report.busySeconds += jr.wallSeconds;
+        units_done += job.units;
+        if (!jr.ok)
+            ++report.failed;
+        if (cfg.progress) {
+            Progress p;
+            p.done = done;
+            p.total = jobs.size();
+            p.elapsedSeconds = secondsSince(t0);
+            p.etaSeconds = units_done > 0
+                               ? p.elapsedSeconds / units_done *
+                                     (units_total - units_done)
+                               : 0.0;
+            p.last = &jr;
+            cfg.progress(p);
+        }
+    };
+
+    // Each worker claims the next group in dispatch order until none
+    // is left, and runs the group's jobs in order. A worker beyond the
+    // group count would never get work.
     unsigned workers = cfg.workers ? cfg.workers : defaultWorkerCount();
     report.workers = static_cast<unsigned>(
         std::min<std::size_t>(workers, groups.size()));
+    std::atomic<std::size_t> next{0};
     {
-        ThreadPool pool(report.workers);
-        for (std::size_t g : order) {
-            pool.submit([&, g] {
-                for (std::size_t i : groups[g]) {
-                    if (abandon.load(std::memory_order_relaxed))
-                        break; // remaining strand jobs stay skipped
-                    const Job &job = jobs[i];
-                    JobReport &jr = report.jobs[i];
-                    Clock::time_point js = Clock::now();
-                    try {
-                        if (job.work)
-                            job.work(job);
-                        jr.ok = true;
-                    } catch (const std::exception &e) {
-                        jr.ok = false;
-                        jr.error = e.what();
-                    } catch (...) {
-                        jr.ok = false;
-                        jr.error = "unknown exception";
-                    }
-                    jr.wallSeconds = secondsSince(js);
-
-                    std::lock_guard<std::mutex> lk(state_mu);
-                    completed[i] = 1;
-                    ++done;
-                    report.busySeconds += jr.wallSeconds;
-                    units_done += job.units;
-                    if (!jr.ok) {
-                        ++report.failed;
-                        if (cfg.cancelOnFailure) {
-                            abandon.store(true,
-                                          std::memory_order_relaxed);
-                            pool.cancel();
-                        }
-                    }
-                    if (cfg.progress) {
-                        Progress p;
-                        p.done = done;
-                        p.total = jobs.size();
-                        p.failed = report.failed;
-                        p.unitsDone = units_done;
-                        p.unitsTotal = units_total;
-                        p.elapsedSeconds = secondsSince(t0);
-                        p.etaSeconds =
-                            units_done > 0
-                                ? p.elapsedSeconds / units_done *
-                                      (units_total - units_done)
-                                : 0.0;
-                        p.last = &jr;
-                        cfg.progress(p);
-                    }
-                }
+        // jthreads join when the block ends, also if starting one throws.
+        std::vector<std::jthread> threads;
+        threads.reserve(report.workers);
+        for (unsigned w = 0; w < report.workers; ++w)
+            threads.emplace_back([&] {
+                for (std::size_t k = next++; k < order.size(); k = next++)
+                    for (std::size_t i : groups[order[k]])
+                        runJob(i);
             });
-        }
-        pool.drain();
-    } // joins workers
+    }
 
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        if (!completed[i])
-            ++report.skipped;
     report.wallSeconds = secondsSince(t0);
     return report;
 }

@@ -1,15 +1,17 @@
 /**
  * @file
- * The campaign runner: shards a vector of independent, deterministic
- * jobs across a ThreadPool, captures per-job failures without killing
- * the campaign, and streams structured progress (done/total, elapsed,
- * ETA, per-job wall time) through a serialized callback.
+ * The campaign runner: runs a vector of independent, deterministic
+ * jobs on a few plain threads, captures per-job failures without
+ * killing the campaign, and streams structured progress (done/total,
+ * elapsed, ETA, per-job wall time) through a serialized callback.
  *
  * Scheduling: jobs are grouped into execution groups (one per strand,
  * one per strandless job), and groups are dispatched largest predicted
  * cost first — the sum of their jobs' units, ties in submission order
  * (Graham's LPT rule) — so the longest strand starts early instead of
- * running alone at the end.
+ * running alone at the end. Each worker thread claims the next group
+ * in that order through one atomic cursor and runs its jobs in order;
+ * the runner joins every worker before it returns.
  *
  * Determinism contract: a job's observable result may depend only on
  * its own inputs (label, seed, captured state) — never on worker
@@ -80,14 +82,10 @@ struct Progress
 {
     std::size_t done = 0;   ///< jobs finished (ok or failed)
     std::size_t total = 0;
-    std::size_t failed = 0;
-    /** Work-weight accounting (sums of Job::units): a shared warm-up
-     *  counts once, not once per dependent fault job. */
-    double unitsDone = 0;
-    double unitsTotal = 0;
     double elapsedSeconds = 0;
-    /** Remaining-work estimate over units:
-     *  elapsed/unitsDone * (unitsTotal-unitsDone). */
+    /** Remaining-work estimate over Job::units (a shared warm-up
+     *  counts once, not once per dependent fault job):
+     *  elapsed / units done * units left. */
     double etaSeconds = 0;
     /** The job that just finished. */
     const JobReport *last = nullptr;
@@ -106,10 +104,6 @@ struct RunnerConfig
      * worker count — don't let output depend on it.
      */
     ProgressFn progress;
-    /** Abandon queued jobs after the first failure: every group not
-     *  yet dispatched, and the jobs not yet started of every running
-     *  strand. */
-    bool cancelOnFailure = false;
 };
 
 /** Everything a campaign run produces. */
@@ -118,15 +112,12 @@ struct CampaignReport
     /** One report per submitted job, in submission order. */
     std::vector<JobReport> jobs;
     std::size_t failed = 0;
-    std::size_t skipped = 0; ///< cancelled before starting
     double wallSeconds = 0;
-    /** Threads the pool ran: the configured count, capped at the
+    /** Worker threads that ran: the configured count, capped at the
      *  number of execution groups. */
     unsigned workers = 0;
     /** Sum of every job's wall time. */
     double busySeconds = 0;
-
-    bool allOk() const { return failed == 0 && skipped == 0; }
 
     /** Share of worker time spent inside jobs:
      *  busySeconds / (workers * wallSeconds); 0 for an empty run. */
@@ -139,8 +130,15 @@ struct CampaignReport
 };
 
 /**
- * Run every job to completion (or cancellation) and return the
- * per-job reports. Blocking; thread-safe for concurrent campaigns.
+ * Worker count to use when the caller didn't pick one: the
+ * PERFORMA_JOBS environment variable when set to a positive integer,
+ * otherwise std::thread::hardware_concurrency() (minimum 1).
+ */
+unsigned defaultWorkerCount();
+
+/**
+ * Run every job to completion and return the per-job reports.
+ * Blocking; thread-safe for concurrent campaigns.
  */
 CampaignReport runCampaign(const std::vector<Job> &jobs,
                            const RunnerConfig &cfg = {});

@@ -59,14 +59,6 @@ Experiment::warmUp()
     cluster_->prewarm(cfg_.workload.numFiles);
     farm_->start();
 
-    if (cfg_.operatorResetAt) {
-        sim_.schedule(*cfg_.operatorResetAt, [this] {
-            cluster_->markers().add(sim_.now(),
-                                    press::MarkerKind::OperatorReset);
-            cluster_->operatorReset();
-        });
-    }
-
     // Drive the fault-free phase. Every event at or before injectAt
     // executes and the clock stops at exactly injectAt, so both the
     // fresh and the fork path see an identical world at the fault

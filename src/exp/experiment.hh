@@ -38,7 +38,6 @@ struct ExperimentConfig
     std::optional<fault::FaultSpec> fault;
     sim::Tick injectAt = sim::sec(60);
     sim::Tick duration = sim::sec(210); ///< total run length
-    std::optional<sim::Tick> operatorResetAt;
     std::uint64_t seed = 42;
 };
 

@@ -15,7 +15,7 @@ markerName(MarkerKind k)
 {
     static const char *const names[] = { // MarkerKind order
         "inject",    "recover", "exclude", "member-up",
-        "fail-fast", "give-up", "started", "operator-reset"};
+        "fail-fast", "give-up", "started"};
     return names[static_cast<int>(k)];
 }
 

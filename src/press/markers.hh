@@ -4,9 +4,9 @@
  * the instrumentation the paper's evaluators read off their server
  * logs, the Mendosus log and throughput graphs: when the fault went
  * in, when the service detected it (first exclusion or fail-fast),
- * when the component recovered, when nodes rejoined, and whether the
- * operator had to step in. The cluster owns the one log; each server
- * and the fault injector append to it where the events happen.
+ * when the component recovered, and when nodes rejoined. The cluster
+ * owns the one log; each server and the fault injector append to it
+ * where the events happen.
  */
 
 #ifndef PERFORMA_PRESS_MARKERS_HH
@@ -30,7 +30,6 @@ enum class MarkerKind
     FailFast,      ///< a server terminated on a fatal comm error
     GiveUp,        ///< a restarted server gave up rejoining
     Started,       ///< a server process (re)started
-    OperatorReset, ///< operator restarted the cluster
 };
 
 const char *markerName(MarkerKind k);

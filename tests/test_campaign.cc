@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the campaign subsystem: thread pool, runner exception
- * capture, deterministic per-job seeding, and the phase-1 grid
- * campaign's worker-count-independent results.
+ * Tests for the campaign subsystem: the runner's dispatch, thread cap
+ * and exception capture, deterministic per-job seeding, and the
+ * phase-1 grid campaign's worker-count-independent results.
  */
 
 #include <gtest/gtest.h>
@@ -11,10 +11,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <set>
 #include <sstream>
@@ -23,7 +25,6 @@
 
 #include "campaign/phase1.hh"
 #include "campaign/runner.hh"
-#include "campaign/thread_pool.hh"
 #include "exp/stages.hh"
 #include "sim/random.hh"
 
@@ -79,32 +80,6 @@ fullGrid()
 
 } // namespace
 
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    campaign::ThreadPool pool(4);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 64; ++i)
-        pool.submit([&ran] { ++ran; });
-    pool.drain();
-    EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(ThreadPool, CancelDropsQueuedTasks)
-{
-    campaign::ThreadPool pool(1);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 32; ++i)
-        pool.submit([&ran] { ++ran; });
-    pool.cancel();
-    pool.drain();
-    EXPECT_TRUE(pool.cancelled());
-    EXPECT_LE(ran.load(), 32);
-    int after = ran.load();
-    pool.submit([&ran] { ++ran; }); // dropped: pool is cancelled
-    pool.drain();
-    EXPECT_EQ(ran.load(), after);
-}
-
 TEST(Runner, ThrowingJobIsReportedOthersComplete)
 {
     std::atomic<int> ran{0};
@@ -123,7 +98,6 @@ TEST(Runner, ThrowingJobIsReportedOthersComplete)
     rc.workers = 4;
     campaign::CampaignReport rep = campaign::runCampaign(jobs, rc);
     EXPECT_EQ(rep.failed, 1u);
-    EXPECT_EQ(rep.skipped, 0u);
     EXPECT_EQ(ran.load(), 7);
     EXPECT_FALSE(rep.jobs[3].ok);
     EXPECT_EQ(rep.jobs[3].error, "deliberate failure");
@@ -132,27 +106,6 @@ TEST(Runner, ThrowingJobIsReportedOthersComplete)
             EXPECT_TRUE(rep.jobs[static_cast<std::size_t>(i)].ok);
         }
     }
-}
-
-TEST(Runner, CancelOnFailureSkipsRemainingJobs)
-{
-    std::vector<campaign::Job> jobs;
-    for (int i = 0; i < 4; ++i) {
-        campaign::Job j;
-        j.label = "job" + std::to_string(i);
-        j.work = [i](const campaign::Job &) {
-            if (i == 0)
-                throw std::runtime_error("fail fast");
-        };
-        jobs.push_back(std::move(j));
-    }
-    campaign::RunnerConfig rc;
-    rc.workers = 1; // deterministic: job0 fails before job1 starts
-    rc.cancelOnFailure = true;
-    campaign::CampaignReport rep = campaign::runCampaign(jobs, rc);
-    EXPECT_EQ(rep.failed, 1u);
-    EXPECT_EQ(rep.skipped, 3u);
-    EXPECT_FALSE(rep.allOk());
 }
 
 TEST(Runner, ProgressStreamsDoneTotalAndLabels)
@@ -221,33 +174,6 @@ TEST(Runner, DispatchesLargestGroupFirstTiesInSubmissionOrder)
     EXPECT_EQ(rep.workers, 1u);
 }
 
-TEST(Runner, CancelOnFailureSkipsInDispatchOrder)
-{
-    // Dispatch order j1 (3 units, fails), j2 (2), j0 (1): the failure
-    // comes first, so both others are skipped.
-    std::vector<std::string> ran;
-    std::vector<campaign::Job> jobs(3);
-    const double units[] = {1, 3, 2};
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        jobs[i].label = "j" + std::to_string(i);
-        jobs[i].units = units[i];
-        jobs[i].work = [&ran, i](const campaign::Job &self) {
-            ran.push_back(self.label);
-            if (i == 1)
-                throw std::runtime_error("fail fast");
-        };
-    }
-    campaign::RunnerConfig rc;
-    rc.workers = 1;
-    rc.cancelOnFailure = true;
-    campaign::CampaignReport rep = campaign::runCampaign(jobs, rc);
-    EXPECT_EQ(ran, (std::vector<std::string>{"j1"}));
-    EXPECT_EQ(rep.failed, 1u);
-    EXPECT_EQ(rep.skipped, 2u);
-    EXPECT_FALSE(rep.jobs[1].ok);
-    EXPECT_EQ(rep.jobs[1].error, "fail fast");
-}
-
 TEST(Runner, CapsThePoolAtTheGroupCount)
 {
     // Two strandless jobs are two groups: however many workers are
@@ -270,7 +196,7 @@ TEST(Runner, CapsThePoolAtTheGroupCount)
     campaign::RunnerConfig rc;
     rc.workers = 16;
     campaign::CampaignReport rep = campaign::runCampaign(jobs, rc);
-    EXPECT_TRUE(rep.allOk());
+    EXPECT_EQ(rep.failed, 0u);
     EXPECT_EQ(rep.workers, 2u);
     EXPECT_GE(most, before + 1);
     EXPECT_LE(most, before + 2);
@@ -293,6 +219,69 @@ TEST(Runner, BusyFractionIsJobWallOverWorkerWall)
     EXPECT_GT(rep.busyFraction(), 0.5);
     EXPECT_LE(rep.busyFraction(), 1.0);
     EXPECT_EQ(campaign::CampaignReport{}.busyFraction(), 0.0);
+}
+
+TEST(Runner, RunsEveryJobOnceAcrossWorkers)
+{
+    // 64 jobs: eight strands of six jobs interleaved with sixteen
+    // singletons, with varied units so dispatch order differs from
+    // submission order.
+    constexpr std::size_t numJobs = 64, numStrands = 8;
+    std::vector<std::atomic<int>> runs(numJobs);
+    std::vector<std::vector<std::size_t>> strandRan(numStrands);
+    std::vector<std::vector<std::size_t>> strandWant(numStrands);
+    std::vector<campaign::Job> jobs(numJobs);
+    for (std::size_t i = 0; i < numJobs; ++i) {
+        campaign::Job &j = jobs[i];
+        j.units = double(i * 7 % 11 + 1);
+        bool strandless = i % 4 == 3;
+        std::size_t s = i / 4 % numStrands;
+        if (!strandless) {
+            j.strand = "s" + std::to_string(s);
+            strandWant[s].push_back(i);
+        }
+        // A strand's jobs run one after another on one thread, so its
+        // vector needs no lock.
+        j.work = [&, i, s, strandless](const campaign::Job &) {
+            ++runs[i];
+            if (!strandless)
+                strandRan[s].push_back(i);
+        };
+    }
+    campaign::RunnerConfig rc;
+    rc.workers = 4;
+    campaign::CampaignReport rep = campaign::runCampaign(jobs, rc);
+    EXPECT_EQ(rep.workers, 4u);
+    EXPECT_EQ(rep.failed, 0u);
+    for (std::size_t i = 0; i < numJobs; ++i) {
+        EXPECT_EQ(runs[i].load(), 1) << "job " << i;
+        EXPECT_TRUE(rep.jobs[i].ok);
+    }
+    EXPECT_EQ(strandRan, strandWant);
+}
+
+TEST(Runner, DefaultWorkerCountReadsPerformaJobs)
+{
+    const char *saved = std::getenv("PERFORMA_JOBS");
+    std::optional<std::string> restore;
+    if (saved)
+        restore = saved;
+    unsigned hw = std::thread::hardware_concurrency();
+    const unsigned fallback = hw ? hw : 1;
+
+    ::setenv("PERFORMA_JOBS", "3", 1);
+    EXPECT_EQ(campaign::defaultWorkerCount(), 3u);
+    for (const char *bad : {"0", "-2", "4x", ""}) {
+        ::setenv("PERFORMA_JOBS", bad, 1);
+        EXPECT_EQ(campaign::defaultWorkerCount(), fallback)
+            << "PERFORMA_JOBS='" << bad << "'";
+    }
+    EXPECT_GE(campaign::defaultWorkerCount(), 1u);
+
+    if (restore)
+        ::setenv("PERFORMA_JOBS", restore->c_str(), 1);
+    else
+        ::unsetenv("PERFORMA_JOBS");
 }
 
 TEST(Seeds, PureFunctionOfIdentityNotOrder)

@@ -1,0 +1,75 @@
+/**
+ * @file
+ * Tests that drive the performa_campaign binary end to end, on a copy
+ * of a committed behaviour DB so nothing is measured.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <regex>
+#include <sstream>
+#include <string>
+
+namespace {
+
+/** Run @p cmd through the shell; @return its stdout and exit status. */
+std::pair<std::string, int>
+runCommand(const std::string &cmd)
+{
+    std::string out;
+    FILE *p = ::popen(cmd.c_str(), "r");
+    if (!p)
+        return {out, -1};
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, p)) > 0)
+        out.append(buf, n);
+    return {out, ::pclose(p)};
+}
+
+} // namespace
+
+TEST(CampaignCli, SloRankingFlipsCompareValuesThatReadDifferent)
+{
+    // Every point of the flash-crowd SLO grid is in the committed DB,
+    // so the CLI loads the copy, measures nothing and prints the
+    // SLO report at once.
+    const std::string base = ::testing::TempDir() + "/cli_flip_report";
+    std::filesystem::copy_file(
+        std::string(PERFORMA_SOURCE_DIR) +
+            "/results/phase1_behaviors.csv.pflashcrowd.slop99_500ms",
+        base + ".pflashcrowd.slop99_500ms",
+        std::filesystem::copy_options::overwrite_existing);
+    auto [out, status] = runCommand(
+        std::string(PERFORMA_CAMPAIGN_CLI) +
+        " --quiet --profile flashcrowd --slo p99=500ms --cache '" + base +
+        "'");
+    ASSERT_EQ(status, 0) << out;
+    EXPECT_NE(out.find("0 measured, 55 cached"), std::string::npos)
+        << out;
+    EXPECT_NE(out.find("performability, throughput vs SLO-goodput"),
+              std::string::npos)
+        << out;
+
+    // A flip is one version strictly ahead on one metric and strictly
+    // behind on the other, so each printed "(a < b)" or "(a > b)"
+    // holds for the printed values, which therefore read different.
+    const std::regex cmp(R"(\(([^ ()]+) ([<>]) ([^ ()]+)\))");
+    std::istringstream lines(out);
+    for (std::string line; std::getline(lines, line);) {
+        if (line.find("ranking flip") == std::string::npos)
+            continue;
+        for (std::sregex_iterator m(line.begin(), line.end(), cmp), end;
+             m != end; ++m) {
+            const std::string a = (*m)[1], op = (*m)[2], b = (*m)[3];
+            EXPECT_NE(a, b) << line;
+            if (op == "<") {
+                EXPECT_LT(std::stod(a), std::stod(b)) << line;
+            } else {
+                EXPECT_GT(std::stod(a), std::stod(b)) << line;
+            }
+        }
+    }
+}

@@ -113,9 +113,10 @@ TEST(Experiment, OperatorResetRestoresCluster)
 {
     auto cfg = fastConfig(press::Version::ViaPress0,
                           fault::FaultKind::LinkDown);
-    cfg.operatorResetAt = sec(70);
-    exp::ExperimentResult res = exp::runExperiment(cfg);
-    EXPECT_EQ(res.markers.count(press::MarkerKind::OperatorReset), 1u);
+    exp::Experiment e(cfg);
+    e.warmUp();
+    e.sim().schedule(sec(70), [&e] { e.cluster().operatorReset(); });
+    exp::ExperimentResult res = e.injectAndMeasure();
     EXPECT_FALSE(res.endSplintered);
     // Post-reset throughput back near normal.
     double tail = res.served.meanRate(sec(90), sec(110));

@@ -108,6 +108,6 @@ TEST(MarkerLog, QueriesWork)
 TEST(MarkerLog, NamesAreStable)
 {
     EXPECT_STREQ(press::markerName(press::MarkerKind::Inject), "inject");
-    EXPECT_STREQ(press::markerName(press::MarkerKind::OperatorReset),
-                 "operator-reset");
+    EXPECT_STREQ(press::markerName(press::MarkerKind::Started),
+                 "started");
 }

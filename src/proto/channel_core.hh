@@ -48,6 +48,7 @@
 #include "sim/logging.hh"
 #include "sim/ring_buffer.hh"
 #include "sim/simulation.hh"
+#include "sim/timer.hh"
 
 namespace performa::proto {
 
@@ -85,14 +86,14 @@ struct Channel
     /** Deliveries queued on the CPU but not yet executed. */
     std::size_t scheduledDeliveries = 0;
     int connectTries = 0;
-    sim::EventHandle connectTimer;
+    sim::Timer connectTimer;
 };
 
 /**
  * The mutable state of a channel core: the flags and the channel
  * table (a snapshot copies it whole; rings copy element by element,
- * payloads by refcount bump, and timer handles are plain {slot, gen}
- * pairs that stay valid across an event-queue restore).
+ * payloads by refcount bump, and timers are plain {slot, gen} handles
+ * that stay valid across an event-queue restore).
  */
 template <typename Chan>
 struct ChannelState
@@ -320,8 +321,9 @@ class ChannelCore : public ClusterComm, private ChannelState<Chan>
         sendControl(c.peer, Derived::ConnectReq, c.id);
         ++c.connectTries;
         std::uint64_t id = c.id;
-        c.connectTimer = node_.simulation().scheduleIn(cfg_.connectTimeout,
-            [this, id] { connectTimedOut(id); });
+        auto &events = node_.simulation().events();
+        c.connectTimer.arm(events, events.now() + cfg_.connectTimeout,
+                           [this, id] { connectTimedOut(id); });
     }
 
     void
@@ -383,7 +385,7 @@ class ChannelCore : public ClusterComm, private ChannelState<Chan>
         Chan &c = it->second;
         c.established = true;
         self().onEstablished(c);
-        node_.simulation().events().cancel(c.connectTimer);
+        c.connectTimer.cancel();
         if (cbs_.onPeerConnected)
             cbs_.onPeerConnected(c.peer);
         self().pump(c);
@@ -449,7 +451,7 @@ class ChannelCore : public ClusterComm, private ChannelState<Chan>
     void
     teardown(Chan &c)
     {
-        node_.simulation().events().cancel(c.connectTimer);
+        c.connectTimer.cancel();
         self().release(c);
     }
 

@@ -19,9 +19,8 @@ TcpComm::initChannel(TcpChannel &c)
 void
 TcpComm::release(TcpChannel &c)
 {
-    auto &events = node_.simulation().events();
-    events.cancel(c.rtoTimer);
-    events.cancel(c.memRetryTimer);
+    c.rtoTimer.cancel();
+    c.memRetryTimer.cancel();
     if (c.skbufHeld && !c.sndQueue.empty())
         node_.kernelMem().free(c.sndQueue.front().wireBytes);
 }
@@ -102,10 +101,14 @@ TcpComm::pump(TcpChannel &c)
     if (!c.skbufHeld) {
         if (!node_.kernelMem().alloc(c.sndQueue.front().wireBytes)) {
             // Out of kernel memory: the segment stays queued in the
-            // OS; retry the allocation shortly.
+            // OS and waits for a buffer. One wait per connection: if a
+            // retry is already pending, it covers this call too.
+            if (c.memRetryTimer.pending())
+                return;
             std::uint64_t id = c.id;
-            c.memRetryTimer = node_.simulation().scheduleIn(
-                sim::msec(10), [this, id] {
+            auto &events = node_.simulation().events();
+            c.memRetryTimer.arm(events, events.now() + sim::msec(10),
+                [this, id] {
                     auto it = chans_.find(id);
                     if (it != chans_.end())
                         pump(it->second);
@@ -148,7 +151,7 @@ TcpComm::armRto(TcpChannel &c)
         if (c.rtoTimerAt <= c.rtoAt)
             return;
         // An ack reset a backed-off rto: the new deadline comes first.
-        events.cancel(c.rtoTimer);
+        c.rtoTimer.cancel();
     }
     scheduleRto(c);
 }
@@ -159,8 +162,8 @@ TcpComm::scheduleRto(TcpChannel &c)
     std::uint64_t id = c.id;
     std::uint64_t seq = c.rtoSeq;
     c.rtoTimerAt = c.rtoAt;
-    c.rtoTimer = node_.simulation().events().schedule(c.rtoAt, seq,
-        [this, id, seq] { onRtoEvent(id, seq); });
+    c.rtoTimer.arm(node_.simulation().events(), c.rtoAt, seq,
+                   [this, id, seq] { onRtoEvent(id, seq); });
 }
 
 void

@@ -15,7 +15,9 @@
  *    eventually detect crashes;
  *  - kernel-memory coupling: every queued segment needs an skbuf; when
  *    the allocator fails (resource-exhaustion fault) outbound traffic
- *    stalls inside the OS and inbound segments are dropped;
+ *    stalls inside the OS, each connection in one pending wait that
+ *    retries the allocation every 10 ms, and inbound segments are
+ *    dropped;
  *  - synchronous EFAULT on a NULL user pointer;
  *  - a bounded send buffer: send() returns WouldBlock when the
  *    message would take the queued bytes past sndBufBytes, except
@@ -93,9 +95,11 @@ struct TcpChannel : Channel<TcpOutMsg>
     bool rtoArmed = false;
     sim::Tick rtoAt = 0;
     std::uint64_t rtoSeq = 0;
-    sim::EventHandle rtoTimer;
+    sim::Timer rtoTimer;
     sim::Tick rtoTimerAt = 0;
-    sim::EventHandle memRetryTimer;
+    /** The one pending kernel-memory wait: retries the skbuf
+     *  allocation for the head of sndQueue (see pump). */
+    sim::Timer memRetryTimer;
     std::uint64_t seqExpected = 0;
 };
 
@@ -150,7 +154,8 @@ class TcpComm : public ChannelCore<TcpComm, TcpConfig, TcpChannel>
     void sendAck(const net::Frame &f);
 
     /** Transmit the head of @p c's send queue if nothing is in
-     *  flight and an skbuf can be had. */
+     *  flight and an skbuf can be had; otherwise, unless a wait is
+     *  already pending, retry the allocation in 10 ms. */
     void pump(TcpChannel &c);
     /** Put the head of @p c's send queue on the wire (first transmit
      *  or retransmit). */

@@ -70,6 +70,9 @@ class EventQueue;
  * outlive their EventQueue.
  *
  * Default-constructed handles refer to no event and are safe to cancel.
+ * A component that keeps "the" pending retry or deadline of something
+ * holds a sim::Timer (sim/timer.hh), which refuses to be re-armed
+ * while its event is pending.
  */
 class EventHandle
 {
@@ -81,6 +84,7 @@ class EventHandle
 
   private:
     friend class EventQueue;
+    friend class Timer;
 
     EventHandle(EventQueue *q, std::uint32_t slot, std::uint32_t gen)
         : queue_(q), slot_(slot), gen_(gen)

@@ -261,6 +261,48 @@ TEST(Tcp, KernelMemoryFaultStallsOutboundUntilCleared)
     EXPECT_EQ(w.eps[1].received.size(), 1u);
 }
 
+TEST(Tcp, KernelMemoryFaultKeepsOneRetryPerConnection)
+{
+    // Every send into a connection stalled on kernel memory calls
+    // pump(). The wait for a buffer is per connection: one pending
+    // retry, polling every 10 ms, however many sends pile up behind it.
+    TcpWorld w(3);
+    w.eps[0].comm->connect(1);
+    w.eps[0].comm->connect(2);
+    w.s.runUntil(sec(1));
+    ASSERT_TRUE(w.eps[0].comm->connected(1));
+    ASSERT_TRUE(w.eps[0].comm->connected(2));
+    w.eps[0].node->kernelMem().setFailInjected(true);
+    int ok = 0;
+    for (NodeId peer : {NodeId{1}, NodeId{2}})
+        while (w.eps[0].comm->send(peer, w.msg(1000), {}) == SendStatus::Ok)
+            ++ok;
+    ASSERT_GT(ok, 200);
+
+    std::uint64_t executed_before = w.s.events().executed();
+    std::size_t peak_heap = 0;
+    std::size_t peak_pending = 0;
+    for (Tick t = sec(1) + msec(1); t <= sec(2); t += msec(1)) {
+        w.s.runUntil(t);
+        peak_heap = std::max(peak_heap, w.s.events().heapSize());
+        peak_pending = std::max(peak_pending, w.s.events().pending());
+    }
+    std::uint64_t fired = w.s.events().executed() - executed_before;
+
+    EXPECT_LE(peak_pending, 2u) << "one pending retry per connection";
+    EXPECT_LE(peak_heap, 4u);
+    // Two connections, each retrying every 10 ms for one second.
+    EXPECT_GE(fired, 190u);
+    EXPECT_LE(fired, 210u);
+    EXPECT_TRUE(w.eps[1].received.empty());
+    EXPECT_TRUE(w.eps[2].received.empty());
+
+    w.eps[0].node->kernelMem().setFailInjected(false);
+    w.s.runUntil(sec(30));
+    EXPECT_EQ(static_cast<int>(w.eps[1].received.size() +
+                               w.eps[2].received.size()), ok);
+}
+
 TEST(Tcp, InboundDroppedDuringKernelMemoryFault)
 {
     TcpWorld w;

@@ -25,9 +25,10 @@ namespace performa::press {
  * File ids are dense in [0, numFiles), so the LRU list is intrusive:
  * prev/next links and an in-cache flag live in arrays indexed by file
  * id. A lookup, touch, insert or eviction is a few array accesses —
- * no hashing and no per-entry allocation. The arrays double on the
- * first sight of a larger id, which happens only while the cache
- * first fills.
+ * no hashing and no per-entry allocation. Cluster::prewarm() sizes
+ * the arrays once for the whole working set, and a restarted
+ * process's cache starts at its predecessor's size; past that, the
+ * arrays double on the first sight of a larger id.
  */
 class FileCache
 {
@@ -49,6 +50,20 @@ class FileCache
         pin_ = std::move(pin);
         unpin_ = std::move(unpin);
     }
+
+    /** Size the link arrays to cover file ids below @p files. */
+    void
+    reserve(std::size_t files)
+    {
+        if (files <= inCache_.size())
+            return;
+        prev_.resize(files, none);
+        next_.resize(files, none);
+        inCache_.resize(files, 0);
+    }
+
+    /** File ids the link arrays cover. */
+    std::size_t tableSize() const { return inCache_.size(); }
 
     bool
     contains(sim::FileId f) const
@@ -170,9 +185,7 @@ class FileCache
         std::size_t n = std::max<std::size_t>(inCache_.size() * 2, 64);
         while (n <= f)
             n *= 2;
-        prev_.resize(n, none);
-        next_.resize(n, none);
-        inCache_.resize(n, 0);
+        reserve(n);
     }
 
     /** Make @p f (not cached, within the arrays) the MRU file. */

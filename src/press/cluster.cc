@@ -79,6 +79,8 @@ Cluster::prewarm(std::size_t hot_files)
     std::size_t per_node =
         cfg_.press.cacheBytes / cfg_.press.fileBytes;
     std::size_t limit = std::min<std::size_t>(hot_files, per_node * n);
+    for (auto &srv : servers_)
+        srv->reserveFiles(hot_files);
     for (std::size_t f = 0; f < limit; ++f) {
         sim::NodeId owner = static_cast<sim::NodeId>(f % n);
         for (auto &srv : servers_)

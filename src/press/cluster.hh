@@ -47,7 +47,8 @@ class Cluster
     /**
      * Stripe the @p hot_files most popular files across the caches
      * and directories, skipping the hours-long warm-up the real
-     * system would need.
+     * system would need. Every server's directory and cache tables
+     * are sized for @p hot_files ids here, once.
      */
     void prewarm(std::size_t hot_files);
 

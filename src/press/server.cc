@@ -80,7 +80,9 @@ Server::scheduleEpoch(sim::Tick delay, F fn)
 void
 Server::makeFreshCache()
 {
+    std::size_t files = cacheTableSize();
     cache_ = std::make_unique<FileCache>(cfg_.cacheBytes, cfg_.fileBytes);
+    cache_->reserve(files);
     if (usesDynamicPinning(cfg_.version) && !cfg_.staticPinning) {
         auto *via = dynamic_cast<proto::ViaComm *>(&comm_->inner());
         if (!via)
@@ -987,6 +989,14 @@ Server::prewarmFile(sim::FileId f, sim::NodeId owner)
     if (owner == node_.id())
         cache_->insert(f, [](sim::FileId) {});
     directory_.add(f, owner);
+}
+
+void
+Server::reserveFiles(std::size_t files)
+{
+    directory_.reserve(files);
+    if (cache_)
+        cache_->reserve(files);
 }
 
 template <typename Nodes, typename Keep>

@@ -180,6 +180,11 @@ class Server : public osim::Service, private FwdPool, private ServerState
     bool stoppedBySignal() const { return stopped_; }
     bool stalled() const { return stalled_; }
     std::size_t cachedFiles() const { return cache_ ? cache_->size() : 0; }
+    /** File ids the cache's link arrays cover. */
+    std::size_t cacheTableSize() const
+    {
+        return cache_ ? cache_->tableSize() : 0;
+    }
     std::uint64_t served() const { return stats_.responses; }
 
     /** Monotonic per-server counters (survive process restarts). */
@@ -194,6 +199,10 @@ class Server : public osim::Service, private FwdPool, private ServerState
      * itself as @p owner.
      */
     void prewarmFile(sim::FileId f, sim::NodeId owner);
+
+    /** Size the directory and the cache's link arrays for file ids
+     *  below @p files once, before prewarmFile() fills them. */
+    void reserveFiles(std::size_t files);
 
     /** Snapshot state: everything mutable in the process — the server
      *  state, the disks and the cache contents. The comm endpoint
@@ -295,7 +304,8 @@ class Server : public osim::Service, private FwdPool, private ServerState
      * (Re)create the cache with the version-appropriate pin hooks.
      * Used by start(), and by a snapshot restore that finds no cache,
      * so a restored cache has the exact hook closures a fresh start
-     * installs.
+     * installs. The new cache's link arrays start at the size of the
+     * one it replaces.
      */
     void makeFreshCache();
 

@@ -129,11 +129,13 @@ class StageLatencyTimeline
 {
   public:
     StageLatencyTimeline() = default;
-    /** Pre-construct @p reserve_slices one-second slices; recording
-     *  past them grows the slice vector (allocates). */
+    /** Reserve room for @p reserve_slices one-second slices; slices
+     *  exist only up to the last second recorded, so a copy holds
+     *  the run so far. Recording past the reservation grows the slice
+     *  vector (allocates). */
     explicit StageLatencyTimeline(std::size_t reserve_slices)
-        : slices_(reserve_slices)
     {
+        slices_.reserve(reserve_slices);
     }
 
     /** Record a @p value_us sample completed at time @p at. */
@@ -161,6 +163,7 @@ class StageLatencyTimeline
      *  slices. */
     LatencyHistogram window(LatencyStage s, Tick from, Tick to) const;
 
+    /** Slices up to the last second recorded into the total stage. */
     std::size_t sliceCount() const { return slices_.size(); }
 
   private:

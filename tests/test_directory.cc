@@ -1,14 +1,18 @@
 /**
  * @file
  * Unit and property tests for the cluster-wide caching directory,
- * including a differential test against a reference map of vectors.
+ * including a differential test against a reference map of node sets,
+ * for one-byte rows (8 nodes) and two-byte rows (12 nodes).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <random>
+#include <ranges>
+#include <set>
 #include <vector>
 
 #include "press/directory.hh"
@@ -18,10 +22,23 @@ using press::Directory;
 
 namespace {
 
-/** Node slots per file: the cluster size the tests below use. */
+/** The cluster size most tests below use: one byte per row. */
 constexpr std::size_t kNodes = 8;
 
+/** A cluster size whose rows take two bytes. */
+constexpr std::size_t kWideNodes = 12;
+
+std::vector<sim::NodeId>
+listed(const Directory &d, sim::FileId f)
+{
+    auto nodes = d.nodesFor(f);
+    return {nodes.begin(), nodes.end()};
+}
+
 } // namespace
+
+static_assert(std::forward_iterator<Directory::Nodes::iterator>);
+static_assert(std::ranges::forward_range<Directory::Nodes>);
 
 TEST(Directory, AddAndQuery)
 {
@@ -48,8 +65,7 @@ TEST(Directory, RemoveSingleEntry)
     d.add(10, 1);
     d.add(10, 2);
     d.remove(10, 1);
-    ASSERT_EQ(d.nodesFor(10).size(), 1u);
-    EXPECT_EQ(d.nodesFor(10)[0], 2u);
+    EXPECT_EQ(listed(d, 10), std::vector<sim::NodeId>{2});
     d.remove(10, 2);
     EXPECT_TRUE(d.nodesFor(10).empty());
 }
@@ -76,12 +92,46 @@ TEST(Directory, PurgeNodeRemovesAllItsEntries)
     EXPECT_EQ(d.entriesOf(1), 0u);
     for (sim::FileId f = 0; f < 100; ++f) {
         if (f % 2 == 0) {
-            ASSERT_EQ(d.nodesFor(f).size(), 1u);
-            EXPECT_EQ(d.nodesFor(f)[0], 2u);
+            EXPECT_EQ(listed(d, f), std::vector<sim::NodeId>{2});
         } else {
             EXPECT_TRUE(d.nodesFor(f).empty());
         }
     }
+}
+
+TEST(Directory, NodesForIsAscending)
+{
+    // Rows are bitmasks, so a row lists its nodes by id, whatever
+    // order they were added in, across byte boundaries too.
+    Directory d(kWideNodes);
+    for (sim::NodeId n : {11u, 3u, 8u, 0u, 7u})
+        d.add(5, n);
+    EXPECT_EQ(listed(d, 5), (std::vector<sim::NodeId>{0, 3, 7, 8, 11}));
+    EXPECT_EQ(d.nodesFor(5).size(), 5u);
+    d.remove(5, 7);
+    d.remove(5, 0);
+    EXPECT_EQ(listed(d, 5), (std::vector<sim::NodeId>{3, 8, 11}));
+    d.remove(5, 3);
+    EXPECT_EQ(listed(d, 5), (std::vector<sim::NodeId>{8, 11}));
+}
+
+TEST(Directory, ReserveCoversFilesWithoutChangingContents)
+{
+    Directory d(kNodes);
+    d.add(3, 1);
+    d.reserve(1000);
+    EXPECT_EQ(listed(d, 3), std::vector<sim::NodeId>{1});
+    EXPECT_TRUE(d.nodesFor(999).empty());
+    d.add(999, 4);
+    EXPECT_EQ(listed(d, 999), std::vector<sim::NodeId>{4});
+    EXPECT_EQ(d.entriesOf(4), 1u);
+}
+
+TEST(DirectoryDeath, NodeOutsideWidthPanics)
+{
+    Directory d(kNodes);
+    d.add(1, kNodes - 1);
+    EXPECT_DEATH(d.add(1, kNodes), "outside a 8-node cluster");
 }
 
 TEST(Directory, ClearEmptiesEverything)
@@ -122,7 +172,7 @@ TEST_P(DirectorySweep, IndicesConsistent)
     for (sim::NodeId n = 0; n < 4; ++n) {
         std::size_t count = 0;
         for (sim::FileId f = 0; f < 50; ++f) {
-            const auto &v = d.nodesFor(f);
+            auto v = d.nodesFor(f);
             count += std::count(v.begin(), v.end(), n);
         }
         EXPECT_EQ(count, d.entriesOf(n)) << "node " << n;
@@ -132,23 +182,23 @@ TEST_P(DirectorySweep, IndicesConsistent)
 INSTANTIATE_TEST_SUITE_P(Seeds, DirectorySweep,
                          ::testing::Values(1u, 7u, 1234u));
 
-/** Differential: the flat table against a map of insertion-ordered
- *  vectors under a random mix of every operation. */
-class DirectoryDifferential : public ::testing::TestWithParam<unsigned>
-{};
-
-TEST_P(DirectoryDifferential, MatchesReferenceMap)
+/** Differential: the bitmask table against a map of node sets under
+ *  a random mix of every operation. A row lists its nodes in id
+ *  order, not in the order they were added, so the comparison is by
+ *  set; Directory.NodesForIsAscending pins the order itself. */
+static void
+matchesReferenceMap(std::size_t width, unsigned seed)
 {
     constexpr std::size_t kFiles = 300;
-    Directory d(kNodes);
-    std::map<sim::FileId, std::vector<sim::NodeId>> ref;
-    std::mt19937_64 rng(GetParam());
+    Directory d(width);
+    std::map<sim::FileId, std::set<sim::NodeId>> ref;
+    std::mt19937_64 rng(seed);
 
     auto refRemove = [&](sim::FileId f, sim::NodeId n) {
         auto it = ref.find(f);
         if (it == ref.end())
             return;
-        std::erase(it->second, n);
+        it->second.erase(n);
         if (it->second.empty())
             ref.erase(it);
     };
@@ -157,18 +207,15 @@ TEST_P(DirectoryDifferential, MatchesReferenceMap)
         // Files arrive in rising bursts so the table grows mid-run.
         auto f = static_cast<sim::FileId>(
             rng() % std::min<std::size_t>(kFiles, 20 + i / 20));
-        auto n = static_cast<sim::NodeId>(rng() % kNodes);
+        auto n = static_cast<sim::NodeId>(rng() % width);
         switch (rng() % 10) {
           case 0:
           case 1:
           case 2:
-          case 3: {
+          case 3:
             d.add(f, n);
-            auto &v = ref[f];
-            if (std::find(v.begin(), v.end(), n) == v.end())
-                v.push_back(n);
+            ref[f].insert(n);
             break;
-          }
           case 4:
           case 5:
           case 6:
@@ -198,21 +245,42 @@ TEST_P(DirectoryDifferential, MatchesReferenceMap)
         if (i % 50 != 0 && i != 5999)
             continue;
         for (sim::FileId g = 0; g < kFiles + 10; ++g) {
-            auto span = d.nodesFor(g);
-            std::vector<sim::NodeId> got(span.begin(), span.end());
+            auto nodes = d.nodesFor(g);
+            std::set<sim::NodeId> got(nodes.begin(), nodes.end());
             auto it = ref.find(g);
-            std::vector<sim::NodeId> want =
-                it == ref.end() ? std::vector<sim::NodeId>{} : it->second;
+            std::set<sim::NodeId> want =
+                it == ref.end() ? std::set<sim::NodeId>{} : it->second;
             ASSERT_EQ(got, want) << "file " << g << " step " << i;
+            ASSERT_EQ(nodes.size(), want.size()) << "file " << g;
         }
-        for (sim::NodeId m = 0; m < kNodes; ++m) {
+        for (sim::NodeId m = 0; m < width; ++m) {
             std::size_t want = 0;
             for (const auto &[g, v] : ref)
-                want += std::count(v.begin(), v.end(), m);
+                want += v.count(m);
             ASSERT_EQ(d.entriesOf(m), want) << "node " << m << " step " << i;
         }
     }
 }
 
+class DirectoryDifferential : public ::testing::TestWithParam<unsigned>
+{};
+
+TEST_P(DirectoryDifferential, MatchesReferenceMap)
+{
+    matchesReferenceMap(kNodes, GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DirectoryDifferential,
+                         ::testing::Values(1u, 7u, 99u, 1234u));
+
+/** The same, with rows of two bytes. */
+class DirectoryDifferentialWide : public ::testing::TestWithParam<unsigned>
+{};
+
+TEST_P(DirectoryDifferentialWide, MatchesReferenceMap)
+{
+    matchesReferenceMap(kWideNodes, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DirectoryDifferentialWide,
                          ::testing::Values(1u, 7u, 99u, 1234u));

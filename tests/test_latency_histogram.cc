@@ -179,13 +179,18 @@ TEST(StageLatencyTimeline, WindowSelectsOverlappingSlices)
 
 TEST(StageLatencyTimeline, ReservedSlicesCoverRecording)
 {
+    // A reservation is capacity, not slices: slices exist up to the
+    // last second recorded, so a snapshot copies only the run so far.
     StageLatencyTimeline tl(20);
-    EXPECT_EQ(tl.sliceCount(), 20u);
+    EXPECT_EQ(tl.sliceCount(), 0u);
+    tl.record(LatencyStage::Total, sec(5), msec(2));
+    EXPECT_EQ(tl.sliceCount(), 6u);
     tl.record(LatencyStage::Total, sec(19), msec(3));
-    EXPECT_EQ(tl.sliceCount(), 20u); // no growth needed
+    EXPECT_EQ(tl.sliceCount(), 20u);
     tl.record(LatencyStage::Total, sec(25), msec(4));
-    EXPECT_GE(tl.sliceCount(), 26u); // grew past the reservation
-    EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(), 2u);
+    EXPECT_EQ(tl.sliceCount(), 26u); // grew past the reservation
+    EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(), 3u);
+    EXPECT_EQ(tl.window(LatencyStage::Total, 0, sec(100)).count(), 3u);
 }
 
 TEST(StageLatencyTimeline, OnlyTheTotalStageKeepsSlices)

@@ -96,6 +96,27 @@ TEST(PressCluster, PrewarmPopulatesCachesAndDirectory)
     EXPECT_EQ(total, 20000u);
 }
 
+TEST(PressCluster, PrewarmSizesTheCacheTablesOnce)
+{
+    // prewarm() sizes every cache's link arrays for exactly the
+    // working set, and a restarted process starts at that size.
+    Deployment d(press::Version::TcpPress);
+    for (std::uint32_t i = 0; i < 4; ++i)
+        EXPECT_EQ(d.cluster.server(i).cacheTableSize(), 20000u);
+    d.farm.start();
+    fault::FaultSpec spec;
+    spec.kind = fault::FaultKind::AppCrash;
+    spec.target = 3;
+    spec.injectAt = sec(5);
+    d.injector.schedule(spec);
+    d.s.runUntil(sec(40));
+    ASSERT_EQ(d.cluster.markers().count(press::MarkerKind::Started, sec(5)),
+              1u); // node 3's restart
+    ASSERT_EQ(d.cluster.server(3).members().size(), 4u);
+    for (std::uint32_t i = 0; i < 4; ++i)
+        EXPECT_EQ(d.cluster.server(i).cacheTableSize(), 20000u);
+}
+
 TEST(PressCluster, AppCrashExcludesAndRejoins)
 {
     for (press::Version v :

@@ -12,7 +12,8 @@
  * warmed CPU and the warmed servers restore in place without
  * allocating, and so does a deadline FIFO. An event queue with both
  * tiers populated schedules, fires and restores without allocating. A
- * latency timeline reserves a whole run of slices in one heap block.
+ * latency timeline reserves a whole run of slices in one heap block,
+ * and a 4-node directory copy costs one byte per file.
  *
  * This file must stay its own test binary: the hook is global.
  */
@@ -31,6 +32,7 @@
 #include "loadgen/session_farm.hh"
 #include "net/network.hh"
 #include "os/node.hh"
+#include "press/directory.hh"
 #include "press/messages.hh"
 #include "proto/tcp.hh"
 #include "sim/deadline_fifo.hh"
@@ -41,12 +43,15 @@ namespace {
 
 bool g_counting = false;
 std::uint64_t g_news = 0;
+std::uint64_t g_bytes = 0;
 
 void *
 countedAlloc(std::size_t n)
 {
-    if (g_counting)
+    if (g_counting) {
         ++g_news;
+        g_bytes += n;
+    }
     void *p = std::malloc(n ? n : 1);
     if (!p)
         throw std::bad_alloc();
@@ -56,8 +61,10 @@ countedAlloc(std::size_t n)
 void *
 countedAllocAligned(std::size_t n, std::size_t align)
 {
-    if (g_counting)
+    if (g_counting) {
         ++g_news;
+        g_bytes += n;
+    }
     void *p = nullptr;
     if (posix_memalign(&p, align < sizeof(void *) ? sizeof(void *) : align,
                        n ? n : 1) != 0)
@@ -348,6 +355,24 @@ TEST(ZeroAlloc, TimelineReservesItsSlicesInOneBlock)
     }
     g_counting = false;
     EXPECT_LE(g_news, 2u) << "allocations to reserve 4 000 slices";
+}
+
+TEST(ZeroAlloc, DirectoryCopyIsOneBytePerFile)
+{
+    // Every server keeps one directory live and one in its snapshot:
+    // a node bitmask per file keeps a 4-node copy at one byte per
+    // file of the campaign's working set, plus the per-node counters.
+    constexpr std::size_t kFiles = 68000;
+    press::Directory d(4);
+    d.reserve(kFiles);
+    for (sim::FileId f = 0; f < kFiles; ++f)
+        d.add(f, static_cast<sim::NodeId>(f % 4));
+    g_bytes = 0;
+    g_counting = true;
+    press::Directory copy = d;
+    g_counting = false;
+    EXPECT_EQ(copy.entriesOf(3), kFiles / 4);
+    EXPECT_LE(g_bytes, kFiles + 64) << "bytes allocated to copy the directory";
 }
 
 TEST(ZeroAlloc, PressMeasureWindowAllocatesNothing)

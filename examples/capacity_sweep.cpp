@@ -2,63 +2,34 @@
  * @file
  * Capacity sweep: drive one PRESS version at increasing offered load
  * and print served throughput plus request-level availability — the
- * saturation curve behind "near-peak throughput" in Table 1, and a
- * template for using the load generators standalone: the open-loop
- * ClientFarm, then closed-loop session clients with p50/p99 latency.
+ * saturation curve behind "near-peak throughput" in Table 1, with
+ * the open-loop ClientFarm and then closed-loop session clients
+ * (p50/p99 latency). Each point is one fault-free exp::Experiment
+ * whose clients start at 2 s.
  *
  *   $ ./capacity_sweep [version 0-4]
  */
 
 #include <cstdio>
-#include <cstdlib>
 
-#include "press/cluster.hh"
-#include "sim/simulation.hh"
-#include "loadgen/client_farm.hh"
-#include "loadgen/generator.hh"
-#include "loadgen/load_profile.hh"
+#include "args.hh"
+#include "exp/experiment.hh"
 
 using namespace performa;
 
 namespace {
 
-struct Point
+/** A fault-free run of @p v with clients from 2 s to @p duration. */
+exp::ExperimentConfig
+sweepConfig(press::Version v, std::uint64_t seed, sim::Tick duration)
 {
-    double offered;
-    double served;
-    double availability;
-};
-
-Point
-measure(press::Version v, double rate)
-{
-    sim::Simulation sim(11);
-    press::ClusterConfig ccfg;
-    ccfg.press.version = v;
-    press::Cluster cluster(sim, ccfg);
-
-    loadgen::WorkloadConfig wcfg;
-    wcfg.requestRate = rate;
-    wcfg.numFiles = 60000;
-    loadgen::ClientFarm farm(sim, cluster.clientNet(),
-                             cluster.serverClientPorts(),
-                             cluster.clientMachinePorts(), wcfg);
-
-    cluster.startAll();
-    sim.runUntil(sim::sec(2));
-    cluster.prewarm(wcfg.numFiles);
-    farm.start();
-    sim.runUntil(sim::sec(50));
-
-    Point p;
-    p.offered = farm.offered().meanRate(sim::sec(20), sim::sec(50));
-    p.served = farm.served().meanRate(sim::sec(20), sim::sec(50));
-    p.availability =
-        farm.totalOffered()
-            ? static_cast<double>(farm.totalServed()) /
-                  static_cast<double>(farm.totalOffered())
-            : 0.0;
-    return p;
+    exp::ExperimentConfig cfg;
+    cfg.cluster.press.version = v;
+    cfg.workload.numFiles = 60000;
+    cfg.seed = seed;
+    cfg.injectAt = sim::sec(2);
+    cfg.duration = duration;
+    return cfg;
 }
 
 } // namespace
@@ -66,8 +37,8 @@ measure(press::Version v, double rate)
 int
 main(int argc, char **argv)
 {
-    int vi = argc > 1 ? std::atoi(argv[1]) : 0;
-    press::Version v = press::allVersions[vi % 5];
+    press::Version v =
+        tableArg(press::allVersions, argc, argv, 1, 0, "[version 0-4]");
     double peak = press::paperThroughput(v);
 
     std::printf("capacity sweep: %s (paper near-peak %.0f req/s)\n\n",
@@ -75,9 +46,13 @@ main(int argc, char **argv)
     std::printf("open loop (Poisson arrivals, as in the paper):\n");
     std::printf("%10s %10s %14s\n", "offered", "served", "availability");
     for (double frac : {0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 1.25}) {
-        Point p = measure(v, frac * peak);
-        std::printf("%7.0f/s %7.0f/s %13.2f%%%s\n", p.offered, p.served,
-                    100 * p.availability,
+        exp::ExperimentConfig cfg = sweepConfig(v, 11, sim::sec(50));
+        cfg.workload.requestRate = frac * peak;
+        exp::ExperimentResult res = exp::runExperiment(cfg);
+        std::printf("%7.0f/s %7.0f/s %13.2f%%%s\n",
+                    res.offered.meanRate(sim::sec(20), sim::sec(50)),
+                    res.served.meanRate(sim::sec(20), sim::sec(50)),
+                    100 * res.availability,
                     frac >= 1.0 ? "   (saturated)" : "");
     }
 
@@ -85,28 +60,15 @@ main(int argc, char **argv)
     std::printf("%10s %10s %10s %10s\n", "sessions", "served", "p50",
                 "p99");
     for (std::size_t users : {50, 200, 400, 800}) {
-        sim::Simulation sim(13);
-        press::ClusterConfig ccfg;
-        ccfg.press.version = v;
-        press::Cluster cluster(sim, ccfg);
-        loadgen::WorkloadConfig wcfg;
-        wcfg.numFiles = 60000;
-        loadgen::LoadProfileSpec profile =
-            *loadgen::profileByName("sessions");
-        profile.sessionCount = users;
-        profile.meanThink = sim::msec(50);
-        auto farm = loadgen::makeLoadGenerator(
-            sim, cluster.clientNet(), cluster.serverClientPorts(),
-            cluster.clientMachinePorts(), wcfg, profile);
-        cluster.startAll();
-        sim.runUntil(sim::sec(2));
-        cluster.prewarm(wcfg.numFiles);
-        farm->start();
-        sim.runUntil(sim::sec(40));
+        exp::ExperimentConfig cfg = sweepConfig(v, 13, sim::sec(40));
+        cfg.profile = *loadgen::profileByName("sessions");
+        cfg.profile.sessionCount = users;
+        cfg.profile.meanThink = sim::msec(50);
+        exp::ExperimentResult res = exp::runExperiment(cfg);
         const sim::LatencyHistogram &total =
-            farm->timeline().cumulative(sim::LatencyStage::Total);
+            res.latency.cumulative(sim::LatencyStage::Total);
         std::printf("%10zu %7.0f/s %7.2f ms %7.2f ms\n", users,
-                    farm->served().meanRate(sim::sec(15), sim::sec(40)),
+                    res.served.meanRate(sim::sec(15), sim::sec(40)),
                     total.quantile(0.5) / 1000.0,
                     total.quantile(0.99) / 1000.0);
     }

@@ -15,8 +15,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.hh"
 #include "exp/behavior_db.hh"
 #include "exp/report.hh"
 #include "exp/stages.hh"
@@ -26,10 +26,10 @@ using namespace performa;
 int
 main(int argc, char **argv)
 {
-    int vi = argc > 1 ? std::atoi(argv[1]) : 1;
-    int fi = argc > 2 ? std::atoi(argv[2]) : 0;
-    press::Version v = press::allVersions[vi % 5];
-    fault::FaultKind k = fault::allFaultKinds[fi % 11];
+    const char *usage = "[version 0-4] [fault 0-10]";
+    press::Version v = tableArg(press::allVersions, argc, argv, 1, 1, usage);
+    fault::FaultKind k =
+        tableArg(fault::allFaultKinds, argc, argv, 2, 0, usage);
 
     std::printf("failure drill: %s under %s\n\n", press::versionName(v),
                 fault::faultName(k));

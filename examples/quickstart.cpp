@@ -8,8 +8,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.hh"
 #include "faults/injector.hh"
 #include "press/cluster.hh"
 #include "sim/simulation.hh"
@@ -20,8 +20,8 @@ using namespace performa;
 int
 main(int argc, char **argv)
 {
-    int vi = argc > 1 ? std::atoi(argv[1]) : 4;
-    press::Version version = press::allVersions[vi % 5];
+    press::Version version =
+        tableArg(press::allVersions, argc, argv, 1, 4, "[version 0-4]");
     std::printf("performa quickstart: %s on a simulated 4-node cLAN "
                 "cluster\n\n",
                 press::versionName(version));

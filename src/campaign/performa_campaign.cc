@@ -49,7 +49,7 @@ usage(const char *argv0)
         "  --versions L   comma-separated version indices (Table 1\n"
         "                 order, 0-4; default: all)\n"
         "  --faults L     comma-separated fault-kind indices (Table 2\n"
-        "                 order, 0-11; default: all)\n"
+        "                 order, 0-10; default: all)\n"
         "  --nodes LIST   comma-separated cluster sizes, each >= 2\n"
         "                 (default 4)\n"
         "  --scale LIST   comma-separated offered-load scales, each\n"
@@ -317,6 +317,32 @@ printSloReport(const exp::BehaviorDb &db, const model::LatencySlo &slo,
                     "SLO\n");
 }
 
+/** Per-port NIC counters (traffic and drops by cause) per point. */
+void
+printNetStats(const std::vector<campaign::PointNetStats> &points)
+{
+    for (const campaign::PointNetStats &pt : points) {
+        std::printf("net-stats %s x %s:\n", press::versionName(pt.version),
+                    fault::faultName(pt.kind));
+        for (std::size_t p = 0; p < pt.ports.size(); ++p) {
+            const net::PortStats &st = pt.ports[p];
+            std::printf("  port %zu: sent %llu (%llu B) rcvd %llu (%llu B) "
+                        "drops %llu [port-down %llu link-down %llu "
+                        "switch-down %llu in-flight %llu]\n",
+                        p, static_cast<unsigned long long>(st.framesSent),
+                        static_cast<unsigned long long>(st.bytesSent),
+                        static_cast<unsigned long long>(st.framesReceived),
+                        static_cast<unsigned long long>(st.bytesReceived),
+                        static_cast<unsigned long long>(st.drops()),
+                        static_cast<unsigned long long>(st.dropPortDown),
+                        static_cast<unsigned long long>(st.dropLinkDown),
+                        static_cast<unsigned long long>(st.dropSwitchDown),
+                        static_cast<unsigned long long>(
+                            st.dropDiedInFlight));
+        }
+    }
+}
+
 std::string
 fmtDuration(double s)
 {
@@ -484,41 +510,6 @@ main(int argc, char **argv)
                         "jobs=%u cache=%s\n",
                         gridVersions * gridFaults, n, x, effective,
                         path.c_str());
-            if (netStats) {
-                opts.netStats = [](press::Version v, fault::FaultKind k,
-                                   const std::vector<net::PortStats>
-                                       &ports) {
-                    std::printf("net-stats %s x %s:\n",
-                                press::versionName(v),
-                                fault::faultName(k));
-                    for (std::size_t p = 0; p < ports.size(); ++p) {
-                        const net::PortStats &st = ports[p];
-                        std::printf(
-                            "  port %zu: sent %llu (%llu B) "
-                            "rcvd %llu (%llu B) drops %llu "
-                            "[port-down %llu link-down %llu "
-                            "switch-down %llu in-flight %llu]\n",
-                            p,
-                            static_cast<unsigned long long>(
-                                st.framesSent),
-                            static_cast<unsigned long long>(
-                                st.bytesSent),
-                            static_cast<unsigned long long>(
-                                st.framesReceived),
-                            static_cast<unsigned long long>(
-                                st.bytesReceived),
-                            static_cast<unsigned long long>(st.drops()),
-                            static_cast<unsigned long long>(
-                                st.dropPortDown),
-                            static_cast<unsigned long long>(
-                                st.dropLinkDown),
-                            static_cast<unsigned long long>(
-                                st.dropSwitchDown),
-                            static_cast<unsigned long long>(
-                                st.dropDiedInFlight));
-                    }
-                };
-            }
             if (!quiet) {
                 opts.progress = [](const campaign::Progress &p) {
                     std::printf("  [%2zu/%2zu] %-7s %-32s %6.1fs"
@@ -535,6 +526,8 @@ main(int argc, char **argv)
             exp::BehaviorDb db;
             campaign::Phase1Result res =
                 campaign::ensurePhase1(db, path, opts);
+            if (netStats)
+                printNetStats(res.netStats);
             std::printf("campaign: %zu measured, %zu cached, "
                         "%zu failed in %s",
                         res.measured, res.cached, res.failed,

@@ -166,10 +166,12 @@ ensurePhase1(exp::BehaviorDb &db, const std::string &cache_path,
     // Jobs write into slots indexed like `todo`; merging back into
     // the (ordered) BehaviorDb happens after the barrier, in key
     // order, so the database never depends on completion order.
-    std::vector<model::MeasuredBehavior> slots(todo.size());
-    bool collect_stats = opts.netStats && !opts.measureFn;
-    std::vector<std::vector<net::PortStats>> statSlots(
-        collect_stats ? todo.size() : 0);
+    struct Slot
+    {
+        model::MeasuredBehavior behavior;
+        std::vector<net::PortStats> ports;
+    };
+    std::vector<Slot> slots(todo.size());
 
     // A job's predicted cost (Job::units): the requests it offers
     // over @p t simulated time. Every version runs the same simulated
@@ -213,7 +215,7 @@ ensurePhase1(exp::BehaviorDb &db, const std::string &cache_path,
             job.tag = phase1Tag(v, k);
             job.units = requestsOffered(cfg, cfg.duration);
             job.work = [&slots, i, cfg, &opts](const Job &) {
-                slots[i] = opts.measureFn(cfg);
+                slots[i].behavior = opts.measureFn(cfg);
             };
             jobs.push_back(std::move(job));
             jobSlot.push_back(static_cast<std::ptrdiff_t>(i));
@@ -268,8 +270,7 @@ ensurePhase1(exp::BehaviorDb &db, const std::string &cache_path,
                 job.strand = strand;
                 job.units =
                     requestsOffered(cfg, cfg.duration - cfg.injectAt);
-                job.work = [&slots, &statSlots, collect_stats, &ws, i,
-                            cfg, &opts](const Job &) {
+                job.work = [&slots, &ws, i, cfg, &opts](const Job &) {
                     struct Release
                     {
                         WarmState &ws;
@@ -288,11 +289,10 @@ ensurePhase1(exp::BehaviorDb &db, const std::string &cache_path,
                     exp::ExperimentResult res =
                         ws.exp->injectAndMeasure(cfg.fault,
                                                  cfg.duration);
-                    if (collect_stats)
-                        statSlots[i] = std::move(res.intraPortStats);
+                    slots[i].ports = std::move(res.intraPortStats);
                     exp::ExtractionParams p;
                     p.slo = opts.slo;
-                    slots[i] =
+                    slots[i].behavior =
                         exp::extractBehavior(res, *cfg.fault, p);
                 };
                 jobs.push_back(std::move(job));
@@ -316,7 +316,11 @@ ensurePhase1(exp::BehaviorDb &db, const std::string &cache_path,
             continue;
         }
         if (report.jobs[j].ok) {
-            db.set(todo[slot].first, todo[slot].second, slots[slot]);
+            auto [v, k] = todo[slot];
+            db.set(v, k, slots[slot].behavior);
+            if (!slots[slot].ports.empty())
+                result.netStats.push_back(
+                    {v, k, std::move(slots[slot].ports)});
             ++result.measured;
         } else {
             ++result.failed;
@@ -326,15 +330,6 @@ ensurePhase1(exp::BehaviorDb &db, const std::string &cache_path,
     result.wallSeconds = report.wallSeconds;
     result.busyFraction = report.busyFraction();
     result.workers = report.workers;
-
-    if (collect_stats) {
-        for (std::size_t j = 0; j < jobs.size(); ++j) {
-            std::ptrdiff_t slot = jobSlot[j];
-            if (slot >= 0 && report.jobs[j].ok)
-                opts.netStats(todo[slot].first, todo[slot].second,
-                              statSlots[slot]);
-        }
-    }
 
     if (result.measured > 0 && !cache_path.empty())
         db.save(cache_path);

@@ -92,22 +92,21 @@ struct Phase1Options
     ProgressFn progress;
 
     /**
-     * Optional NIC-counter sink: after the campaign barrier, called
-     * once per freshly measured grid point (in grid order) with the
-     * experiment's end-of-run intra-cluster port stats. Ignored when
-     * measureFn is overridden (the override produces no stats).
-     */
-    std::function<void(press::Version, fault::FaultKind,
-                       const std::vector<net::PortStats> &)>
-        netStats;
-
-    /**
      * Experiment-runner override, for tests: maps a fully-built
      * config (seed already derived) to a measured behaviour. Defaults
      * to exp::runExperiment + exp::extractBehavior.
      */
     std::function<model::MeasuredBehavior(const exp::ExperimentConfig &)>
         measureFn;
+};
+
+/** One measured grid point's end-of-run intra-cluster NIC counters
+ *  (indexed by PortId == node index). */
+struct PointNetStats
+{
+    press::Version version;
+    fault::FaultKind kind;
+    std::vector<net::PortStats> ports;
 };
 
 /** What a phase-1 campaign did. */
@@ -124,6 +123,9 @@ struct Phase1Result
     /** Worker threads that ran (CampaignReport::workers): the
      *  requested count, capped at the number of strands. */
     unsigned workers = 0;
+    /** NIC counters of each point measured and merged, in grid
+     *  order; empty when measureFn is overridden. */
+    std::vector<PointNetStats> netStats;
 
     bool ok() const { return failed == 0; }
 };

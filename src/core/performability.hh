@@ -108,8 +108,6 @@ class PerformabilityModel
         entries_.push_back({fc, mb});
     }
 
-    std::size_t faultCount() const { return entries_.size(); }
-
     /** Evaluate AT, AA, P and the per-fault breakdown. */
     PerfResult evaluate(const EnvParams &env = {}) const;
 

@@ -133,17 +133,11 @@ Experiment::injectAndMeasure(const std::optional<fault::FaultSpec> &f,
 }
 
 ExperimentResult
-Experiment::injectAndMeasure()
-{
-    return injectAndMeasure(cfg_.fault);
-}
-
-ExperimentResult
 runExperiment(const ExperimentConfig &cfg)
 {
     Experiment e(cfg);
     e.warmUp();
-    return e.injectAndMeasure();
+    return e.injectAndMeasure(cfg.fault);
 }
 
 } // namespace performa::exp

@@ -73,13 +73,6 @@ struct ExperimentResult
      * PortId == node index): traffic totals plus drops by cause.
      */
     std::vector<net::PortStats> intraPortStats;
-
-    /** Mean served rate over [from, to). */
-    double
-    meanRate(sim::Tick from, sim::Tick to) const
-    {
-        return served.meanRate(from, to);
-    }
 };
 
 /**
@@ -101,6 +94,12 @@ struct ExperimentResult
  *
  * In both paths the fault is applied at exactly cfg.injectAt, after
  * every event scheduled at or before that tick has executed.
+ *
+ * This is the one place outside the unit tests that assembles and
+ * brings up a world. Callers that drive their own events (the
+ * long-run validation's fault storm and operator watchdog) warm up,
+ * schedule them on sim(), cluster() and injector(), then run the
+ * rest with injectAndMeasure(std::nullopt).
  */
 class Experiment
 {
@@ -125,12 +124,10 @@ class Experiment
     injectAndMeasure(const std::optional<fault::FaultSpec> &f,
                      sim::Tick duration = 0);
 
-    /** Inject-and-measure with the config's own fault. */
-    ExperimentResult injectAndMeasure();
-
     const ExperimentConfig &config() const { return cfg_; }
     press::Cluster &cluster() { return *cluster_; }
     sim::Simulation &sim() { return sim_; }
+    fault::Injector &injector() { return *injector_; }
 
   private:
     ExperimentConfig cfg_;

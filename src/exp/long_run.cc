@@ -2,10 +2,7 @@
 
 #include "core/performability.hh"
 #include "exp/stages.hh"
-#include "faults/injector.hh"
-#include "sim/simulation.hh"
 #include "sim/small_fn.hh"
-#include "loadgen/client_farm.hh"
 
 namespace performa::exp {
 
@@ -97,28 +94,21 @@ validateModel(const LongRunConfig &cfg)
         out.sumDegradedWeight += c.degradedWeight;
 
     // ---- The long run: a fault storm against the live cluster. ----
-    sim::Simulation sim(cfg.seed);
-    press::ClusterConfig ccfg;
-    ccfg.press.version = cfg.version;
-    ccfg.press.robustMembership = cfg.robustMembership;
-    press::Cluster cluster(sim, ccfg);
-
-    loadgen::WorkloadConfig wcfg;
-    wcfg.requestRate = press::paperThroughput(cfg.version) * 1.15;
-    wcfg.numFiles = 68000;
-    loadgen::ClientFarm farm(sim, cluster.clientNet(),
-                             cluster.serverClientPorts(),
-                             cluster.clientMachinePorts(), wcfg);
-
-    fault::Injector injector(sim, cluster);
-
-    cluster.startAll();
-    sim.runUntil(sim::sec(2));
-    cluster.prewarm(wcfg.numFiles);
-    farm.start();
-
     const sim::Tick warmup = sim::sec(20);
     const sim::Tick horizon = cfg.duration;
+
+    // The phase-1 world, with no fault of its own: warmUp() brings it
+    // up and opens the client valves at 2 s, where the storm starts.
+    ExperimentConfig ecfg = defaultExperimentConfig(cfg.version);
+    ecfg.cluster.press.robustMembership = cfg.robustMembership;
+    ecfg.seed = cfg.seed;
+    ecfg.injectAt = sim::sec(2);
+    ecfg.duration = horizon;
+    Experiment e(ecfg);
+    e.warmUp();
+    sim::Simulation &sim = e.sim();
+    press::Cluster &cluster = e.cluster();
+    fault::Injector &injector = e.injector();
 
     // Per-class Poisson arrival processes over the 4 nodes.
     std::uint64_t faults = 0;
@@ -166,12 +156,11 @@ validateModel(const LongRunConfig &cfg)
     };
     sim.scheduleIn(sim::sec(5), [&watchdog] { watchdog(); });
 
-    sim.runUntil(horizon);
-    farm.stop();
+    ExperimentResult res = e.injectAndMeasure(std::nullopt);
 
     out.faultsInjected = faults;
     out.operatorResets = resets;
-    double long_run_tput = farm.served().meanRate(warmup, horizon);
+    double long_run_tput = res.served.meanRate(warmup, horizon);
     out.measuredAvailability = tn > 0 ? long_run_tput / tn : 0.0;
     if (out.measuredAvailability > 1.0)
         out.measuredAvailability = 1.0;

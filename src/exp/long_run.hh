@@ -6,7 +6,10 @@
  * fault arrivals from compressed MTTFs, run a long simulation with an
  * operator watchdog, measure availability directly, and compare with
  * the model's prediction built from single-fault behaviours measured
- * at the same fault durations. Agreement should be good while the
+ * at the same fault durations. The long run is a fault-free
+ * exp::Experiment, the same world phase 1 measures with: the storm
+ * and the watchdog are scheduled on it after its warm-up and injected
+ * through its injector. Agreement should be good while the
  * total degraded weight (sum of W_c) is small and degrade gracefully
  * as faults start to overlap.
  */

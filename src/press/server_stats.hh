@@ -41,26 +41,6 @@ struct ServerStats
     std::uint64_t broadcastsSent = 0;
     std::uint64_t stallEvents = 0;      ///< main-thread blocks
     sim::Tick stalledTime = 0;          ///< total time spent blocked
-
-    /** Fraction of admitted requests served from the local cache. */
-    double
-    localHitRate() const
-    {
-        std::uint64_t n = localHits + forwarded + localMisses;
-        return n ? static_cast<double>(localHits) /
-                       static_cast<double>(n)
-                 : 0.0;
-    }
-
-    /** Fraction of admitted requests forwarded to a peer. */
-    double
-    forwardRate() const
-    {
-        std::uint64_t n = localHits + forwarded + localMisses;
-        return n ? static_cast<double>(forwarded) /
-                       static_cast<double>(n)
-                 : 0.0;
-    }
 };
 
 } // namespace performa::press

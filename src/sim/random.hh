@@ -109,13 +109,6 @@ class Rng
         return t == 0 ? 1 : t;
     }
 
-    /** Bernoulli trial with probability @p p of returning true. */
-    bool
-    chance(double p)
-    {
-        return uniform() < p;
-    }
-
     std::mt19937_64 &engine() { return engine_; }
 
   private:

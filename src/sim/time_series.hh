@@ -46,8 +46,6 @@ class TimeSeries
     /** Number of buckets touched so far. */
     std::size_t size() const { return buckets_.size(); }
 
-    Tick bucketWidth() const { return bucketWidth_; }
-
     /** Raw count in bucket @p idx (0 if beyond the recorded range). */
     std::uint64_t
     count(std::size_t idx) const

@@ -11,6 +11,7 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -72,4 +73,43 @@ TEST(CampaignCli, SloRankingFlipsCompareValuesThatReadDifferent)
             }
         }
     }
+}
+
+TEST(CampaignCli, NetStatsPrintOnePortLinePerNode)
+{
+    // One freshly measured point at a quarter of the paper's load, so
+    // the run stays short; every node talks, so every port sends and
+    // receives.
+    const std::string base = ::testing::TempDir() + "/cli_net_stats.csv";
+    auto [out, status] = runCommand(
+        std::string(PERFORMA_CAMPAIGN_CLI) +
+        " --quiet --fresh --net-stats --versions 2 --faults 6"
+        " --scale 0.25 --cache '" +
+        base + "'");
+    ASSERT_EQ(status, 0) << out;
+    EXPECT_NE(out.find("1 measured, 0 cached, 0 failed"),
+              std::string::npos)
+        << out;
+
+    const std::regex port(
+        R"(^  port (\d+): sent (\d+) \(\d+ B\) rcvd (\d+) \(\d+ B\) )");
+    std::size_t headers = 0;
+    std::vector<int> ports;
+    std::istringstream lines(out);
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("net-stats ", 0) == 0) {
+            EXPECT_EQ(line, "net-stats VIA-PRESS-0 x app-crash:");
+            ++headers;
+        }
+        std::smatch m;
+        if (std::regex_search(line, m, port)) {
+            ports.push_back(std::stoi(m[1]));
+            EXPECT_GT(std::stoull(m[2]), 0u) << line;
+            EXPECT_GT(std::stoull(m[3]), 0u) << line;
+        }
+    }
+    EXPECT_EQ(headers, 1u) << out;
+    EXPECT_EQ(ports, (std::vector<int>{0, 1, 2, 3})) << out;
+    // The stats come out before the campaign's summary line.
+    EXPECT_LT(out.find("net-stats "), out.find("1 measured"));
 }

@@ -465,12 +465,19 @@ main(int argc, char **argv)
         std::fprintf(stderr, "empty --nodes/--scale axis\n");
         return 2;
     }
+    // No --versions / --faults means the whole grid, in table order.
+    if (versionSubset.empty())
+        versionSubset.assign(std::begin(press::allVersions),
+                             std::end(press::allVersions));
+    if (faultSubset.empty())
+        faultSubset.assign(std::begin(fault::allFaultKinds),
+                           std::end(fault::allFaultKinds));
 
     if (list) {
         for (std::uint32_t n : nodeAxis)
             for (double x : scaleAxis)
-                for (press::Version v : press::allVersions)
-                    for (fault::FaultKind k : fault::allFaultKinds)
+                for (press::Version v : versionSubset)
+                    for (fault::FaultKind k : faultSubset)
                         std::printf(
                             "%-13s %-15s nodes=%u scale=%g "
                             "seed=%016llx\n",
@@ -498,18 +505,12 @@ main(int argc, char **argv)
             opts.slo = slo;
             opts.versions = versionSubset;
             opts.faults = faultSubset;
-            std::size_t gridVersions = versionSubset.empty()
-                                           ? std::size(press::allVersions)
-                                           : versionSubset.size();
-            std::size_t gridFaults = faultSubset.empty()
-                                         ? std::size(fault::allFaultKinds)
-                                         : faultSubset.size();
             std::string path =
                 comboCachePath(cache, n, x, profile.name, sloSpec);
             std::printf("campaign: %zu-point grid, nodes=%u scale=%g "
                         "jobs=%u cache=%s\n",
-                        gridVersions * gridFaults, n, x, effective,
-                        path.c_str());
+                        versionSubset.size() * faultSubset.size(), n, x,
+                        effective, path.c_str());
             if (!quiet) {
                 opts.progress = [](const campaign::Progress &p) {
                     std::printf("  [%2zu/%2zu] %-7s %-32s %6.1fs"

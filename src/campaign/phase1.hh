@@ -93,8 +93,10 @@ struct Phase1Options
 
     /**
      * Experiment-runner override, for tests: maps a fully-built
-     * config (seed already derived) to a measured behaviour. Defaults
-     * to exp::runExperiment + exp::extractBehavior.
+     * config (seed already derived) to a measured behaviour, one
+     * independent run per grid point. Unset, each version is warmed
+     * up once, snapshotted, and every fault job forks from that
+     * snapshot, then injects, measures and extracts.
      */
     std::function<model::MeasuredBehavior(const exp::ExperimentConfig &)>
         measureFn;

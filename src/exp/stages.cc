@@ -17,6 +17,10 @@ using model::StageG;
 
 namespace {
 
+constexpr sim::Tick reconfigTransient = sim::sec(10); ///< stage-B window
+constexpr sim::Tick recoveryTransient = sim::sec(15); ///< stage-D window
+constexpr double healedThreshold = 0.93; ///< stage E >= this share of Tn
+
 /**
  * Mean served rate over [from, to), or @p fallback when the window is
  * too short (< 1 s) to carry a meaningful sample.
@@ -86,7 +90,7 @@ extractBehavior(const ExperimentResult &res, const fault::FaultSpec &spec,
         mb.tput[StageA] = rateOr(res, inject, tA1, mb.normalTput);
         win[StageA] = {inject, tA1};
 
-        sim::Tick tB1 = std::min(tA1 + p.reconfigTransient, end);
+        sim::Tick tB1 = std::min(tA1 + reconfigTransient, end);
         mb.dur[StageB] = sim::toSeconds(tB1 - tA1);
         mb.tput[StageB] = rateOr(res, tA1, tB1, mb.tput[StageA]);
         win[StageB] = {tA1, tB1};
@@ -122,13 +126,13 @@ extractBehavior(const ExperimentResult &res, const fault::FaultSpec &spec,
     for (sim::Tick t = t_repair; t + sim::sec(5) <= tE1;
          t += sim::sec(1)) {
         if (res.served.meanRate(t, t + sim::sec(5)) >=
-            p.healedThreshold * final_level) {
+            healedThreshold * final_level) {
             stab = t;
             break;
         }
     }
     sim::Tick tD1 = std::max(stab, std::min(t_repair +
-                                            p.recoveryTransient, tE1));
+                                            recoveryTransient, tE1));
     mb.dur[StageD] = sim::toSeconds(tD1 > t_repair ? tD1 - t_repair : 0);
     mb.tput[StageD] = rateOr(res, t_repair, tD1, mb.normalTput);
     win[StageD] = {t_repair, tD1};
@@ -139,7 +143,7 @@ extractBehavior(const ExperimentResult &res, const fault::FaultSpec &spec,
     win[StageE] = {tE0, tE1};
 
     mb.healed = !res.endSplintered &&
-                mb.tput[StageE] >= p.healedThreshold * mb.normalTput;
+                mb.tput[StageE] >= healedThreshold * mb.normalTput;
     if (mb.healed)
         mb.tput[StageE] = mb.normalTput;
 

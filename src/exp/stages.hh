@@ -16,13 +16,9 @@
 
 namespace performa::exp {
 
-/** Windows used when reading stages off the series. */
+/** What to read off the series beside the stage throughputs. */
 struct ExtractionParams
 {
-    sim::Tick reconfigTransient = sim::sec(10); ///< stage-B window
-    sim::Tick recoveryTransient = sim::sec(15); ///< stage-D window
-    double healedThreshold = 0.93; ///< stage E >= this fraction of Tn
-
     /**
      * When set, fill MeasuredBehavior::latency by slicing the
      * experiment's latency timeline at the same stage boundaries the

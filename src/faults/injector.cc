@@ -117,18 +117,17 @@ Injector::injectNow(const FaultSpec &spec)
         break;
 
       case FaultKind::BadParamNull:
-        cluster_.server(spec.target).interposer().armSend(
-            proto::Corruption::NullPointer, spec.offByN);
+        cluster_.server(spec.target).armBadParams({.nullPointer = true});
         break;
 
       case FaultKind::BadParamOffPtr:
-        cluster_.server(spec.target).interposer().armSend(
-            proto::Corruption::OffByNPtr, spec.offByN);
+        cluster_.server(spec.target).armBadParams(
+            {.ptrOffset = spec.offByN});
         break;
 
       case FaultKind::BadParamOffSize:
-        cluster_.server(spec.target).interposer().armSend(
-            proto::Corruption::OffByNSize, spec.offByN);
+        cluster_.server(spec.target).armBadParams(
+            {.sizeDelta = spec.offByN});
         break;
 
       case FaultKind::PacketDrop:

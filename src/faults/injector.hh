@@ -4,8 +4,8 @@
  * simulated cluster in real (simulated) time, through the same entry
  * points the real testbed used — network component state, node
  * power/freeze, the kernel allocator trap, the cLAN driver's pin
- * threshold, daemon-delivered signals, and the library interposition
- * layer for bad parameters.
+ * threshold, daemon-delivered signals, and the faulty parameters the
+ * PRESS server's next send call carries (bad parameters).
  */
 
 #ifndef PERFORMA_FAULTS_INJECTOR_HH

@@ -56,10 +56,8 @@ Cluster::Cluster(sim::Simulation &s, ClusterConfig cfg)
             stack = std::make_unique<proto::TcpComm>(
                 *nodes_[i], tcpConfigFor(cfg_.press.version), peer_ports);
         }
-        auto interposer = std::make_unique<proto::FaultInterposer>(
-            std::move(stack));
         servers_.push_back(std::make_unique<Server>(
-            *nodes_[i], cfg_.press, std::move(interposer), all, markers_));
+            *nodes_[i], cfg_.press, std::move(stack), all, markers_));
     }
 }
 
@@ -104,11 +102,10 @@ Cluster::registerWith(sim::SnapshotRegistry &reg)
     reg.attach(*clientNet_);
     for (std::uint32_t i = 0; i < cfg_.press.numNodes; ++i) {
         reg.attach(*nodes_[i]);
-        reg.attach(servers_[i]->interposer());
-        proto::ClusterComm &inner = servers_[i]->interposer().inner();
-        if (auto *via = dynamic_cast<proto::ViaComm *>(&inner))
+        proto::ClusterComm *comm = &servers_[i]->comm();
+        if (auto *via = dynamic_cast<proto::ViaComm *>(comm))
             reg.attach(*via);
-        else if (auto *tcp = dynamic_cast<proto::TcpComm *>(&inner))
+        else if (auto *tcp = dynamic_cast<proto::TcpComm *>(comm))
             reg.attach(*tcp);
         else
             PANIC("unknown comm endpoint type in snapshot registration");

@@ -92,7 +92,7 @@ class Cluster
     /**
      * Attach every mutable component of the testbed to @p reg, in
      * deterministic bottom-up order (fabrics, then per node: OS state,
-     * interposer, comm endpoint, server; then the marker log). Load
+     * comm endpoint, server; then the marker log). Load
      * generators and the Simulation core register themselves
      * separately.
      */

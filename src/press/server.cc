@@ -9,7 +9,7 @@
 namespace performa::press {
 
 Server::Server(osim::Node &node, const PressConfig &cfg,
-               std::unique_ptr<proto::FaultInterposer> comm,
+               std::unique_ptr<proto::ClusterComm> comm,
                std::vector<sim::NodeId> all_nodes, MarkerLog &markers)
     : ServerState(all_nodes.size(), &fwdPool_), node_(node), cfg_(cfg),
       comm_(std::move(comm)), allNodes_(std::move(all_nodes)),
@@ -84,7 +84,7 @@ Server::makeFreshCache()
     cache_ = std::make_unique<FileCache>(cfg_.cacheBytes, cfg_.fileBytes);
     cache_->reserve(files);
     if (usesDynamicPinning(cfg_.version) && !cfg_.staticPinning) {
-        auto *via = dynamic_cast<proto::ViaComm *>(&comm_->inner());
+        auto *via = dynamic_cast<proto::ViaComm *>(comm_.get());
         if (!via)
             PANIC("dynamic pinning requires the VIA substrate");
         cache_->setPinHooks(
@@ -122,7 +122,7 @@ Server::start()
     // exhaustion) or as one static region at start-up (the Section 7
     // pre-allocation extension).
     makeFreshCache();
-    auto *via = dynamic_cast<proto::ViaComm *>(&comm_->inner());
+    auto *via = dynamic_cast<proto::ViaComm *>(comm_.get());
 
     comm_->start();
     if (via && via->started() && usesDynamicPinning(cfg_.version) &&
@@ -833,29 +833,10 @@ Server::sendOrQueue(sim::NodeId peer, proto::AppMessage msg)
 {
     if (!alive_)
         return;
-    if (stalled_) {
+    if (stalled_)
         pendingSends_.emplace_back(peer, std::move(msg));
-        return;
-    }
-    switch (comm_->send(peer, msg, {})) {
-      case proto::SendStatus::Ok:
-        break;
-      case proto::SendStatus::WouldBlock:
-        // The send-thread queue is full: the main thread blocks.
-        pendingSends_.emplace_front(peer, std::move(msg));
-        stalled_ = true;
-        ++stats_.stallEvents;
-        stallStartedAt_ = node_.simulation().now();
-        break;
-      case proto::SendStatus::NotConnected:
-        break; // membership changes will clean this up
-      case proto::SendStatus::Efault:
-        failFast("send() returned EFAULT (NULL data pointer)");
-        break;
-      case proto::SendStatus::Fatal:
-        failFast("communication library descriptor error");
-        break;
-    }
+    else
+        sendNow(peer, msg);
 }
 
 void
@@ -875,25 +856,33 @@ Server::flushPending()
     while (!pendingSends_.empty() && !stalled_ && alive_) {
         auto [peer, msg] = std::move(pendingSends_.front());
         pendingSends_.pop_front();
-        switch (comm_->send(peer, msg, {})) {
-          case proto::SendStatus::Ok:
-            break;
-          case proto::SendStatus::WouldBlock:
-            pendingSends_.emplace_front(peer, std::move(msg));
-            stalled_ = true;
-            ++stats_.stallEvents;
-            stallStartedAt_ = node_.simulation().now();
+        if (!sendNow(peer, msg))
             return;
-          case proto::SendStatus::NotConnected:
-            break;
-          case proto::SendStatus::Efault:
-            failFast("send() returned EFAULT (NULL data pointer)");
-            return;
-          case proto::SendStatus::Fatal:
-            failFast("communication library descriptor error");
-            return;
-        }
     }
+}
+
+bool
+Server::sendNow(sim::NodeId peer, proto::AppMessage &msg)
+{
+    switch (comm_->send(peer, msg, std::exchange(badParams_, {}))) {
+      case proto::SendStatus::Ok:
+      case proto::SendStatus::NotConnected: // membership cleans this up
+        return true;
+      case proto::SendStatus::WouldBlock:
+        // The send-thread queue is full: the main thread blocks.
+        pendingSends_.emplace_front(peer, std::move(msg));
+        stalled_ = true;
+        ++stats_.stallEvents;
+        stallStartedAt_ = node_.simulation().now();
+        return false;
+      case proto::SendStatus::Efault:
+        failFast("send() returned EFAULT (NULL data pointer)");
+        return false;
+      case proto::SendStatus::Fatal:
+        failFast("communication library descriptor error");
+        return false;
+    }
+    return false;
 }
 
 void

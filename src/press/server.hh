@@ -53,7 +53,7 @@
 #include "press/markers.hh"
 #include "press/messages.hh"
 #include "press/server_stats.hh"
-#include "proto/interpose.hh"
+#include "proto/comm.hh"
 #include "sim/ring_buffer.hh"
 #include "sim/small_fn.hh"
 #include "sim/types.hh"
@@ -116,6 +116,10 @@ struct ServerState
     // blocking-send state
     std::deque<std::pair<sim::NodeId, proto::AppMessage>> pendingSends_;
     bool stalled_ = false;
+    /** Bad-parameter fault for the next send call (all zero: none).
+     *  A restart keeps it: the trap sits in the library, not the
+     *  process. */
+    proto::SendParams badParams_;
 
     // main-loop queue
     sim::RingBuffer<MainItem> mainQ_;
@@ -152,14 +156,14 @@ class Server : public osim::Service, private FwdPool, private ServerState
     /**
      * @param node Host node (the server registers as its service).
      * @param cfg Deployment configuration.
-     * @param comm Interposed communication endpoint (owned).
+     * @param comm Communication endpoint (owned).
      * @param all_nodes Identities of every node in the static cluster
      * configuration file.
      * @param markers The cluster's marker log: the server appends its
      * Started, MemberUp, Exclude, FailFast and GiveUp markers.
      */
     Server(osim::Node &node, const PressConfig &cfg,
-           std::unique_ptr<proto::FaultInterposer> comm,
+           std::unique_ptr<proto::ClusterComm> comm,
            std::vector<sim::NodeId> all_nodes, MarkerLog &markers);
 
     // osim::Service interface -----------------------------------------
@@ -169,8 +173,11 @@ class Server : public osim::Service, private FwdPool, private ServerState
     void terminate(bool silent) override;
     bool alive() const override { return alive_; }
 
-    /** Arm bad-parameter faults through the interposition layer. */
-    proto::FaultInterposer &interposer() { return *comm_; }
+    /** Corrupt the parameters of the next send call with @p p (a
+     *  bad-parameter fault); the call after it is clean again. */
+    void armBadParams(const proto::SendParams &p) { badParams_ = p; }
+    /** The communication endpoint (snapshot registration). */
+    proto::ClusterComm &comm() { return *comm_; }
 
     /** Next start() performs initial cluster formation, not a rejoin. */
     void markColdStart() { coldStart_ = true; }
@@ -179,6 +186,7 @@ class Server : public osim::Service, private FwdPool, private ServerState
     const std::set<sim::NodeId> &members() const { return members_; }
     bool stoppedBySignal() const { return stopped_; }
     bool stalled() const { return stalled_; }
+    const proto::SendParams &badParams() const { return badParams_; }
     std::size_t cachedFiles() const { return cache_ ? cache_->size() : 0; }
     /** File ids the cache's link arrays cover. */
     std::size_t cacheTableSize() const
@@ -205,8 +213,9 @@ class Server : public osim::Service, private FwdPool, private ServerState
     void reserveFiles(std::size_t files);
 
     /** Snapshot state: everything mutable in the process — the server
-     *  state, the disks and the cache contents. The comm endpoint
-     *  below us saves itself via its own hook. */
+     *  state (with the armed bad-parameter fault), the disks and the
+     *  cache contents. The comm endpoint below us saves itself via its
+     *  own hook. */
     struct Saved;
 
     Saved save() const;
@@ -267,6 +276,10 @@ class Server : public osim::Service, private FwdPool, private ServerState
      */
     void sendOrQueue(sim::NodeId peer, proto::AppMessage msg);
     void flushPending();
+    /** One send call, carrying the armed bad-parameter fault. On
+     *  WouldBlock @p msg is queued first and the main thread stalls.
+     *  @return false once the thread stalled or fail-fasted. */
+    bool sendNow(sim::NodeId peer, proto::AppMessage &msg);
     void broadcastCacheUpdate(sim::FileId file, bool added);
     void sendCacheInfoTo(sim::NodeId peer);
     void onSendReady();
@@ -311,7 +324,7 @@ class Server : public osim::Service, private FwdPool, private ServerState
 
     osim::Node &node_;
     PressConfig cfg_;
-    std::unique_ptr<proto::FaultInterposer> comm_;
+    std::unique_ptr<proto::ClusterComm> comm_;
     std::vector<sim::NodeId> allNodes_;
     MarkerLog &markers_;
 

@@ -40,8 +40,10 @@ struct AppMessage
 
 /**
  * Parameters of one send call as they reach the communication
- * library. The fault-injection interposition layer flips these to
- * model the paper's bad-parameter application faults.
+ * library. A bad-parameter fault arms a faulty value in the PRESS
+ * server, whose next send call carries it (the paper's layer that
+ * traps the next library call and changes its parameters); an
+ * all-zero value is a clean call.
  */
 struct SendParams
 {

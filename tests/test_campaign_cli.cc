@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "campaign/phase1.hh"
+
 namespace {
 
 /** Run @p cmd through the shell; @return its stdout and exit status. */
@@ -112,4 +114,18 @@ TEST(CampaignCli, NetStatsPrintOnePortLinePerNode)
     EXPECT_EQ(ports, (std::vector<int>{0, 1, 2, 3})) << out;
     // The stats come out before the campaign's summary line.
     EXPECT_LT(out.find("net-stats "), out.find("1 measured"));
+}
+
+TEST(CampaignCli, ListPrintsOnlyTheSelectedSubset)
+{
+    auto [out, status] = runCommand(std::string(PERFORMA_CAMPAIGN_CLI) +
+                                    " --list --versions 0 --faults 6");
+    ASSERT_EQ(status, 0) << out;
+    using namespace performa;
+    char seed[17];
+    std::snprintf(seed, sizeof seed, "%016llx",
+                  static_cast<unsigned long long>(
+                      campaign::phase1Seed(42, press::Version::TcpPress)));
+    EXPECT_EQ(out, "TCP-PRESS     app-crash       nodes=4 scale=1 seed=" +
+                       std::string(seed) + "\n");
 }

@@ -167,11 +167,35 @@ TEST(Injector, AppHangStopsAndContinuesProcess)
     EXPECT_TRUE(w.cluster.server(2).alive());
 }
 
-TEST(Injector, BadParamFaultsArmTheInterposer)
+TEST(Injector, BadParamFaultsArmTheNextSendParams)
 {
+    using fault::FaultKind;
+    for (FaultKind k : {FaultKind::BadParamNull, FaultKind::BadParamOffPtr,
+                        FaultKind::BadParamOffSize}) {
+        SCOPED_TRACE(fault::faultName(k));
+        World w;
+        fault::FaultSpec f = w.spec(k);
+        f.offByN = 24;
+        EXPECT_FALSE(w.cluster.server(2).badParams().faulty());
+        w.injector.injectNow(f);
+        const proto::SendParams &p = w.cluster.server(2).badParams();
+        EXPECT_EQ(p.nullPointer, k == FaultKind::BadParamNull);
+        EXPECT_EQ(p.ptrOffset, k == FaultKind::BadParamOffPtr ? 24 : 0);
+        EXPECT_EQ(p.sizeDelta, k == FaultKind::BadParamOffSize ? 24 : 0);
+    }
+}
+
+TEST(Injector, ArmedBadParamSurvivesAProcessRestart)
+{
+    // With no client load the target sends nothing, so the fault is
+    // still armed when its process crashes and the daemon restarts it.
     World w;
     w.injector.injectNow(w.spec(fault::FaultKind::BadParamNull));
-    EXPECT_TRUE(w.cluster.server(2).interposer().sendArmed());
+    w.injector.injectNow(w.spec(fault::FaultKind::AppCrash));
+    EXPECT_FALSE(w.cluster.server(2).alive());
+    w.s.runUntil(sec(15)); // restart delay (10 s)
+    EXPECT_TRUE(w.cluster.server(2).alive());
+    EXPECT_TRUE(w.cluster.server(2).badParams().nullPointer);
 }
 
 TEST(Injector, PacketDropOnTcpIsHarmless)

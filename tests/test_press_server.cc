@@ -225,6 +225,29 @@ TEST(PressCluster, NullPointerFaultRestartsOneNodeOnTcp)
     EXPECT_EQ(d.cluster.server(3).members().size(), 4u); // rejoined
 }
 
+TEST(PressCluster, BadParamFaultFailsFastExactlyOnce)
+{
+    // The fault corrupts one send call: the restarted process sends
+    // cleanly, so the node fail-fasts exactly once and stays up.
+    Deployment d(press::Version::TcpPress);
+    d.farm.start();
+    fault::FaultSpec spec;
+    spec.kind = fault::FaultKind::BadParamNull;
+    spec.target = 3;
+    spec.injectAt = sec(5);
+    d.injector.schedule(spec);
+    d.s.runUntil(sec(60));
+    int fail_fasts = 0;
+    for (const press::Marker &m : d.cluster.markers().all())
+        if (m.kind == press::MarkerKind::FailFast) {
+            EXPECT_EQ(m.node, 3u);
+            ++fail_fasts;
+        }
+    EXPECT_EQ(fail_fasts, 1);
+    EXPECT_TRUE(d.cluster.server(3).alive());
+    EXPECT_FALSE(d.cluster.server(3).badParams().faulty());
+}
+
 TEST(PressCluster, NullPointerFaultRestartsTwoNodesOnRdma)
 {
     Deployment d(press::Version::ViaPress5);

@@ -293,6 +293,23 @@ TEST(Snapshot, RepeatedForksFromOneSnapshotStayIndependent)
         << "fault A and fault B produced indistinguishable runs";
 }
 
+TEST(Snapshot, ForkDisarmsABadParamFaultArmedAfterTheSnapshot)
+{
+    // The armed fault is server state: a fork rewinds it with the rest.
+    exp::ExperimentConfig cfg = fastConfig(press::Version::TcpPress,
+                                           fault::FaultKind::BadParamNull);
+    fault::FaultSpec spec = *cfg.fault;
+    cfg.fault.reset();
+    exp::Experiment e(cfg);
+    e.warmUp();
+    sim::Snapshot snap = e.snapshot();
+    e.injector().injectNow(spec);
+    press::Server &target = e.cluster().server(spec.target);
+    ASSERT_TRUE(target.badParams().nullPointer);
+    e.forkFrom(snap);
+    EXPECT_FALSE(target.badParams().faulty());
+}
+
 TEST(Snapshot, ForkedSteadyStateTrafficAllocatesNothing)
 {
     // A TCP echo flood (the canonical zero-alloc workload), but run

@@ -78,17 +78,22 @@ TEST(Tcp, NullPointerFailsSynchronouslyWithEfault)
 
 TEST(Tcp, OffByNDesyncIsFatalAtReceiverOnly)
 {
-    TcpWorld w;
-    w.eps[0].comm->connect(1);
-    w.s.runUntil(sec(1));
-    proto::SendParams params;
-    params.sizeDelta = 16;
-    EXPECT_EQ(w.eps[0].comm->send(1, w.msg(1000), params),
-              SendStatus::Ok);
-    w.s.runUntil(sec(2));
-    EXPECT_EQ(w.eps[1].fatal.size(), 1u);
-    EXPECT_TRUE(w.eps[0].fatal.empty());
-    EXPECT_TRUE(w.eps[1].received.empty());
+    // Off-by-N size and off-by-N pointer both desync the stream.
+    proto::SendParams off_size, off_ptr;
+    off_size.sizeDelta = 16;
+    off_ptr.ptrOffset = 8;
+    for (const proto::SendParams &params : {off_size, off_ptr}) {
+        SCOPED_TRACE(params.sizeDelta ? "off-by-N size" : "off-by-N ptr");
+        TcpWorld w;
+        w.eps[0].comm->connect(1);
+        w.s.runUntil(sec(1));
+        EXPECT_EQ(w.eps[0].comm->send(1, w.msg(1000), params),
+                  SendStatus::Ok);
+        w.s.runUntil(sec(2));
+        EXPECT_EQ(w.eps[1].fatal.size(), 1u);
+        EXPECT_TRUE(w.eps[0].fatal.empty());
+        EXPECT_TRUE(w.eps[1].received.empty());
+    }
 }
 
 TEST(Tcp, SurvivesShortLinkFlapViaRetransmission)

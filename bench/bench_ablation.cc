@@ -138,7 +138,7 @@ allLessonsAblation()
                 "membership + static pinning ---\n");
     // Measure a full phase-1 behaviour set for the hardened server
     // (cached separately from the stock measurements).
-    std::string cache = bench::cachePath() + ".hardened";
+    std::string cache = campaign::defaultCachePath() + ".hardened";
     exp::BehaviorDb hardened;
     hardened.load(cache);
     bool dirty = false;

@@ -10,7 +10,6 @@
 #define PERFORMA_BENCH_COMMON_HH
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "campaign/phase1.hh"
@@ -22,19 +21,8 @@
 namespace performa::bench {
 
 /**
- * Where phase-1 behaviours are cached across bench binaries. First
- * run measures (~55 fault-injection experiments); later runs reuse.
- * Override with the PERFORMA_PHASE1_CACHE environment variable.
- */
-inline std::string
-cachePath()
-{
-    const char *env = std::getenv("PERFORMA_PHASE1_CACHE");
-    return env ? env : "performa_phase1.csv";
-}
-
-/**
- * Load-or-measure the full behaviour database. Missing grid points
+ * Load-or-measure the full behaviour database, cached across bench
+ * binaries at campaign::defaultCachePath(). Missing grid points
  * are measured in parallel on the campaign's worker threads
  * (--jobs via PERFORMA_JOBS; defaults to the hardware threads) with
  * structured done/total progress. Per-job seeds are scheduling-independent, so
@@ -44,7 +32,7 @@ inline exp::BehaviorDb
 loadBehaviors()
 {
     exp::BehaviorDb db;
-    std::string path = cachePath();
+    std::string path = campaign::defaultCachePath();
     std::printf("phase-1 behaviours (cache: %s, jobs: %u)\n",
                 path.c_str(), campaign::defaultWorkerCount());
     campaign::Phase1Options opts;

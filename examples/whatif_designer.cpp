@@ -42,8 +42,7 @@ main(int argc, char **argv)
                 drop_days, bug_days, system_days);
 
     exp::BehaviorDb db;
-    const char *env = std::getenv("PERFORMA_PHASE1_CACHE");
-    std::string cache = env ? env : "performa_phase1.csv";
+    std::string cache = campaign::defaultCachePath();
     std::printf("loading phase-1 behaviours from %s "
                 "(measuring any missing pairs)...\n\n",
                 cache.c_str());

@@ -121,13 +121,6 @@ appendOnce(std::vector<T> &list, T x)
         list.push_back(x);
 }
 
-std::string
-defaultCachePath()
-{
-    const char *env = std::getenv("PERFORMA_PHASE1_CACHE");
-    return env ? env : "performa_phase1.csv";
-}
-
 /** Cache path for one (nodes, scale) combo: plain for the default. */
 std::string
 comboCachePath(const std::string &base, std::uint32_t nodes,
@@ -361,7 +354,7 @@ int
 main(int argc, char **argv)
 {
     unsigned jobs = 0;
-    std::string cache = defaultCachePath();
+    std::string cache = campaign::defaultCachePath();
     std::uint64_t seed = 42;
     std::vector<std::uint32_t> nodeAxis = {4};
     std::vector<double> scaleAxis = {1.0};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <iterator>
 #include <memory>
@@ -135,6 +136,13 @@ phase1WarmConfig(press::Version v,
             cfg.duration = c.duration;
     }
     return cfg;
+}
+
+std::string
+defaultCachePath()
+{
+    const char *env = std::getenv("PERFORMA_PHASE1_CACHE");
+    return env ? env : "performa_phase1.csv";
 }
 
 Phase1Result

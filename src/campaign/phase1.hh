@@ -156,6 +156,10 @@ phase1WarmConfig(press::Version v,
                  const std::vector<fault::FaultKind> &faults,
                  const Phase1Options &opts = {});
 
+/** The phase-1 cache path when none is given: $PERFORMA_PHASE1_CACHE,
+ *  else performa_phase1.csv in the working directory. */
+std::string defaultCachePath();
+
 /**
  * Ensure @p db holds a behaviour for every grid point: load
  * @p cache_path when it exists, measure the missing points in

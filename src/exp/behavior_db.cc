@@ -1,8 +1,9 @@
 #include "exp/behavior_db.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 
 #include "sim/logging.hh"
 
@@ -81,7 +82,43 @@ BehaviorDb::lookup() const
 }
 
 namespace {
+
 const char kFingerprintPrefix[] = "# fingerprint: ";
+
+/**
+ * Reads one CSV row's fields in order, each as a number. A field that
+ * is not wholly a number, or a row with fewer or more fields than
+ * were read, fails the row.
+ */
+class RowReader
+{
+  public:
+    explicit RowReader(const std::string &line)
+        : p_(line.data()), end_(line.data() + line.size())
+    {}
+
+    template <typename T>
+    T
+    next()
+    {
+        T x{};
+        auto [q, ec] = std::from_chars(p_, end_, x);
+        ok_ = ok_ && ec == std::errc() && (q == end_ || *q == ',');
+        atEnd_ = q == end_;
+        p_ = atEnd_ ? q : q + 1;
+        return x;
+    }
+
+    /** @return true when every field read and no field is left. */
+    bool ok() const { return ok_ && atEnd_; }
+
+  private:
+    const char *p_;
+    const char *end_;
+    bool ok_ = true;
+    bool atEnd_ = false;
+};
+
 } // namespace
 
 bool
@@ -104,41 +141,44 @@ BehaviorDb::load(const std::string &path)
         return false;
     // Caches written with latency recording carry extra columns.
     bool hasLatency = line.find(",lat,") != std::string::npos;
+    // The file comes from outside the program: every row must have
+    // exactly the header's fields, each wholly a number, and name a
+    // Table 1 version and a Table 2 fault, or nothing is merged.
+    std::map<Key, model::MeasuredBehavior> rows;
     while (std::getline(in, line)) {
-        std::istringstream ss(line);
-        std::string field;
-        auto next = [&]() {
-            std::getline(ss, field, ',');
-            return field;
-        };
-        int v = std::stoi(next());
-        int k = std::stoi(next());
+        RowReader r(line);
+        int v = r.next<int>();
+        int k = r.next<int>();
         model::MeasuredBehavior mb;
-        mb.normalTput = std::stod(next());
-        mb.detected = std::stoi(next()) != 0;
-        mb.healed = std::stoi(next()) != 0;
+        mb.normalTput = r.next<double>();
+        mb.detected = r.next<int>() != 0;
+        mb.healed = r.next<int>() != 0;
         for (int s = 0; s < model::numStages; ++s)
-            mb.tput[s] = std::stod(next());
+            mb.tput[s] = r.next<double>();
         for (int s = 0; s < model::numStages; ++s)
-            mb.dur[s] = std::stod(next());
+            mb.dur[s] = r.next<double>();
         if (hasLatency) {
             model::LatencySummary &ls = mb.latency;
-            ls.present = std::stoi(next()) != 0;
-            ls.sloQuantile = std::stod(next());
-            ls.sloThresholdUs = std::stod(next());
-            ls.fracWithinNormal = std::stod(next());
-            ls.p50Us = std::stod(next());
-            ls.p90Us = std::stod(next());
-            ls.p99Us = std::stod(next());
-            ls.p999Us = std::stod(next());
+            ls.present = r.next<int>() != 0;
+            ls.sloQuantile = r.next<double>();
+            ls.sloThresholdUs = r.next<double>();
+            ls.fracWithinNormal = r.next<double>();
+            ls.p50Us = r.next<double>();
+            ls.p90Us = r.next<double>();
+            ls.p99Us = r.next<double>();
+            ls.p999Us = r.next<double>();
             for (int s = 0; s < model::numStages; ++s)
-                ls.fracWithin[s] = std::stod(next());
+                ls.fracWithin[s] = r.next<double>();
             for (int s = 0; s < model::numStages; ++s)
-                ls.stageP99Us[s] = std::stod(next());
+                ls.stageP99Us[s] = r.next<double>();
         }
-        rows_[{static_cast<press::Version>(v),
-               static_cast<fault::FaultKind>(k)}] = mb;
+        if (!r.ok() || v < 0 || v >= int(std::size(press::allVersions)) ||
+            k < 0 || k >= int(std::size(fault::allFaultKinds)))
+            return false;
+        rows[{press::allVersions[v], fault::allFaultKinds[k]}] = mb;
     }
+    for (auto &[key, mb] : rows)
+        rows_[key] = mb;
     return true;
 }
 

@@ -1,7 +1,5 @@
 #include "faults/injector.hh"
 
-#include "sim/logging.hh"
-
 namespace performa::fault {
 
 const char *
@@ -65,8 +63,6 @@ Injector::emit(press::MarkerKind kind, const FaultSpec &spec)
         std::string(press::markerName(kind)) + " " + faultName(spec.kind);
     sim::NodeId node = spec.kind == FaultKind::SwitchDown ? sim::invalidNode
                                                           : spec.target;
-    sim::Trace::log(sim_.now(), "mendosus", what, " (node ",
-                    node == sim::invalidNode ? -1 : (int)node, ")");
     cluster_.markers().add(sim_.now(), kind, node, sim::invalidNode,
                            std::move(what));
 }

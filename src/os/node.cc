@@ -25,8 +25,6 @@ Node::crash(sim::Tick downtime)
 {
     if (state_ == State::Down)
         return;
-    sim::Trace::log(sim_.now(), "node", "node ", id_, " crashed (down ",
-                    sim::toSeconds(downtime), "s)");
     if (state_ == State::Frozen) {
         // Crashing while frozen: the pending unfreeze event will see
         // the node rebooted and do nothing, so undo the freeze's CPU
@@ -49,7 +47,6 @@ Node::crash(sim::Tick downtime)
 void
 Node::reboot()
 {
-    sim::Trace::log(sim_.now(), "node", "node ", id_, " rebooted");
     ++incarnation_;
     state_ = State::Up;
     setPorts(true);
@@ -68,8 +65,6 @@ Node::freeze(sim::Tick duration)
 {
     if (state_ != State::Up)
         return;
-    sim::Trace::log(sim_.now(), "node", "node ", id_, " froze (",
-                    sim::toSeconds(duration), "s)");
     state_ = State::Frozen;
     cpu_.pause();
     sim_.scheduleIn(duration, [this] {
@@ -77,7 +72,6 @@ Node::freeze(sim::Tick duration)
             return; // crashed while frozen
         state_ = State::Up;
         cpu_.resume();
-        sim::Trace::log(sim_.now(), "node", "node ", id_, " unfroze");
     });
 }
 
@@ -102,15 +96,21 @@ Node::killService()
     if (!service_ || !service_->alive() || state_ == State::Down)
         return;
     service_->terminate(/*silent=*/false);
+    scheduleRestart();
+}
+
+void
+Node::scheduleRestart()
+{
     // The daemon notices the death and restarts the process.
-    if (!restartPending_) {
-        restartPending_ = true;
-        sim_.scheduleIn(cfg_.serviceRestartDelay, [this] {
-            restartPending_ = false;
-            if (state_ == State::Up && service_ && !service_->alive())
-                service_->start();
-        });
-    }
+    if (restartPending_)
+        return;
+    restartPending_ = true;
+    sim_.scheduleIn(cfg_.serviceRestartDelay, [this] {
+        restartPending_ = false;
+        if (state_ == State::Up && service_ && !service_->alive())
+            service_->start();
+    });
 }
 
 void
@@ -125,24 +125,6 @@ Node::contService()
 {
     if (service_ && service_->alive() && state_ != State::Down)
         service_->sigCont();
-}
-
-void
-Node::serviceSelfExited(ExitReason reason)
-{
-    if (reason == ExitReason::GaveUp) {
-        sim::Trace::log(sim_.now(), "daemon", "node ", id_,
-                        " service gave up; waiting for operator");
-        return; // availability cost: needs operator intervention
-    }
-    if (reason == ExitReason::FailFast && !restartPending_) {
-        restartPending_ = true;
-        sim_.scheduleIn(cfg_.serviceRestartDelay, [this] {
-            restartPending_ = false;
-            if (state_ == State::Up && service_ && !service_->alive())
-                service_->start();
-        });
-    }
 }
 
 void

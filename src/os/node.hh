@@ -123,11 +123,10 @@ class Node : private NodeState
     void contService();
 
     /**
-     * Called by the service itself when it exits voluntarily.
-     * FailFast exits are restarted by the daemon; GaveUp exits wait
-     * for the operator.
+     * Called by the service when it terminated itself on a fatal comm
+     * error; the daemon restarts it as it does a killed one.
      */
-    void serviceSelfExited(ExitReason reason);
+    void serviceFailedFast() { scheduleRestart(); }
 
     /** Operator intervention: restart the service with a clean state. */
     void operatorRestartService();
@@ -163,6 +162,7 @@ class Node : private NodeState
   private:
     void setPorts(bool up);
     void reboot();
+    void scheduleRestart();
 
     sim::Simulation &sim_;
     sim::NodeId id_;

@@ -4,21 +4,15 @@
  * supervises. Mendosus runs a user-level daemon on each node that
  * starts the server process, delivers SIGSTOP/SIGCONT/SIGKILL to it,
  * and restarts it; Service is the process-side half of that protocol.
+ * The daemon restarts a process it killed on its own, and starts one
+ * lost in a node crash at the next boot; the only exit a process
+ * reports itself is a fail-fast (Node::serviceFailedFast).
  */
 
 #ifndef PERFORMA_OS_SERVICE_HH
 #define PERFORMA_OS_SERVICE_HH
 
 namespace performa::osim {
-
-/** Why a service process terminated. */
-enum class ExitReason
-{
-    Killed,    ///< SIGKILL from the fault injector (app crash fault)
-    FailFast,  ///< the server terminated itself on a fatal comm error
-    GaveUp,    ///< rejoin attempts exhausted; waits for the operator
-    NodeCrash, ///< the whole node went down
-};
 
 /**
  * A supervised application process (implemented by press::Server).

@@ -142,10 +142,6 @@ Server::start()
         return;
     }
 
-    sim::Trace::log(node_.simulation().now(), "press", "node ",
-                    node_.id(), " started (",
-                    coldStart_ ? "cold" : "rejoin", ")");
-
     if (coldStart_) {
         coldStart_ = false;
         beginColdFormation();
@@ -196,9 +192,6 @@ Server::terminate(bool silent)
         comm_->vanish();
     else
         comm_->shutdown();
-    sim::Trace::log(node_.simulation().now(), "press", "node ",
-                    node_.id(), " terminated (",
-                    silent ? "silent" : "graceful", ")");
 }
 
 void
@@ -223,11 +216,9 @@ Server::sigCont()
 void
 Server::failFast(const std::string &reason)
 {
-    sim::Trace::log(node_.simulation().now(), "press", "node ",
-                    node_.id(), " FAIL-FAST: ", reason);
     mark(MarkerKind::FailFast, sim::invalidNode, reason);
     terminate(/*silent=*/false);
-    node_.serviceSelfExited(osim::ExitReason::FailFast);
+    node_.serviceFailedFast();
 }
 
 // ---------------------------------------------------------------------
@@ -541,8 +532,6 @@ Server::onPeerConnected(sim::NodeId peer)
     loads_[peer] = 0;
     recomputeRing();
     mark(MarkerKind::MemberUp, peer);
-    sim::Trace::log(node_.simulation().now(), "press", "node ",
-                    node_.id(), " member up: ", peer);
     if (fresh && cache_ && cache_->size() > 0)
         sendCacheInfoTo(peer);
 }
@@ -597,9 +586,6 @@ Server::excludeNode(sim::NodeId failed)
         pumpMain();
     }
 
-    sim::Trace::log(node_.simulation().now(), "press", "node ",
-                    node_.id(), " excluded node ", failed,
-                    " (members now ", members_.size(), ")");
     mark(MarkerKind::Exclude, failed);
 }
 
@@ -661,8 +647,6 @@ Server::joinTick()
         // "After the recovered node gives up trying to rejoin": it
         // keeps serving as an independent singleton until an operator
         // intervenes.
-        sim::Trace::log(node_.simulation().now(), "press", "node ",
-                        node_.id(), " gave up rejoining");
         mark(MarkerKind::GiveUp);
         return;
     }
@@ -745,8 +729,6 @@ Server::hbCheckTick()
 
     // Three consecutive heartbeats missed: declare the predecessor
     // failed and tell the rest of the (believed) cluster.
-    sim::Trace::log(now, "press", "node ", node_.id(),
-                    " heartbeat timeout for node ", pred);
     excludeNode(pred);
     std::vector<sim::NodeId> targets(members_.begin(), members_.end());
     for (sim::NodeId m : targets) {

@@ -21,7 +21,7 @@
  *  - frame kinds `ConnectReq`, `ConnectAck`, `Refuse` (the answer to a
  *    connect while not listening) and `Reset` (the close notice, also
  *    the answer to data for a channel this incarnation does not know);
- *    `wire`, its net::Proto; `traceTag` and `channelNoun` for the trace;
+ *    `wire`, its net::Proto; `traceTag`, its name in a PANIC;
  *  - `void initChannel(Chan &)`: size a new channel's queues;
  *  - `void pump(Chan &)`: transmit what the channel has queued;
  *  - `void handleFrame(net::Frame &&)`: every non-datagram frame.
@@ -411,8 +411,8 @@ class ChannelCore : public ClusterComm, private ChannelState<Chan>
     /**
      * The one way a single channel ends: erase it, drop the peer's
      * active entry if it names this channel, cancel its timers and free
-     * what it holds, send the reset notice (@p notify), then, for a
-     * break (@p broken), trace it and report it if it was established.
+     * what it holds, send the reset notice (@p notify), then report a
+     * break (@p broken) if the channel was established.
      * Last, a sender blocked on it is woken: it must not wait on a
      * channel that is gone.
      */
@@ -427,13 +427,8 @@ class ChannelCore : public ClusterComm, private ChannelState<Chan>
         teardown(c);
         if (notify)
             sendControl(c.peer, Derived::Reset, c.id);
-        if (broken) {
-            sim::Trace::log(node_.simulation().now(), Derived::traceTag,
-                            "node ", node_.id(), " ", Derived::channelNoun,
-                            " to ", c.peer, " broken");
-            if (c.established && cbs_.onPeerBroken)
-                cbs_.onPeerBroken(c.peer, *broken);
-        }
+        if (broken && c.established && cbs_.onPeerBroken)
+            cbs_.onPeerBroken(c.peer, *broken);
         if (c.senderBlocked && cbs_.onSendReady)
             cbs_.onSendReady();
     }

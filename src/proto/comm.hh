@@ -35,7 +35,6 @@ struct AppMessage
     std::uint32_t type = 0;        ///< PRESS message type
     std::uint64_t bytes = 0;       ///< logical payload size
     sim::RcAny body;               ///< PRESS payload (pooled, type-erased)
-    bool corrupted = false;        ///< payload is garbage (fault)
 };
 
 /**

@@ -137,7 +137,6 @@ class TcpComm : public ChannelCore<TcpComm, TcpConfig, TcpChannel>
     static constexpr std::uint32_t Reset = Rst;
     static constexpr net::Proto wire = net::Proto::Tcp;
     static constexpr const char *traceTag = "tcp";
-    static constexpr const char *channelNoun = "connection";
 
     void initChannel(TcpChannel &c);
     /** Cancel the retransmission and memory-retry timers and free the

@@ -140,7 +140,6 @@ class ViaComm : public ChannelCore<ViaComm, ViaConfig, ViaChannel>,
     static constexpr std::uint32_t Reset = BreakNotify;
     static constexpr net::Proto wire = net::Proto::Via;
     static constexpr const char *traceTag = "via";
-    static constexpr const char *channelNoun = "VI";
 
     void initChannel(ViaChannel &vi);
     void onEstablished(ViaChannel &vi) { vi.remoteCredits = cfg_.credits; }

@@ -1,10 +1,9 @@
 #include "sim/logging.hh"
 
 #include <cstdio>
+#include <cstdlib>
 
 namespace performa::sim {
-
-std::atomic<bool> Trace::enabled_{false};
 
 void
 panicImpl(const char *file, int line, const std::string &msg)
@@ -18,12 +17,6 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s\n  at %s:%d\n", msg.c_str(), file, line);
     std::exit(1);
-}
-
-void
-warnImpl(const char *file, int line, const std::string &msg)
-{
-    std::fprintf(stderr, "warn: %s (%s:%d)\n", msg.c_str(), file, line);
 }
 
 } // namespace performa::sim

@@ -1,21 +1,16 @@
 /**
  * @file
- * Minimal logging and error-reporting helpers in the spirit of gem5's
- * base/logging.hh: panic() for internal invariant violations, fatal()
- * for user/configuration errors, plus an optional trace stream that
- * experiments can enable to watch protocol behaviour.
+ * Error-reporting helpers in the spirit of gem5's base/logging.hh:
+ * PANIC for internal invariant violations and FATAL for
+ * user/configuration errors. A run's event record is press::MarkerLog,
+ * not a text stream.
  */
 
 #ifndef PERFORMA_SIM_LOGGING_HH
 #define PERFORMA_SIM_LOGGING_HH
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
-
-#include "sim/types.hh"
 
 namespace performa::sim {
 
@@ -32,9 +27,6 @@ namespace performa::sim {
  */
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
-
-/** Print a warning; the run continues. */
-void warnImpl(const char *file, int line, const std::string &msg);
 
 namespace detail {
 
@@ -57,55 +49,6 @@ concat(Args &&...args)
 #define FATAL(...) \
     ::performa::sim::fatalImpl(__FILE__, __LINE__, \
         ::performa::sim::detail::concat(__VA_ARGS__))
-
-#define WARN(...) \
-    ::performa::sim::warnImpl(__FILE__, __LINE__, \
-        ::performa::sim::detail::concat(__VA_ARGS__))
-
-/**
- * Trace sink for protocol-level debugging.
- *
- * Tracing is disabled by default (experiments generate millions of
- * events); tests and examples can enable it to observe behaviour.
- */
-class Trace
-{
-  public:
-    /**
-     * Globally enable or disable tracing. Atomic: the flag is the
-     * one piece of cross-simulation global state, and campaign
-     * workers running concurrent Simulations read it constantly.
-     */
-    static void enable(bool on)
-    {
-        enabled_.store(on, std::memory_order_relaxed);
-    }
-
-    /** @return true if tracing is on. */
-    static bool
-    enabled()
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
-
-    /**
-     * Emit one trace line, prefixed with the simulated time and a
-     * component tag, e.g. "[12.0340s] tcp: connection 2->3 broken".
-     */
-    template <typename... Args>
-    static void
-    log(Tick now, const char *tag, Args &&...args)
-    {
-        if (!enabled())
-            return;
-        std::string body = detail::concat(std::forward<Args>(args)...);
-        std::fprintf(stderr, "[%10.4fs] %s: %s\n", toSeconds(now), tag,
-                     body.c_str());
-    }
-
-  private:
-    static std::atomic<bool> enabled_;
-};
 
 } // namespace performa::sim
 

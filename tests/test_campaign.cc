@@ -604,6 +604,54 @@ TEST(Phase1, LegacyCacheWithoutFingerprintIsRejected)
     std::remove(path.c_str());
 }
 
+TEST(Phase1, MalformedCacheRowIsRejectedAndRemeasured)
+{
+    // A cache file comes from outside the program: one bad row must
+    // make the whole file count as absent, never half-load it.
+    std::string path = tmpPath("campaign_malformed.csv");
+    std::remove(path.c_str());
+    campaign::Phase1Options opts;
+    opts.measureFn = [](const exp::ExperimentConfig &cfg) {
+        return fakeBehavior(cfg.seed);
+    };
+    exp::BehaviorDb seeded;
+    campaign::ensurePhase1(seeded, path, opts);
+    std::string good = slurp(path);
+
+    // A well-formed row with field @p i replaced by @p value.
+    std::string row = good.substr(good.rfind('\n', good.size() - 2) + 1);
+    row.pop_back();
+    auto withField = [&row](int i, const std::string &value) {
+        std::vector<std::string> fields;
+        std::istringstream ss(row);
+        for (std::string f; std::getline(ss, f, ',');)
+            fields.push_back(f);
+        fields[static_cast<std::size_t>(i)] = value;
+        std::string out;
+        for (const std::string &f : fields)
+            out += (out.empty() ? "" : ",") + f;
+        return out;
+    };
+    const std::pair<const char *, std::string> cases[] = {
+        {"truncated", "0,6,12"},
+        {"non-numeric", withField(2, "abc")},
+        {"version 5", withField(0, "5")},
+        {"fault 11", withField(1, "11")},
+    };
+    for (const auto &[what, bad] : cases) {
+        SCOPED_TRACE(what);
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << good << bad << "\n";
+        }
+        exp::BehaviorDb db;
+        campaign::Phase1Result res = campaign::ensurePhase1(db, path, opts);
+        EXPECT_EQ(res.cached, 0u);
+        EXPECT_EQ(res.measured, fullGrid().size());
+    }
+    std::remove(path.c_str());
+}
+
 TEST(Phase1, ConcurrentRealSimulationsAreRaceFreeAndDeterministic)
 {
     // Real discrete-event simulations on 4 workers: the guard test

@@ -76,8 +76,9 @@ TEST(DeterminismGuard, ForkPathReproducesTheCommittedRow)
 {
     // The committed database is produced by the campaign's
     // warm-once/fork-per-fault pipeline; this re-measures the same
-    // grid point through an explicit snapshot + fork (the way
-    // ensurePhase1 does) and pins the row to the committed bytes.
+    // grid point through ensurePhase1 itself (the warm-up job on its
+    // strand, the snapshot, the fork and the release) and pins the
+    // row to the committed bytes.
     const std::string committed = std::string(PERFORMA_SOURCE_DIR) +
                                   "/results/phase1_behaviors.csv";
     const std::string want = findRow(committed, "0,6,");
@@ -85,26 +86,16 @@ TEST(DeterminismGuard, ForkPathReproducesTheCommittedRow)
         << "committed behaviour DB lost its (TcpPress, AppCrash) row";
 
     campaign::Phase1Options opts;
-    exp::ExperimentConfig warmCfg = campaign::phase1WarmConfig(
-        press::Version::TcpPress, {fault::FaultKind::AppCrash}, opts);
-    exp::ExperimentConfig cfg = campaign::phase1Config(
-        press::Version::TcpPress, fault::FaultKind::AppCrash, opts);
-
-    exp::Experiment e(warmCfg);
-    e.warmUp();
-    sim::Snapshot snap = e.snapshot();
-    e.forkFrom(snap);
-    exp::ExperimentResult res =
-        e.injectAndMeasure(cfg.fault, cfg.duration);
-    model::MeasuredBehavior mb = exp::extractBehavior(res, *cfg.fault);
-
-    exp::BehaviorDb db;
-    db.set(press::Version::TcpPress, fault::FaultKind::AppCrash, mb);
+    opts.fresh = true;
+    opts.versions = {press::Version::TcpPress};
+    opts.faults = {fault::FaultKind::AppCrash};
     const std::string tmp = ::testing::TempDir() + "/guard_fork_row.csv";
-    db.save(tmp);
+    exp::BehaviorDb db;
+    campaign::Phase1Result res = campaign::ensurePhase1(db, tmp, opts);
     const std::string got = findRow(tmp, "0,6,");
     std::remove(tmp.c_str());
 
+    EXPECT_EQ(res.measured, 1u);
     EXPECT_EQ(got, want)
         << "fork-path behaviour drifted from the committed DB — the "
         << "snapshot restore is no longer faithful to a fresh warm-up";

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "exp/behavior_db.hh"
 #include "exp/stages.hh"
@@ -15,6 +18,15 @@ using namespace performa;
 using namespace performa::sim;
 
 namespace {
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
 
 /** A fast, small experiment (low load, short run). */
 exp::ExperimentConfig
@@ -208,6 +220,32 @@ TEST(BehaviorDb, LoadMissingFileReturnsFalse)
 {
     exp::BehaviorDb db;
     EXPECT_FALSE(db.load("/nonexistent/behaviors.csv"));
+}
+
+TEST(BehaviorDb, CommittedDbsLoadAndSaveByteForByte)
+{
+    // The strict row parser must accept every committed DB whole,
+    // the latency columns included, and lose nothing on the way.
+    for (const char *name : {"phase1_behaviors.csv",
+                             "phase1_behaviors.csv.ppareto",
+                             "phase1_behaviors.csv.pflashcrowd."
+                             "slop99_500ms"}) {
+        SCOPED_TRACE(name);
+        const std::string committed =
+            std::string(PERFORMA_SOURCE_DIR) + "/results/" + name;
+        const std::string want = slurp(committed);
+        const std::string prefix = "# fingerprint: ";
+        ASSERT_EQ(want.rfind(prefix, 0), 0u);
+        exp::BehaviorDb db;
+        db.setFingerprint(
+            want.substr(prefix.size(), want.find('\n') - prefix.size()));
+        ASSERT_TRUE(db.load(committed));
+        EXPECT_EQ(db.size(), 55u);
+        const std::string tmp = ::testing::TempDir() + "/committed.csv";
+        db.save(tmp);
+        EXPECT_EQ(slurp(tmp), want);
+        std::remove(tmp.c_str());
+    }
 }
 
 TEST(BehaviorDb, LookupAdapterFetchesRows)

@@ -148,17 +148,16 @@ TEST(Node, FailFastExitRestarts)
     World w;
     w.node->startServiceNow();
     w.svc.alive_ = false; // the process exited on its own
-    w.node->serviceSelfExited(osim::ExitReason::FailFast);
+    w.node->serviceFailedFast();
     w.s.runUntil(sec(11));
     EXPECT_EQ(w.svc.starts, 2);
 }
 
-TEST(Node, GaveUpExitWaitsForOperator)
+TEST(Node, UnreportedExitWaitsForOperator)
 {
     World w;
     w.node->startServiceNow();
-    w.svc.alive_ = false;
-    w.node->serviceSelfExited(osim::ExitReason::GaveUp);
+    w.svc.alive_ = false; // died without telling the daemon
     w.s.runUntil(sec(60));
     EXPECT_EQ(w.svc.starts, 1); // no automatic restart
     w.node->operatorRestartService();

@@ -137,16 +137,21 @@ allLessonsAblation()
     std::printf("\n--- 5. all lessons applied: VIA-PRESS-5 + robust "
                 "membership + static pinning ---\n");
     // Measure a full phase-1 behaviour set for the hardened server
-    // (cached separately from the stock measurements).
+    // (cached separately from the stock measurements), each point at
+    // the seed and grid of the stock row it is compared with. The
+    // fingerprint makes a stale or legacy file load nothing.
     std::string cache = campaign::defaultCachePath() + ".hardened";
+    campaign::Phase1Options phase1;
     exp::BehaviorDb hardened;
+    hardened.setFingerprint(campaign::phase1Fingerprint(phase1) +
+                            " hardened");
     hardened.load(cache);
     bool dirty = false;
     for (fault::FaultKind k : fault::allFaultKinds) {
         if (hardened.has(press::Version::ViaPress5, k))
             continue;
         exp::ExperimentConfig cfg =
-            exp::experimentFor(press::Version::ViaPress5, k);
+            campaign::phase1Config(press::Version::ViaPress5, k, phase1);
         cfg.cluster.press.robustMembership = true;
         cfg.cluster.press.staticPinning = true;
         exp::ExperimentResult res = exp::runExperiment(cfg);

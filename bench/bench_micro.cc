@@ -202,24 +202,8 @@ struct TwoNodeWorld
     sim::Simulation sim{7};
     net::Network intra{sim};
     net::Network client{sim};
-    net::PortId p0, p1, c0, c1;
-    std::unique_ptr<osim::Node> n0, n1;
-
-    TwoNodeWorld()
-    {
-        p0 = intra.addPort();
-        p1 = intra.addPort();
-        c0 = client.addPort();
-        c1 = client.addPort();
-        n0 = std::make_unique<osim::Node>(sim, 0, intra, p0, client, c0);
-        n1 = std::make_unique<osim::Node>(sim, 1, intra, p1, client, c1);
-    }
-
-    std::unordered_map<sim::NodeId, net::PortId>
-    ports() const
-    {
-        return {{0, p0}, {1, p1}};
-    }
+    osim::Node n0{sim, 0, intra, client};
+    osim::Node n1{sim, 1, intra, client};
 };
 
 } // namespace
@@ -233,8 +217,8 @@ BM_TcpEchoFlood(benchmark::State &state)
     // CPU-mediated deliveries, so this bounds how fast the phase-1
     // experiments can push intra-cluster traffic.
     TwoNodeWorld w;
-    proto::TcpComm a(*w.n0, proto::TcpConfig{}, w.ports());
-    proto::TcpComm b(*w.n1, proto::TcpConfig{}, w.ports());
+    proto::TcpComm a(w.n0, proto::TcpConfig{});
+    proto::TcpComm b(w.n1, proto::TcpConfig{});
     std::uint64_t echoed = 0;
     proto::CommCallbacks bcbs;
     bcbs.onMessage = [&](sim::NodeId peer, proto::AppMessage &&m) {
@@ -271,8 +255,8 @@ BM_ViaEchoFlood(benchmark::State &state)
     // the SAN with hardware-ack outcome callbacks, and every delivery
     // returns a credit.
     TwoNodeWorld w;
-    proto::ViaComm a(*w.n0, proto::ViaConfig{}, w.ports());
-    proto::ViaComm b(*w.n1, proto::ViaConfig{}, w.ports());
+    proto::ViaComm a(w.n0, proto::ViaConfig{});
+    proto::ViaComm b(w.n1, proto::ViaConfig{});
     std::uint64_t echoed = 0;
     proto::CommCallbacks bcbs;
     bcbs.onMessage = [&](sim::NodeId peer, proto::AppMessage &&m) {
@@ -312,8 +296,8 @@ BM_DatagramFlood(benchmark::State &state)
     // The heartbeat/join path: fire-and-forget datagrams, delivered
     // through the receiver's CPU.
     TwoNodeWorld w;
-    proto::TcpComm a(*w.n0, proto::TcpConfig{}, w.ports());
-    proto::TcpComm b(*w.n1, proto::TcpConfig{}, w.ports());
+    proto::TcpComm a(w.n0, proto::TcpConfig{});
+    proto::TcpComm b(w.n1, proto::TcpConfig{});
     std::uint64_t got = 0;
     proto::CommCallbacks bcbs;
     bcbs.onDatagram = [&](sim::NodeId, std::uint32_t, auto &&) { ++got; };
@@ -376,8 +360,8 @@ BM_DatagramPayloadFlood(benchmark::State &state)
     // cache-info/heartbeat traffic shape): per-message payload
     // allocation rides the full wire + CPU delivery path.
     TwoNodeWorld w;
-    proto::TcpComm a(*w.n0, proto::TcpConfig{}, w.ports());
-    proto::TcpComm b(*w.n1, proto::TcpConfig{}, w.ports());
+    proto::TcpComm a(w.n0, proto::TcpConfig{});
+    proto::TcpComm b(w.n1, proto::TcpConfig{});
     std::uint64_t got = 0;
     proto::CommCallbacks bcbs;
     bcbs.onDatagram = [&](sim::NodeId, std::uint32_t, sim::RcAny p) {
@@ -437,8 +421,8 @@ static void
 BM_TcpMessageRoundTrip(benchmark::State &state)
 {
     TwoNodeWorld w;
-    proto::TcpComm a(*w.n0, proto::TcpConfig{}, w.ports());
-    proto::TcpComm b(*w.n1, proto::TcpConfig{}, w.ports());
+    proto::TcpComm a(w.n0, proto::TcpConfig{});
+    proto::TcpComm b(w.n1, proto::TcpConfig{});
     std::uint64_t received = 0;
     proto::CommCallbacks cbs;
     cbs.onMessage = [&](sim::NodeId, proto::AppMessage &&) {
@@ -467,8 +451,8 @@ static void
 BM_ViaMessageRoundTrip(benchmark::State &state)
 {
     TwoNodeWorld w;
-    proto::ViaComm a(*w.n0, proto::ViaConfig{}, w.ports());
-    proto::ViaComm b(*w.n1, proto::ViaConfig{}, w.ports());
+    proto::ViaComm a(w.n0, proto::ViaConfig{});
+    proto::ViaComm b(w.n1, proto::ViaConfig{});
     std::uint64_t received = 0;
     proto::CommCallbacks cbs;
     cbs.onMessage = [&](sim::NodeId peer, proto::AppMessage &&) {

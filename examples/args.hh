@@ -1,12 +1,14 @@
 /**
  * @file
  * Positional command-line arguments of the examples: an index into
- * one of the paper's tables (versions, fault kinds).
+ * one of the paper's tables (versions, fault kinds), or a number of
+ * days.
  */
 
 #ifndef PERFORMA_EXAMPLES_ARGS_HH
 #define PERFORMA_EXAMPLES_ARGS_HH
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -30,6 +32,28 @@ tableArg(const T (&table)[N], int argc, char **argv, int i,
         std::exit(2);
     }
     return table[v];
+}
+
+/**
+ * The number of days argv[@p i] gives, or @p fallback when there is
+ * no such argument. Anything but a whole, finite, non-negative number
+ * that fills the argument ("abc", "-3", "2x", "7.5", "1e999") prints
+ * "usage: argv[0] @p usage" and exits with status 2.
+ */
+inline double
+daysArg(int argc, char **argv, int i, double fallback, const char *usage)
+{
+    if (argc <= i)
+        return fallback;
+    const char *s = argv[i];
+    char *end = nullptr;
+    double v = std::strtod(s, &end);
+    if (*s < '0' || *s > '9' || *end != '\0' || !std::isfinite(v) ||
+        v != std::floor(v)) {
+        std::fprintf(stderr, "usage: %s %s\n", argv[0], usage);
+        std::exit(2);
+    }
+    return v;
 }
 
 #endif // PERFORMA_EXAMPLES_ARGS_HH

@@ -7,8 +7,8 @@
  *
  *   $ ./whatif_designer [dropDays] [bugDays] [systemDays]
  *
- * (0 disables a fault source; defaults reproduce the paper's
- * pessimistic combination of Figure 10.)
+ * (each a whole number of days; 0 disables a fault source; defaults
+ * reproduce the paper's pessimistic combination of Figure 10.)
  *
  * The tool measures (or loads) the phase-1 behaviours, evaluates the
  * phase-2 model for every PRESS version under your fault beliefs,
@@ -17,10 +17,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "args.hh"
 #include "campaign/phase1.hh"
 #include "core/scenarios.hh"
 #include "exp/behavior_db.hh"
@@ -31,9 +31,10 @@ int
 main(int argc, char **argv)
 {
     const double day = 86400.0;
-    double drop_days = argc > 1 ? std::atof(argv[1]) : 30;
-    double bug_days = argc > 2 ? std::atof(argv[2]) : 14;
-    double system_days = argc > 3 ? std::atof(argv[3]) : 30;
+    const char *usage = "[dropDays] [bugDays] [systemDays]";
+    double drop_days = daysArg(argc, argv, 1, 30, usage);
+    double bug_days = daysArg(argc, argv, 2, 14, usage);
+    double system_days = daysArg(argc, argv, 3, 30, usage);
 
     std::printf("what-if designer: VIA packet drops every %.0f days, "
                 "extra VIA bugs every %.0f days,\n"

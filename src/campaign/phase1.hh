@@ -103,7 +103,7 @@ struct Phase1Options
 };
 
 /** One measured grid point's end-of-run intra-cluster NIC counters
- *  (indexed by PortId == node index). */
+ *  (indexed by node id: osim::Node owns the port of its id). */
 struct PointNetStats
 {
     press::Version version;

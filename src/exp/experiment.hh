@@ -70,7 +70,8 @@ struct ExperimentResult
     sim::Tick injectAt = 0;
     /**
      * End-of-run NIC counters for each intra-cluster port (indexed by
-     * PortId == node index): traffic totals plus drops by cause.
+     * node id: osim::Node owns the port of its id): traffic totals
+     * plus drops by cause.
      */
     std::vector<net::PortStats> intraPortStats;
 };

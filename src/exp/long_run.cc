@@ -1,6 +1,7 @@
 #include "exp/long_run.hh"
 
 #include "core/performability.hh"
+#include "exp/behavior_db.hh"
 #include "exp/stages.hh"
 #include "sim/small_fn.hh"
 
@@ -33,17 +34,12 @@ model::MeasuredBehavior
 measureFor(press::Version version, const ValidationFault &vf,
            bool robust_membership)
 {
-    ExperimentConfig cfg = defaultExperimentConfig(version);
+    ExperimentConfig cfg = experimentFor(version, vf.kind);
     cfg.cluster.press.robustMembership = robust_membership;
-    fault::FaultSpec spec;
-    spec.kind = vf.kind;
-    spec.target = 3;
-    spec.injectAt = cfg.injectAt;
-    spec.duration = vf.duration;
-    cfg.fault = spec;
+    cfg.fault->duration = vf.duration;
     cfg.duration = cfg.injectAt + vf.duration + sim::sec(120);
     ExperimentResult res = runExperiment(cfg);
-    return extractBehavior(res, spec);
+    return extractBehavior(res, *cfg.fault);
 }
 
 /** Model MTTR of a validation fault (seconds). */

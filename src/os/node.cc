@@ -5,19 +5,19 @@
 namespace performa::osim {
 
 Node::Node(sim::Simulation &s, sim::NodeId id, net::Network &intra_net,
-           net::PortId intra_port, net::Network &client_net,
-           net::PortId client_port, NodeConfig cfg)
+           net::Network &client_net, NodeConfig cfg)
     : NodeState(cfg), sim_(s), id_(id), intraNet_(intra_net),
-      intraPort_(intra_port), clientNet_(client_net),
-      clientPort_(client_port), cfg_(cfg), cpu_(s)
+      clientNet_(client_net), cfg_(cfg), cpu_(s)
 {
+    if (intraNet_.addPort() != id_ || clientNet_.addPort() != id_)
+        PANIC("node ", id_, " must own port ", id_, " on both networks");
 }
 
 void
 Node::setPorts(bool up)
 {
-    intraNet_.setPortUp(intraPort_, up);
-    clientNet_.setPortUp(clientPort_, up);
+    intraNet_.setPortUp(id_, up);
+    clientNet_.setPortUp(id_, up);
 }
 
 void

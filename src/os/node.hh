@@ -3,6 +3,11 @@
  * One cluster node: CPU, kernel memory, pinnable-page budget, network
  * attachment, power/freeze lifecycle, and the Mendosus-style monitor
  * daemon that supervises the server process.
+ *
+ * A node's id is its address: it owns port `id` on the intra-cluster
+ * network and port `id` on the client network, as every PRESS process
+ * knows the static cluster from one configuration file. Nodes are
+ * therefore built in id order, before any other port is added.
  */
 
 #ifndef PERFORMA_OS_NODE_HH
@@ -68,9 +73,13 @@ class Node : private NodeState
   public:
     using State = NodeState::State;
 
+    /**
+     * Attach node @p id to both networks: it adds its own port on
+     * each, which must be port @p id (PANICs otherwise), so nodes
+     * 0..id-1 must already be built and no other port added yet.
+     */
     Node(sim::Simulation &s, sim::NodeId id, net::Network &intra_net,
-         net::PortId intra_port, net::Network &client_net,
-         net::PortId client_port, NodeConfig cfg = {});
+         net::Network &client_net, NodeConfig cfg = {});
 
     sim::NodeId id() const { return id_; }
     State state() const { return state_; }
@@ -88,9 +97,7 @@ class Node : private NodeState
     PinManager &pins() { return pins_; }
 
     net::Network &intraNet() { return intraNet_; }
-    net::PortId intraPort() const { return intraPort_; }
     net::Network &clientNet() { return clientNet_; }
-    net::PortId clientPort() const { return clientPort_; }
 
     sim::Simulation &simulation() { return sim_; }
     const NodeConfig &config() const { return cfg_; }
@@ -167,9 +174,7 @@ class Node : private NodeState
     sim::Simulation &sim_;
     sim::NodeId id_;
     net::Network &intraNet_;
-    net::PortId intraPort_;
     net::Network &clientNet_;
-    net::PortId clientPort_;
     NodeConfig cfg_;
 
     Cpu cpu_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_map>
 
 #include "proto/tcp.hh"
 #include "proto/via.hh"
@@ -27,37 +26,26 @@ Cluster::Cluster(sim::Simulation &s, ClusterConfig cfg)
 
     const std::uint32_t n = cfg_.press.numNodes;
 
-    std::unordered_map<sim::NodeId, net::PortId> peer_ports;
+    // Nodes first: node i owns port i on both networks.
     for (std::uint32_t i = 0; i < n; ++i) {
-        net::PortId ip = intraNet_->addPort();
-        net::PortId cp = clientNet_->addPort();
-        peer_ports[i] = ip;
-        serverClientPorts_.push_back(cp);
+        nodes_.push_back(std::make_unique<osim::Node>(
+            sim_, i, *intraNet_, *clientNet_, cfg_.node));
+        serverClientPorts_.push_back(i);
     }
     for (std::uint32_t i = 0; i < cfg_.clientMachines; ++i)
         clientMachinePorts_.push_back(clientNet_->addPort());
-
-    std::vector<sim::NodeId> all;
-    for (std::uint32_t i = 0; i < n; ++i)
-        all.push_back(i);
-
-    for (std::uint32_t i = 0; i < n; ++i) {
-        nodes_.push_back(std::make_unique<osim::Node>(
-            sim_, i, *intraNet_, peer_ports[i], *clientNet_,
-            serverClientPorts_[i], cfg_.node));
-    }
 
     for (std::uint32_t i = 0; i < n; ++i) {
         std::unique_ptr<proto::ClusterComm> stack;
         if (isVia(cfg_.press.version)) {
             stack = std::make_unique<proto::ViaComm>(
-                *nodes_[i], viaConfigFor(cfg_.press.version), peer_ports);
+                *nodes_[i], viaConfigFor(cfg_.press.version));
         } else {
             stack = std::make_unique<proto::TcpComm>(
-                *nodes_[i], tcpConfigFor(cfg_.press.version), peer_ports);
+                *nodes_[i], tcpConfigFor(cfg_.press.version));
         }
         servers_.push_back(std::make_unique<Server>(
-            *nodes_[i], cfg_.press, std::move(stack), all, markers_));
+            *nodes_[i], cfg_.press, std::move(stack), markers_));
     }
 }
 

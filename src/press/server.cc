@@ -9,17 +9,15 @@
 namespace performa::press {
 
 Server::Server(osim::Node &node, const PressConfig &cfg,
-               std::unique_ptr<proto::ClusterComm> comm,
-               std::vector<sim::NodeId> all_nodes, MarkerLog &markers)
-    : ServerState(all_nodes.size(), &fwdPool_), node_(node), cfg_(cfg),
-      comm_(std::move(comm)), allNodes_(std::move(all_nodes)),
-      markers_(markers)
+               std::unique_ptr<proto::ClusterComm> comm, MarkerLog &markers)
+    : ServerState(cfg.numNodes, &fwdPool_), node_(node), cfg_(cfg),
+      comm_(std::move(comm)), markers_(markers)
 {
     disk_ = std::make_unique<DiskArray>(node_.simulation(),
                                         cfg_.disksPerNode, cfg_.diskSeek,
                                         cfg_.diskBytesPerUsec);
 
-    node_.clientNet().setHandler(node_.clientPort(),
+    node_.clientNet().setHandler(node_.id(),
         [this](net::Frame &&f) { onClientFrame(std::move(f)); });
 
     proto::CommCallbacks cbs;
@@ -148,7 +146,7 @@ Server::start()
     } else if (isVia(cfg_.version)) {
         // "The rejoining node simply tries to reestablish its
         // connection with all other nodes."
-        for (sim::NodeId p : allNodes_) {
+        for (sim::NodeId p = 0; p < cfg_.numNodes; ++p) {
             if (p != node_.id())
                 comm_->connect(p);
         }
@@ -294,8 +292,7 @@ Server::serveFromCache(const ClientRequestBody &req)
     std::uint64_t resp = cfg_.sizeOf(req.file) + cfg_.fileRespOverheadBytes;
     mainExec(cfg_.costs.cacheRead + clientSendCost(cfg_.costs, resp),
         [this, req, svc] {
-            respondToClient(req.req, req.replyPort, req.file,
-                            req.sentAt, req.acceptedAt, svc);
+            respondToClient(req, svc);
             finishRequest();
         });
 }
@@ -314,8 +311,7 @@ Server::serveFromDisk(const ClientRequestBody &req)
                  clientSendCost(cfg_.costs, resp),
             [this, req, svc] {
                 cacheInsert(req.file);
-                respondToClient(req.req, req.replyPort, req.file,
-                                req.sentAt, req.acceptedAt, svc);
+                respondToClient(req, svc);
                 finishRequest();
             });
     });
@@ -324,15 +320,7 @@ Server::serveFromDisk(const ClientRequestBody &req)
 void
 Server::forwardRequest(const ClientRequestBody &req, sim::NodeId target)
 {
-    PendingFwd p;
-    p.file = req.file;
-    p.clientPort = req.replyPort;
-    p.target = target;
-    p.sentAt = node_.simulation().now();
-    p.req = req.req;
-    p.reqSentAt = req.sentAt;
-    p.reqAcceptedAt = req.acceptedAt;
-    pendingFwd_[req.req] = p;
+    pendingFwd_[req.req] = {req, target, node_.simulation().now()};
 
     FwdRequestBody body;
     body.senderLoad = static_cast<std::uint32_t>(outstanding_);
@@ -353,20 +341,19 @@ Server::forwardRequest(const ClientRequestBody &req, sim::NodeId target)
 }
 
 void
-Server::respondToClient(sim::RequestId req, std::uint32_t reply_port,
-                        sim::FileId file, sim::Tick sent_at,
-                        sim::Tick accepted_at, sim::Tick service_start)
+Server::respondToClient(const ClientRequestBody &req,
+                        sim::Tick service_start)
 {
     net::Frame f;
-    f.srcPort = node_.clientPort();
-    f.dstPort = reply_port;
+    f.srcPort = node_.id();
+    f.dstPort = req.replyPort;
     f.proto = net::Proto::Client;
     f.kind = ClientResponse;
-    f.bytes = cfg_.sizeOf(file) + cfg_.fileRespOverheadBytes;
+    f.bytes = cfg_.sizeOf(req.file) + cfg_.fileRespOverheadBytes;
     auto body = node_.simulation().makePayload<ClientResponseBody>();
-    body->req = req;
-    body->sentAt = sent_at;
-    body->acceptedAt = accepted_at;
+    body->req = req.req;
+    body->sentAt = req.sentAt;
+    body->acceptedAt = req.acceptedAt;
     body->serviceStartAt = service_start;
     f.payload = std::move(body);
     node_.clientNet().send(std::move(f));
@@ -505,18 +492,14 @@ Server::handleFileData(const FileDataBody &body)
     auto it = pendingFwd_.find(body.req);
     if (it == pendingFwd_.end())
         return; // request was re-dispatched or swept; ignore late data
-    std::uint32_t port = it->second.clientPort;
-    sim::Tick sent = it->second.reqSentAt;
-    sim::Tick acc = it->second.reqAcceptedAt;
+    ClientRequestBody req = it->second.req;
     pendingFwd_.erase(it);
 
-    std::uint64_t resp = cfg_.sizeOf(body.file) + cfg_.fileRespOverheadBytes;
-    sim::RequestId req = body.req;
-    sim::FileId file = body.file;
+    std::uint64_t resp = cfg_.sizeOf(req.file) + cfg_.fileRespOverheadBytes;
     sim::Tick svc = body.serviceStartAt;
     mainExec(clientSendCost(cfg_.costs, resp),
-        [this, req, port, file, sent, acc, svc] {
-            respondToClient(req, port, file, sent, acc, svc);
+        [this, req, svc] {
+            respondToClient(req, svc);
             finishRequest();
         });
 }
@@ -557,24 +540,17 @@ Server::excludeNode(sim::NodeId failed)
                   [failed](const auto &p) { return p.first == failed; });
 
     // Re-dispatch in-flight requests that were forwarded to it.
-    std::vector<PendingFwd> redo;
+    std::vector<ClientRequestBody> redo;
     for (auto it = pendingFwd_.begin(); it != pendingFwd_.end();) {
         if (it->second.target == failed) {
-            redo.push_back(it->second);
+            redo.push_back(it->second.req);
             it = pendingFwd_.erase(it);
         } else {
             ++it;
         }
     }
-    for (const auto &p : redo) {
-        ClientRequestBody req;
-        req.req = p.req;
-        req.file = p.file;
-        req.replyPort = p.clientPort;
-        req.sentAt = p.reqSentAt;
-        req.acceptedAt = p.reqAcceptedAt;
+    for (const auto &req : redo)
         mainExec(sim::usec(5), [this, req] { dispatch(req); });
-    }
 
     // If the main loop was stalled on a send, unstick it: the queued
     // sends to the dead peer were just dropped, and the blocked one
@@ -624,7 +600,7 @@ Server::ringPredecessor() const
 void
 Server::beginColdFormation()
 {
-    for (sim::NodeId p : allNodes_) {
+    for (sim::NodeId p = 0; p < cfg_.numNodes; ++p) {
         if (p < node_.id())
             comm_->connect(p);
     }
@@ -651,7 +627,7 @@ Server::joinTick()
         return;
     }
     ++joinTries_;
-    for (sim::NodeId p : allNodes_) {
+    for (sim::NodeId p = 0; p < cfg_.numNodes; ++p) {
         if (p != node_.id())
             comm_->sendDatagram(p, DgJoinReq);
     }
@@ -793,7 +769,7 @@ Server::membershipProbeTick()
                   [this] { membershipProbeTick(); });
     if (stopped_ || !node_.up())
         return;
-    for (sim::NodeId p : allNodes_) {
+    for (sim::NodeId p = 0; p < cfg_.numNodes; ++p) {
         // Only the higher-ID side of a missing pair probes (the same
         // asymmetry as cold-start formation); simultaneous connects
         // from both ends would race each other's endpoint state.

@@ -67,17 +67,14 @@ namespace performa::press {
  */
 struct ServerState
 {
+    /** A request forwarded to @c target at @c sentAt. The client's
+     *  request (with its latency stamps) is kept whole, for the reply
+     *  and for a re-dispatch when the target node dies. */
     struct PendingFwd
     {
-        sim::FileId file;
-        std::uint32_t clientPort;
+        ClientRequestBody req;
         sim::NodeId target;
         sim::Tick sentAt;
-        sim::RequestId req;
-        // Client latency stamps, preserved across the forward hop
-        // (and across a re-dispatch when the target node dies).
-        sim::Tick reqSentAt = 0;
-        sim::Tick reqAcceptedAt = 0;
     };
     using PendingFwdMap = std::pmr::map<sim::RequestId, PendingFwd>;
 
@@ -157,14 +154,11 @@ class Server : public osim::Service, private FwdPool, private ServerState
      * @param node Host node (the server registers as its service).
      * @param cfg Deployment configuration.
      * @param comm Communication endpoint (owned).
-     * @param all_nodes Identities of every node in the static cluster
-     * configuration file.
      * @param markers The cluster's marker log: the server appends its
      * Started, MemberUp, Exclude, FailFast and GiveUp markers.
      */
     Server(osim::Node &node, const PressConfig &cfg,
-           std::unique_ptr<proto::ClusterComm> comm,
-           std::vector<sim::NodeId> all_nodes, MarkerLog &markers);
+           std::unique_ptr<proto::ClusterComm> comm, MarkerLog &markers);
 
     // osim::Service interface -----------------------------------------
     void start() override;
@@ -228,9 +222,8 @@ class Server : public osim::Service, private FwdPool, private ServerState
     void serveFromCache(const ClientRequestBody &req);
     void serveFromDisk(const ClientRequestBody &req);
     void forwardRequest(const ClientRequestBody &req, sim::NodeId target);
-    void respondToClient(sim::RequestId req, std::uint32_t reply_port,
-                         sim::FileId file, sim::Tick sent_at,
-                         sim::Tick accepted_at, sim::Tick service_start);
+    void respondToClient(const ClientRequestBody &req,
+                         sim::Tick service_start);
     void finishRequest();
 
     // -- intra-cluster messages -----------------------------------------
@@ -325,7 +318,6 @@ class Server : public osim::Service, private FwdPool, private ServerState
     osim::Node &node_;
     PressConfig cfg_;
     std::unique_ptr<proto::ClusterComm> comm_;
-    std::vector<sim::NodeId> allNodes_;
     MarkerLog &markers_;
 
     std::unique_ptr<FileCache> cache_;

@@ -7,11 +7,11 @@
  * buffers from kernel memory and desyncs its byte stream on bad send
  * parameters; VIA fails stop on a lost packet, pre-pins its buffers,
  * flow-controls with credits and raises RDMA errors at both ends.
- * Everything else is written once, here: the peer/port maps, the
- * channel table, connect with retries, accepting a connection (with
+ * Everything else is written once, here: the channel table, connect with retries, accepting a connection (with
  * the simultaneous-connect tie-break), the one close path, the receive
  * queue and CPU-delivery pipeline, datagram reception, the frame
- * builder and the snapshot.
+ * builder and the snapshot. A peer's port is its node id (see
+ * osim::Node); portOf() is the one checked conversion.
  *
  * The core is a CRTP base. A stack's differences come in as static
  * values and statically dispatched hooks, never as a branch on which
@@ -39,7 +39,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "net/frame.hh"
@@ -113,14 +112,9 @@ template <typename Derived, typename Config, typename Chan>
 class ChannelCore : public ClusterComm, private ChannelState<Chan>
 {
   public:
-    ChannelCore(osim::Node &node, Config cfg,
-                const std::unordered_map<sim::NodeId, net::PortId>
-                    &peer_ports)
-        : node_(node), cfg_(cfg), peerPorts_(peer_ports)
+    ChannelCore(osim::Node &node, Config cfg) : node_(node), cfg_(cfg)
     {
-        for (const auto &[peer, port] : peerPorts_)
-            portPeers_[port] = peer;
-        node_.intraNet().setHandler(node_.intraPort(),
+        node_.intraNet().setHandler(node_.id(),
             [this](net::Frame &&f) {
                 if (f.proto == net::Proto::Datagram)
                     receiveDatagram(std::move(f));
@@ -242,20 +236,13 @@ class ChannelCore : public ClusterComm, private ChannelState<Chan>
             cbs_.onMessage(peer, std::move(in.msg));
     }
 
+    /** The intra-network port of node @p peer, which is its id. */
     net::PortId
     portOf(sim::NodeId peer) const
     {
-        auto it = peerPorts_.find(peer);
-        if (it == peerPorts_.end())
+        if (peer >= node_.intraNet().numPorts())
             PANIC(Derived::traceTag, ": unknown peer node ", peer);
-        return it->second;
-    }
-
-    sim::NodeId
-    peerOfPort(net::PortId port) const
-    {
-        auto it = portPeers_.find(port);
-        return it == portPeers_.end() ? sim::invalidNode : it->second;
+        return peer;
     }
 
     /** The channel active_ names for @p peer, or chans_.end(). */
@@ -285,7 +272,7 @@ class ChannelCore : public ClusterComm, private ChannelState<Chan>
           std::uint64_t bytes, net::Proto proto = Derived::wire) const
     {
         net::Frame f;
-        f.srcPort = node_.intraPort();
+        f.srcPort = node_.id();
         f.dstPort = dst;
         f.proto = proto;
         f.kind = kind;
@@ -352,7 +339,7 @@ class ChannelCore : public ClusterComm, private ChannelState<Chan>
     void
     accept(const net::Frame &f)
     {
-        sim::NodeId peer = peerOfPort(f.srcPort);
+        sim::NodeId peer = f.srcPort;
         if (!listening_) {
             sendControl(peer, Derived::Refuse, f.conn);
             return;
@@ -458,7 +445,7 @@ class ChannelCore : public ClusterComm, private ChannelState<Chan>
         auto it = chans_.find(f.conn);
         if (it != chans_.end())
             return &it->second;
-        sendControl(peerOfPort(f.srcPort), Derived::Reset, f.conn);
+        sendControl(f.srcPort, Derived::Reset, f.conn);
         return nullptr;
     }
 
@@ -526,7 +513,7 @@ class ChannelCore : public ClusterComm, private ChannelState<Chan>
     {
         if (!listening_ || !appReceiving_ || !node_.up())
             return;
-        sim::NodeId peer = peerOfPort(f.srcPort);
+        sim::NodeId peer = f.srcPort;
         std::uint32_t kind = f.kind;
         node_.cpu().exec(sim::usec(5),
             [this, peer, kind, payload = std::move(f.payload)] {
@@ -538,8 +525,6 @@ class ChannelCore : public ClusterComm, private ChannelState<Chan>
     osim::Node &node_;
     Config cfg_;
     CommCallbacks cbs_;
-    std::unordered_map<sim::NodeId, net::PortId> peerPorts_;
-    std::unordered_map<net::PortId, sim::NodeId> portPeers_;
 };
 
 } // namespace performa::proto

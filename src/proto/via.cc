@@ -145,7 +145,7 @@ ViaComm::handleFrame(net::Frame &&f)
     // until the CPU runs again.
     switch (f.kind) {
       case ConnReq:
-        if (auto it = activeChannel(peerOfPort(f.srcPort));
+        if (auto it = activeChannel(f.srcPort);
             listening_ && it != chans_.end() && it->first == f.conn) {
             // Duplicate ConnReq (our ack was lost): re-ack.
             sendControl(it->second.peer, ConnAck, f.conn);

@@ -11,7 +11,6 @@
 #include <memory>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -50,20 +49,12 @@ struct CommWorld
                        performa::osim::NodeConfig node_cfg = {})
     {
         using performa::sim::NodeId;
-        std::unordered_map<NodeId, performa::net::PortId> ports;
-        std::vector<performa::net::PortId> cports;
-        for (int i = 0; i < n; ++i) {
-            ports[static_cast<NodeId>(i)] = intra.addPort();
-            cports.push_back(client.addPort());
-        }
         eps.resize(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i) {
-            auto id = static_cast<NodeId>(i);
-            auto &e = eps[static_cast<std::size_t>(i)];
+        for (NodeId id = 0; id < eps.size(); ++id) {
+            auto &e = eps[id];
             e.node = std::make_unique<performa::osim::Node>(
-                s, id, intra, ports[id], client,
-                cports[static_cast<std::size_t>(i)], node_cfg);
-            e.comm = std::make_unique<Comm>(*e.node, cfg, ports);
+                s, id, intra, client, node_cfg);
+            e.comm = std::make_unique<Comm>(*e.node, cfg);
             performa::proto::CommCallbacks cbs;
             cbs.onMessage = [&e](NodeId peer,
                                  performa::proto::AppMessage &&m) {

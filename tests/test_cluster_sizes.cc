@@ -87,6 +87,26 @@ TEST_P(ClusterSizes, SurvivesACrashAndRejoin)
     EXPECT_EQ(w.cluster.server(n - 1).members().size(), n);
 }
 
+TEST_P(ClusterSizes, NodeIdIsItsPortOnBothNetworks)
+{
+    // Node i owns port i on both networks: once nodes 0..i crashed,
+    // exactly ports 0..i are dark. The client machines come next.
+    std::uint32_t n = GetParam();
+    Simulation s{31};
+    press::Cluster c(s, Sized::makeCfg(n, press::Version::TcpPress));
+    EXPECT_EQ(c.intraNet().numPorts(), n);
+    for (std::uint32_t j = 0; j < c.config().clientMachines; ++j)
+        EXPECT_EQ(c.clientMachinePorts().at(j), n + j);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        EXPECT_EQ(c.serverClientPorts().at(i), i);
+        c.node(i).crash(sec(1));
+        for (std::uint32_t p = 0; p < n; ++p) {
+            EXPECT_EQ(c.intraNet().portUp(p), p > i) << i;
+            EXPECT_EQ(c.clientNet().portUp(p), p > i) << i;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sizes, ClusterSizes,
                          ::testing::Values(2u, 3u, 6u, 8u));
 

@@ -2,8 +2,8 @@
  * @file
  * The contract both intra-cluster stacks share through their channel
  * core, checked on each: connect retries give up on a down node, a
- * vanished endpoint keeps no state, and every way a channel with a
- * blocked sender ends wakes that sender.
+ * vanished endpoint keeps no state, every way a channel with a
+ * blocked sender ends wakes that sender, and unknown peers panic.
  */
 
 #include <gtest/gtest.h>
@@ -124,4 +124,10 @@ TYPED_TEST(CommContract, DisconnectWakesBlockedSenderOnce)
     EXPECT_EQ(w.eps[0].sendReady, 1);
     EXPECT_TRUE(w.eps[0].broken.empty()); // app-initiated
     ASSERT_EQ(w.eps[1].broken.size(), 1u);
+}
+
+TYPED_TEST(CommContract, ConnectToUnknownPeerPanics)
+{
+    typename TestFixture::World w; // 2 nodes: ports 0 and 1 only
+    EXPECT_DEATH(w.eps[0].comm->connect(7), "unknown peer node 7");
 }

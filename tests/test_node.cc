@@ -41,19 +41,15 @@ struct World
 {
     Simulation s{1};
     net::Network intra{s}, client{s};
-    net::PortId ip, cp;
     osim::NodeConfig cfg;
     std::unique_ptr<osim::Node> node;
     StubService svc;
 
     World()
     {
-        ip = intra.addPort();
-        cp = client.addPort();
         cfg.serviceStartDelay = sec(5);
         cfg.serviceRestartDelay = sec(10);
-        node = std::make_unique<osim::Node>(s, 0, intra, ip, client, cp,
-                                            cfg);
+        node = std::make_unique<osim::Node>(s, 0, intra, client, cfg);
         node->attachService(&svc);
     }
 };
@@ -77,8 +73,8 @@ TEST(Node, CrashKillsServiceSilentlyAndDropsPorts)
     EXPECT_FALSE(w.node->up());
     EXPECT_EQ(w.svc.terms, 1);
     EXPECT_TRUE(w.svc.silentLast);
-    EXPECT_FALSE(w.intra.portUp(w.ip));
-    EXPECT_FALSE(w.client.portUp(w.cp));
+    EXPECT_FALSE(w.intra.portUp(w.node->id()));
+    EXPECT_FALSE(w.client.portUp(w.node->id()));
 }
 
 TEST(Node, RebootRestoresAndRestartsService)
@@ -89,7 +85,7 @@ TEST(Node, RebootRestoresAndRestartsService)
     w.s.runUntil(sec(31));
     EXPECT_TRUE(w.node->up());
     EXPECT_EQ(w.node->incarnation(), 2u);
-    EXPECT_TRUE(w.intra.portUp(w.ip));
+    EXPECT_TRUE(w.intra.portUp(w.node->id()));
     EXPECT_EQ(w.svc.starts, 1); // start delay not elapsed yet
     w.s.runUntil(sec(36));
     EXPECT_EQ(w.svc.starts, 2); // daemon relaunched the process
@@ -127,7 +123,7 @@ TEST(Node, FreezeKeepsPortsUp)
 {
     World w;
     w.node->freeze(sec(10));
-    EXPECT_TRUE(w.intra.portUp(w.ip)); // NIC hardware still alive
+    EXPECT_TRUE(w.intra.portUp(w.node->id())); // NIC hardware still alive
 }
 
 TEST(Node, KillServiceTriggersDaemonRestart)
@@ -207,4 +203,12 @@ TEST(Node, CrashWhileFrozenDoesNotLeakCpuPause)
     w.node->cpu().exec(usec(10), [&] { ++ran; });
     w.s.runUntil(sec(61));
     EXPECT_EQ(ran, 1) << "CPU still paused after reboot";
+}
+
+TEST(Node, BuiltOutOfIdOrderPanics)
+{
+    Simulation s{1}; // node 1 on networks with no port 0 gets port 0
+    net::Network intra{s}, client{s};
+    EXPECT_DEATH({ osim::Node n(s, 1, intra, client); },
+                 "node 1 must own port 1");
 }

@@ -16,7 +16,6 @@
 #include <cstdlib>
 #include <new>
 #include <string>
-#include <unordered_map>
 
 #include "campaign/phase1.hh"
 #include "exp/experiment.hh"
@@ -319,17 +318,11 @@ TEST(Snapshot, ForkedSteadyStateTrafficAllocatesNothing)
     sim::Simulation sim{7};
     net::Network intra{sim};
     net::Network client{sim};
-    net::PortId p0 = intra.addPort();
-    net::PortId p1 = intra.addPort();
-    net::PortId c0 = client.addPort();
-    net::PortId c1 = client.addPort();
-    osim::Node n0(sim, 0, intra, p0, client, c0);
-    osim::Node n1(sim, 1, intra, p1, client, c1);
-    std::unordered_map<sim::NodeId, net::PortId> ports{{0, p0},
-                                                       {1, p1}};
+    osim::Node n0(sim, 0, intra, client);
+    osim::Node n1(sim, 1, intra, client);
 
-    proto::TcpComm a(n0, proto::TcpConfig{}, ports);
-    proto::TcpComm b(n1, proto::TcpConfig{}, ports);
+    proto::TcpComm a(n0, proto::TcpConfig{});
+    proto::TcpComm b(n1, proto::TcpConfig{});
     std::uint64_t echoed = 0;
     proto::CommCallbacks bcbs;
     bcbs.onMessage = [&](sim::NodeId peer, proto::AppMessage &&m) {

@@ -22,9 +22,7 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
 #include <new>
-#include <unordered_map>
 #include <vector>
 
 #include "campaign/phase1.hh"
@@ -155,24 +153,8 @@ struct TwoNodeWorld
     sim::Simulation sim{7};
     net::Network intra{sim};
     net::Network client{sim};
-    net::PortId p0, p1, c0, c1;
-    std::unique_ptr<osim::Node> n0, n1;
-
-    TwoNodeWorld()
-    {
-        p0 = intra.addPort();
-        p1 = intra.addPort();
-        c0 = client.addPort();
-        c1 = client.addPort();
-        n0 = std::make_unique<osim::Node>(sim, 0, intra, p0, client, c0);
-        n1 = std::make_unique<osim::Node>(sim, 1, intra, p1, client, c1);
-    }
-
-    std::unordered_map<sim::NodeId, net::PortId>
-    ports() const
-    {
-        return {{0, p0}, {1, p1}};
-    }
+    osim::Node n0{sim, 0, intra, client};
+    osim::Node n1{sim, 1, intra, client};
 };
 
 } // namespace
@@ -180,8 +162,8 @@ struct TwoNodeWorld
 TEST(ZeroAlloc, TcpEchoFloodSteadyStateAllocatesNothing)
 {
     TwoNodeWorld w;
-    proto::TcpComm a(*w.n0, proto::TcpConfig{}, w.ports());
-    proto::TcpComm b(*w.n1, proto::TcpConfig{}, w.ports());
+    proto::TcpComm a(w.n0, proto::TcpConfig{});
+    proto::TcpComm b(w.n1, proto::TcpConfig{});
     std::uint64_t echoed = 0;
     proto::CommCallbacks bcbs;
     bcbs.onMessage = [&](sim::NodeId peer, proto::AppMessage &&m) {

@@ -12,6 +12,17 @@
  * events, arms the next head, and then calls the owner's expire hook
  * if the popped head was still live. A dead entry must stay dead.
  *
+ * An entry stores its deadline and seq as 32-bit deltas from the
+ * entry pushed before it; the FIFO keeps the head's and the tail's
+ * absolute (when, seq), and advances the head's as it pops. An entry
+ * is pushed while the one before it is still pending, so at most one
+ * timeout after it: the constructor rejects a timeout of 2^32 ticks
+ * or more, and a push PANICs if 2^32 or more seqs were reserved since
+ * the previous push. A FIFO that drains starts again from absolute
+ * values, so idle time between entries costs nothing, and the head's
+ * own deltas are never read. An entry of answered flags (ClientFarm)
+ * takes 12 bytes, so the ring and its snapshot copy stay small.
+ *
  * The owner provides (privately, if it befriends the FIFO):
  *     bool deadlineLive(const T &entry) const;
  *     void deadlineExpired(const T &entry);
@@ -25,6 +36,7 @@
 #include <utility>
 
 #include "sim/event_queue.hh"
+#include "sim/logging.hh"
 #include "sim/ring_buffer.hh"
 #include "sim/types.hh"
 
@@ -33,16 +45,13 @@ namespace performa::sim {
 template <typename T, typename Owner> class DeadlineFifo
 {
   public:
-    struct Entry
-    {
-        Tick when;
-        std::uint64_t seq; ///< reserved event seq the deadline fires under
-        T value;
-    };
-
     DeadlineFifo(EventQueue &q, Owner &owner, Tick timeout)
         : q_(q), owner_(owner), timeout_(timeout)
-    {}
+    {
+        if (timeout > maxDelta)
+            PANIC("DeadlineFifo: timeout ", timeout,
+                  " does not fit a 32-bit deadline delta");
+    }
     DeadlineFifo(const DeadlineFifo &) = delete;
     DeadlineFifo &operator=(const DeadlineFifo &) = delete;
 
@@ -50,45 +59,93 @@ template <typename T, typename Owner> class DeadlineFifo
     void
     push(T value)
     {
-        entries_.push_back(
-            Entry{q_.now() + timeout_, q_.reserveSeq(), std::move(value)});
-        if (entries_.size() == 1)
+        Tick when = q_.now() + timeout_;
+        std::uint64_t seq = q_.reserveSeq();
+        State &s = state_;
+        if (s.entries.empty()) {
+            s.headWhen = when;
+            s.headSeq = seq;
+            s.entries.push_back(Entry{0, 0, std::move(value)});
+        } else {
+            if (seq - s.tailSeq > maxDelta)
+                PANIC("DeadlineFifo: ", seq - s.tailSeq,
+                      " seqs reserved within one timeout");
+            s.entries.push_back(
+                Entry{static_cast<std::uint32_t>(when - s.tailWhen),
+                      static_cast<std::uint32_t>(seq - s.tailSeq),
+                      std::move(value)});
+        }
+        s.tailWhen = when;
+        s.tailSeq = seq;
+        if (s.entries.size() == 1)
             arm();
     }
 
-    bool empty() const { return entries_.empty(); }
-    std::size_t size() const { return entries_.size(); }
+    bool empty() const { return state_.entries.empty(); }
+    std::size_t size() const { return state_.entries.size(); }
     /** The @p i-th entry from the head (oldest first). */
-    T &operator[](std::size_t i) { return entries_[i].value; }
+    T &operator[](std::size_t i) { return state_.entries[i].value; }
 
-    /** Snapshot state: the entries (the armed head event belongs to
-     *  the event queue's snapshot). */
-    using Saved = RingBuffer<Entry>;
+  private:
+    static constexpr Tick maxDelta = 0xffffffffu;
 
-    Saved save() const { return entries_; }
+    struct Entry
+    {
+        std::uint32_t dWhen; ///< deadline - previous entry's deadline
+        std::uint32_t dSeq;  ///< seq - previous entry's seq
+        T value;
+    };
+
+    struct State
+    {
+        RingBuffer<Entry> entries;
+        Tick headWhen = 0; ///< the head's deadline
+        std::uint64_t headSeq = 0; ///< the seq the head fires under
+        Tick tailWhen = 0; ///< the newest entry's deadline
+        std::uint64_t tailSeq = 0;
+    };
+
+  public:
+    /** Snapshot state: the entries and the head's and tail's absolute
+     *  (when, seq) (the armed head event belongs to the event queue's
+     *  snapshot). */
+    using Saved = State;
+
+    Saved save() const { return state_; }
 
     /** Refill in place: the ring keeps its warmed-up capacity, so a
      *  restore does not allocate. */
-    void restore(const Saved &s) { entries_ = s; }
+    void restore(const Saved &s) { state_ = s; }
 
   private:
     void
     arm()
     {
-        const Entry &head = entries_.front();
-        q_.schedule(head.when, head.seq, [this] { fire(); });
+        q_.schedule(state_.headWhen, state_.headSeq, [this] { fire(); });
+    }
+
+    /** Drop the head; the next entry's deltas make it the head. */
+    void
+    popFront()
+    {
+        State &s = state_;
+        s.entries.pop_front();
+        if (!s.entries.empty()) {
+            s.headWhen += s.entries.front().dWhen;
+            s.headSeq += s.entries.front().dSeq;
+        }
     }
 
     void
     fire()
     {
-        T head = std::move(entries_.front().value);
+        RingBuffer<Entry> &entries = state_.entries;
+        T head = std::move(entries.front().value);
         bool live = owner_.deadlineLive(head);
-        entries_.pop_front();
-        while (!entries_.empty() &&
-               !owner_.deadlineLive(entries_.front().value))
-            entries_.pop_front();
-        if (!entries_.empty())
+        popFront();
+        while (!entries.empty() && !owner_.deadlineLive(entries.front().value))
+            popFront();
+        if (!entries.empty())
             arm();
         if (live)
             owner_.deadlineExpired(head);
@@ -97,7 +154,7 @@ template <typename T, typename Owner> class DeadlineFifo
     EventQueue &q_;
     Owner &owner_;
     Tick timeout_;
-    RingBuffer<Entry> entries_;
+    State state_;
 };
 
 } // namespace performa::sim

@@ -118,8 +118,15 @@ StageLatencyTimeline::window(LatencyStage s, Tick from, Tick to) const
     std::size_t i1 = static_cast<std::size_t>((to + sec(1) - 1) / sec(1));
     if (i1 > slices_.size())
         i1 = slices_.size();
-    for (std::size_t i = i0; i < i1; ++i)
-        out.merge(slices_[i]);
+    for (std::size_t i = i0; i < i1; ++i) {
+        const Slice &slice = slices_[i];
+        for (std::size_t b = 0; b < LatencyHistogram::numBuckets; ++b)
+            out.counts_[b] += slice.counts[b];
+        out.total_ += slice.total;
+        out.sum_ += slice.sum;
+        if (slice.max > out.max_)
+            out.max_ = slice.max;
+    }
     return out;
 }
 

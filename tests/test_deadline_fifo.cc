@@ -3,9 +3,11 @@
  * Unit tests for sim::DeadlineFifo: an expiry keeps the same-tick
  * place of a per-entry event, exactly one event is armed while the
  * FIFO is non-empty and it is the head's, dead entries are dropped
- * without events, and a restored FIFO replays its expiries. That a
- * restore allocates nothing is checked in test_zero_alloc.cc, which
- * counts allocations.
+ * without events, and a restored FIFO replays its expiries. Entries
+ * are delta-coded, so a FIFO that drains and sits idle for more than
+ * 2^32 ticks must start again from absolute values, and a timeout of
+ * 2^32 ticks or more is rejected. That a restore allocates nothing is
+ * checked in test_zero_alloc.cc, which counts allocations.
  */
 
 #include <gtest/gtest.h>
@@ -186,4 +188,112 @@ TEST(DeadlineFifo, RestoreReplaysTheExpiries)
     w.q.runAll();
     EXPECT_EQ(w.owner.log, first);
     EXPECT_GT(first.size(), 20u);
+}
+
+TEST(DeadlineFifo, RefillAfterAnIdleGapLongerThanADeltaKeepsDeadlines)
+{
+    // Drain the FIFO, let the clock pass 2^32 ticks with nothing
+    // pending, then refill it: each live head still fires at push
+    // time + timeout, in the same-tick place its push reserved.
+    World w;
+    int a = w.push();
+    w.q.runAll();
+    ASSERT_TRUE(w.fifo.empty());
+    ASSERT_EQ(w.owner.expiredAt[a], kTimeout);
+
+    const Tick t0 = (Tick{1} << 32) + 12345;
+    w.q.runUntil(t0);
+    w.owner.log.clear();
+    int b = w.push();
+    w.probe(t0 + kTimeout, -1);
+    int c = w.push();
+    w.owner.dead[c] = true;
+    w.q.schedule(t0 + 7, [&w] {
+        w.probe(w.q.now() + kTimeout, -2);
+        w.push(); // D, due at t0 + 7 + timeout
+        w.probe(w.q.now() + kTimeout, -3);
+    });
+    w.q.runAll();
+    const int d = c + 1;
+    std::vector<int> want = {b, -1, -2, d, -3};
+    EXPECT_EQ(w.owner.log, want);
+    EXPECT_EQ(w.owner.expiredAt[b], t0 + kTimeout);
+    EXPECT_EQ(w.owner.expiredAt[c], 0u);
+    EXPECT_EQ(w.owner.expiredAt[d], t0 + 7 + kTimeout);
+}
+
+TEST(DeadlineFifo, RestoreOfAFullFifoKeepsEveryDeadlineAndPlace)
+{
+    // Save while hundreds of entries wait, some dead, each pushed
+    // between two probes of its own deadline tick. Run on, drain and
+    // refill the FIFO, then restore the queue, the FIFO and the owner
+    // together: every live entry expires at its deadline, between its
+    // two probes, exactly as in the first run.
+    World w;
+    std::mt19937_64 rng(5);
+    std::vector<Tick> pushedAt;
+    Tick t = 0;
+    while (pushedAt.size() < 3000) {
+        t += rng() % 3 == 0 ? 1 : 0; // about three pushes per tick
+        w.q.runUntil(t);
+        int id = static_cast<int>(pushedAt.size());
+        w.probe(t + kTimeout, -2 * id - 1);
+        w.push();
+        w.probe(t + kTimeout, -2 * id - 2);
+        w.owner.dead[id] = rng() % 3 == 0;
+        pushedAt.push_back(t);
+    }
+    auto q_saved = w.q.save();
+    auto fifo_saved = w.fifo.save();
+    Owner owner_saved = w.owner;
+    const std::size_t waiting = w.fifo.size();
+    ASSERT_GT(waiting, 200u);
+
+    auto check = [&w, &pushedAt](const char *run) {
+        for (std::size_t id = 0; id < pushedAt.size(); ++id) {
+            Tick want = w.owner.dead[id] ? 0 : pushedAt[id] + kTimeout;
+            EXPECT_EQ(w.owner.expiredAt[id], want) << run << " id " << id;
+        }
+        // A live entry expires right after the probe scheduled before
+        // its push and right before the one scheduled after it.
+        const std::vector<int> &log = w.owner.log;
+        for (std::size_t k = 0; k < log.size(); ++k) {
+            if (log[k] < 0)
+                continue;
+            ASSERT_TRUE(k > 0 && k + 1 < log.size()) << run;
+            EXPECT_EQ(log[k - 1], -2 * log[k] - 1) << run;
+            EXPECT_EQ(log[k + 1], -2 * log[k] - 2) << run;
+        }
+    };
+
+    w.owner.log.clear();
+    w.q.runAll();
+    check("first run");
+    const std::vector<int> first = w.owner.log;
+    EXPECT_GT(first.size(), 2 * waiting);
+    EXPECT_TRUE(w.fifo.empty());
+    w.q.runUntil(w.q.now() + 1000);
+    for (int i = 0; i < 50; ++i)
+        w.push();
+
+    w.q.restore(q_saved);
+    w.fifo.restore(fifo_saved);
+    w.owner = owner_saved;
+    w.owner.log.clear();
+    EXPECT_EQ(w.fifo.size(), waiting);
+    w.q.runAll();
+    EXPECT_EQ(w.owner.log, first);
+    check("restored run");
+}
+
+TEST(DeadlineFifoDeath, TimeoutOfTwoToTheThirtyTwoTicksIsRejected)
+{
+    EventQueue q;
+    Owner owner;
+    DeadlineFifo<int, Owner> widest(q, owner, (Tick{1} << 32) - 1);
+    EXPECT_TRUE(widest.empty());
+    EXPECT_DEATH((DeadlineFifo<int, Owner>(q, owner, Tick{1} << 32)),
+                 "32-bit deadline delta");
+    EXPECT_DEATH((DeadlineFifo<int, Owner>(q, owner, maxTick)),
+                 "32-bit deadline delta");
 }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 
 #include "sim/latency_histogram.hh"
 
@@ -220,4 +221,53 @@ TEST(StageLatencyTimelineDeath, WindowOfAnotherStagePanics)
                  "no per-second slices");
     EXPECT_DEATH(tl.window(LatencyStage::Connect, 0, sec(5)),
                  "connect stage");
+}
+
+TEST(StageLatencyTimeline, WholeRunWindowEqualsTheCumulativeHistogram)
+{
+    // Slices keep 32-bit bucket counts beside 64-bit totals; merged
+    // over the whole run they must give back the cumulative histogram
+    // bucket for bucket. The stream covers the exact region (< 64 us),
+    // the overflow bucket (>= 64 s), and one second that puts more
+    // than 2^16 samples into a single bucket.
+    StageLatencyTimeline tl(40);
+    std::mt19937_64 rng(17);
+    const Tick end = sec(40);
+    for (int i = 0; i < 200000; ++i) {
+        Tick at = rng() % end;
+        std::uint64_t v;
+        switch (rng() % 4) {
+          case 0:
+            v = rng() % 64;
+            break;
+          case 1:
+            v = sec(64) + rng() % sec(100);
+            break;
+          default:
+            v = rng() % sec(8);
+            break;
+        }
+        tl.record(LatencyStage::Total, at, v);
+    }
+    for (int i = 0; i < 70000; ++i)
+        tl.record(LatencyStage::Total, sec(12) + i, msec(250));
+
+    const LatencyHistogram &whole = tl.cumulative(LatencyStage::Total);
+    LatencyHistogram merged = tl.window(LatencyStage::Total, 0, end);
+    EXPECT_TRUE(merged == whole);
+    EXPECT_EQ(merged.count(), 270000u);
+    EXPECT_EQ(merged.count(), whole.count());
+    EXPECT_EQ(merged.maxRecorded(), whole.maxRecorded());
+    EXPECT_GE(whole.maxRecorded(), sec(64));
+    EXPECT_DOUBLE_EQ(merged.mean(), whole.mean());
+    for (int i = 0; i <= 1000; ++i) {
+        double q = i / 1000.0;
+        EXPECT_DOUBLE_EQ(merged.quantile(q), whole.quantile(q)) << q;
+    }
+    for (std::uint64_t v = 0; v < sec(200); v = v < 128 ? v + 1 : v * 9 / 8)
+        EXPECT_EQ(merged.countAtOrBelow(v), whole.countAtOrBelow(v)) << v;
+    EXPECT_EQ(merged.countAtOrBelow(msec(250)) -
+                  merged.countAtOrBelow(msec(246)),
+              whole.countAtOrBelow(msec(250)) -
+                  whole.countAtOrBelow(msec(246)));
 }

@@ -1,5 +1,7 @@
 #include "exp/long_run.hh"
 
+#include <algorithm>
+
 #include "core/performability.hh"
 #include "exp/behavior_db.hh"
 #include "exp/stages.hh"
@@ -27,19 +29,38 @@ defaultValidationLoad(double scale)
 namespace {
 
 /**
- * Measure the single-fault behaviour of @p vf for @p version at the
- * validation durations (not the canonical Table 3 MTTRs).
+ * Measure the single-fault behaviour of every class in @p faults for
+ * @p version at the validation durations (not the canonical Table 3
+ * MTTRs). The classes share everything before the injection point, so
+ * one world warms up once, as in phase 1, and each class runs on a
+ * fork of it.
  */
-model::MeasuredBehavior
-measureFor(press::Version version, const ValidationFault &vf,
-           bool robust_membership)
+std::vector<model::MeasuredBehavior>
+measureBehaviors(press::Version version,
+                 const std::vector<ValidationFault> &faults,
+                 bool robust_membership)
 {
-    ExperimentConfig cfg = experimentFor(version, vf.kind);
-    cfg.cluster.press.robustMembership = robust_membership;
-    cfg.fault->duration = vf.duration;
-    cfg.duration = cfg.injectAt + vf.duration + sim::sec(120);
-    ExperimentResult res = runExperiment(cfg);
-    return extractBehavior(res, *cfg.fault);
+    ExperimentConfig warm = defaultExperimentConfig(version);
+    warm.cluster.press.robustMembership = robust_membership;
+    auto runLength = [&warm](const ValidationFault &vf) {
+        return warm.injectAt + vf.duration + sim::sec(120);
+    };
+    warm.duration = 0;
+    for (const auto &vf : faults)
+        warm.duration = std::max(warm.duration, runLength(vf));
+    Experiment e(warm);
+    e.warmUp();
+    sim::Snapshot snap = e.snapshot();
+
+    std::vector<model::MeasuredBehavior> out;
+    for (const auto &vf : faults) {
+        fault::FaultSpec spec = *experimentFor(version, vf.kind).fault;
+        spec.duration = vf.duration;
+        e.forkFrom(snap);
+        ExperimentResult res = e.injectAndMeasure(spec, runLength(vf));
+        out.push_back(extractBehavior(res, spec));
+    }
+    return out;
 }
 
 /** Model MTTR of a validation fault (seconds). */
@@ -60,10 +81,8 @@ validateModel(const LongRunConfig &cfg)
     LongRunResult out;
 
     // ---- Phase 1 + 2: per-fault behaviours and the prediction. ----
-    std::vector<model::MeasuredBehavior> behaviors;
-    for (const auto &vf : cfg.faults)
-        behaviors.push_back(
-            measureFor(cfg.version, vf, cfg.robustMembership));
+    std::vector<model::MeasuredBehavior> behaviors =
+        measureBehaviors(cfg.version, cfg.faults, cfg.robustMembership);
 
     double tn = behaviors.front().normalTput;
     out.normalTput = tn;

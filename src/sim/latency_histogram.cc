@@ -105,6 +105,21 @@ latencyStageName(LatencyStage s)
     return "?";
 }
 
+void
+StageLatencyTimeline::sealUntil(std::size_t second)
+{
+    for (std::size_t b = 0; b < LatencyHistogram::numBuckets; ++b) {
+        if (open_.counts[b]) {
+            bins_.push_back({static_cast<std::uint32_t>(b), open_.counts[b]});
+            open_.counts[b] = 0;
+        }
+    }
+    sealed_.push_back({open_.sum, open_.max, bins_.size()});
+    open_.sum = 0;
+    open_.max = 0;
+    sealed_.resize(second, Sealed{0, 0, bins_.size()});
+}
+
 LatencyHistogram
 StageLatencyTimeline::window(LatencyStage s, Tick from, Tick to) const
 {
@@ -116,17 +131,30 @@ StageLatencyTimeline::window(LatencyStage s, Tick from, Tick to) const
         return out;
     std::size_t i0 = static_cast<std::size_t>(from / sec(1));
     std::size_t i1 = static_cast<std::size_t>((to + sec(1) - 1) / sec(1));
-    if (i1 > slices_.size())
-        i1 = slices_.size();
-    for (std::size_t i = i0; i < i1; ++i) {
-        const Slice &slice = slices_[i];
-        for (std::size_t b = 0; b < LatencyHistogram::numBuckets; ++b)
-            out.counts_[b] += slice.counts[b];
-        out.total_ += slice.total;
+    if (i1 > sliceCount())
+        i1 = sliceCount();
+    for (std::size_t i = i0; i < i1 && i < sealed_.size(); ++i) {
+        const Sealed &slice = sealed_[i];
+        for (std::size_t k = i ? sealed_[i - 1].end : 0; k < slice.end; ++k) {
+            out.counts_[bins_[k].bucket] += bins_[k].count;
+            out.total_ += bins_[k].count;
+        }
         out.sum_ += slice.sum;
         if (slice.max > out.max_)
             out.max_ = slice.max;
     }
+    if (i0 <= sealed_.size() && sealed_.size() < i1) {
+        for (std::size_t b = 0; b < LatencyHistogram::numBuckets; ++b) {
+            out.counts_[b] += open_.counts[b];
+            out.total_ += open_.counts[b];
+        }
+        out.sum_ += open_.sum;
+        if (open_.max > out.max_)
+            out.max_ = open_.max;
+    }
+    for (const Late &l : late_)
+        if (l.second >= i0 && l.second < i1)
+            out.record(l.value);
     return out;
 }
 

@@ -8,19 +8,23 @@
  * width-1 buckets; each octave [2^k, 2^{k+1}) above that is split
  * into 2^(S-1) equal buckets, bounding the relative quantile error at
  * 2^(1-S) (~3% for S = 6). The layout is fixed at compile time and the
- * counts live inline, so a histogram is trivially copyable, record()
- * and merge() never touch the heap, and a vector of them is one heap
- * block — which lets the load generators record per-request
- * latencies inside the allocation-free message path.
+ * counts live inline, so a histogram is trivially copyable and
+ * record() and merge() never touch the heap — which lets the load
+ * generators record per-request latencies inside the allocation-free
+ * message path.
  *
  * StageLatencyTimeline keeps a cumulative histogram per stage for
  * whole-run quantiles, and one slice per second for the total stage
  * only, so total response times can be sliced against the fault
- * timeline (the 7-stage windows of exp/stages.cc). A slice holds the
- * same 705 buckets as 32-bit counts (one second cannot put 2^32
- * samples in a bucket) beside its 64-bit total, sum and max: 2.8 KB
- * instead of a histogram's 5.7 KB. window() merges slices into an
- * ordinary 64-bit histogram, so nothing recorded changes.
+ * timeline (the 7-stage windows of exp/stages.cc). Only the current
+ * second is dense: 705 32-bit counts beside its sum and max. When a
+ * sample lands in a later second, the open slice is sealed into a
+ * packed arena as its non-zero (bucket, count) pairs behind a 24-byte
+ * header; an empty second costs the header alone. The mean
+ * switch-down second uses 38 of the 705 buckets, so a sealed second
+ * takes about 330 bytes instead of 2 848. window() expands sealed
+ * slices and the open one into an ordinary 64-bit histogram, so
+ * nothing recorded changes.
  */
 
 #ifndef PERFORMA_SIM_LATENCY_HISTOGRAM_HH
@@ -48,11 +52,7 @@ class LatencyHistogram
     void
     record(std::uint64_t value_us, std::uint64_t n = 1)
     {
-        counts_[indexFor(value_us)] += n;
-        total_ += n;
-        sum_ += value_us * n;
-        if (value_us > max_)
-            max_ = value_us;
+        recordAt(indexFor(value_us), value_us, n);
     }
 
     /**
@@ -97,7 +97,7 @@ class LatencyHistogram
     }
 
   private:
-    friend class StageLatencyTimeline; ///< records and merges slices
+    friend class StageLatencyTimeline; ///< records and expands slices
 
     static constexpr std::uint64_t linearMax = 1ull << subBucketBits;
     /** Highest octave holding a representable value (maxValue - 1). */
@@ -107,6 +107,18 @@ class LatencyHistogram
         linearMax + (topOctave - subBucketBits + 1) * (linearMax / 2) + 1;
 
     static std::size_t indexFor(std::uint64_t v);
+
+    /** record() into bucket @p idx, already worked out for @p value_us. */
+    void
+    recordAt(std::size_t idx, std::uint64_t value_us, std::uint64_t n = 1)
+    {
+        counts_[idx] += n;
+        total_ += n;
+        sum_ += value_us * n;
+        if (value_us > max_)
+            max_ = value_us;
+    }
+
     /** Highest value mapping to bucket @p idx (inclusive bound). */
     static std::uint64_t bucketUpperBound(std::size_t idx);
 
@@ -138,31 +150,38 @@ class StageLatencyTimeline
 {
   public:
     StageLatencyTimeline() = default;
-    /** Reserve room for @p reserve_slices one-second slices; slices
-     *  exist only up to the last second recorded, so a copy holds
-     *  the run so far. Recording past the reservation grows the slice
-     *  vector (allocates). */
+    /** Reserve room for @p reserve_slices one-second slices, each with
+     *  all 705 buckets in use: one block of headers and one of
+     *  (bucket, count) pairs. Pages nothing writes cost no memory.
+     *  Slices exist only up to the last second recorded, so a copy
+     *  holds the run so far. Recording past the reservation grows
+     *  the blocks (allocates). */
     explicit StageLatencyTimeline(std::size_t reserve_slices)
     {
-        slices_.reserve(reserve_slices);
+        sealed_.reserve(reserve_slices);
+        bins_.reserve(reserve_slices * LatencyHistogram::numBuckets);
     }
 
     /** Record a @p value_us sample completed at time @p at. */
     void
     record(LatencyStage s, Tick at, std::uint64_t value_us)
     {
-        cumulative_[static_cast<int>(s)].record(value_us);
+        std::size_t b = LatencyHistogram::indexFor(value_us);
+        cumulative_[static_cast<int>(s)].recordAt(b, value_us);
         if (s != LatencyStage::Total)
             return;
-        std::size_t idx = static_cast<std::size_t>(at / sec(1));
-        if (idx >= slices_.size())
-            slices_.resize(idx + 1);
-        Slice &slice = slices_[idx];
-        ++slice.counts[LatencyHistogram::indexFor(value_us)];
-        ++slice.total;
-        slice.sum += value_us;
-        if (value_us > slice.max)
-            slice.max = value_us;
+        std::size_t second = static_cast<std::size_t>(at / sec(1));
+        if (second != sealed_.size()) {
+            if (second < sealed_.size()) {
+                late_.push_back({second, value_us});
+                return;
+            }
+            sealUntil(second);
+        }
+        ++open_.counts[b];
+        open_.sum += value_us;
+        if (value_us > open_.max)
+            open_.max = value_us;
     }
 
     /** Whole-run histogram for one stage. */
@@ -178,19 +197,53 @@ class StageLatencyTimeline
     LatencyHistogram window(LatencyStage s, Tick from, Tick to) const;
 
     /** Slices up to the last second recorded into the total stage. */
-    std::size_t sliceCount() const { return slices_.size(); }
+    std::size_t
+    sliceCount() const
+    {
+        return cumulative(LatencyStage::Total).empty() ? 0
+                                                       : sealed_.size() + 1;
+    }
 
   private:
-    /** One second of the total stage, in LatencyHistogram's layout. */
-    struct Slice
+    /** A finished second: its pairs are bins_[previous end, end). */
+    struct Sealed
+    {
+        std::uint64_t sum = 0;
+        std::uint64_t max = 0;
+        std::size_t end = 0;
+    };
+
+    /** One non-zero bucket of a sealed second. */
+    struct Bin
+    {
+        std::uint32_t bucket;
+        std::uint32_t count;
+    };
+
+    /** A sample recorded into a second already sealed. The simulation
+     *  records at its own clock and never takes this path. */
+    struct Late
+    {
+        std::size_t second;
+        std::uint64_t value;
+    };
+
+    /** Seal the open second, then every second before @p second as
+     *  empty, leaving @p second open. */
+    void sealUntil(std::size_t second);
+
+    /** The second being recorded, in LatencyHistogram's layout. */
+    struct Open
     {
         std::array<std::uint32_t, LatencyHistogram::numBuckets> counts{};
-        std::uint64_t total = 0;
         std::uint64_t sum = 0;
         std::uint64_t max = 0;
     };
 
-    std::vector<Slice> slices_; ///< Total, one per second
+    std::vector<Sealed> sealed_; ///< Total, one per finished second
+    std::vector<Bin> bins_;      ///< every sealed second's pairs
+    std::vector<Late> late_;
+    Open open_; ///< second sealed_.size()
     std::array<LatencyHistogram, numLatencyStages> cumulative_;
 };
 

@@ -3,14 +3,17 @@
  * Unit tests for the log-linear latency histogram and the per-stage
  * timeline: empty-histogram semantics, bucket boundaries, relative
  * quantile error, merge associativity, overflow saturation at the
- * fixed 64 s bound, window slicing against wall-clock boundaries, and
- * per-second slices kept for the total stage only.
+ * fixed 64 s bound, window slicing against wall-clock boundaries,
+ * per-second slices kept for the total stage only, sealed sparse
+ * seconds that expand to the same windows as dense ones, and a
+ * restored copy that records on like the original.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
+#include <vector>
 
 #include "sim/latency_histogram.hh"
 
@@ -270,4 +273,125 @@ TEST(StageLatencyTimeline, WholeRunWindowEqualsTheCumulativeHistogram)
                   merged.countAtOrBelow(msec(246)),
               whole.countAtOrBelow(msec(250)) -
                   whole.countAtOrBelow(msec(246)));
+}
+
+namespace {
+
+/** One recorded total-stage sample. */
+struct Sample
+{
+    Tick at;
+    std::uint64_t value;
+};
+
+/** Every sample of @p samples in a second overlapping [from, to),
+ *  recorded into one dense histogram. */
+LatencyHistogram
+denseWindow(const std::vector<Sample> &samples, Tick from, Tick to)
+{
+    LatencyHistogram h;
+    if (to <= from)
+        return h;
+    Tick lo = from / sec(1) * sec(1);
+    Tick hi = (to + sec(1) - 1) / sec(1) * sec(1);
+    for (const Sample &x : samples)
+        if (x.at >= lo && x.at < hi)
+            h.record(x.value);
+    return h;
+}
+
+/** A time-ordered stream over [0, 60 s) with empty seconds, gaps of
+ *  several seconds, and mostly-narrow seconds beside a few wide ones. */
+std::vector<Sample>
+monotonicStream(std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    std::vector<Sample> out;
+    Tick at = 0;
+    while (at < sec(60)) {
+        switch (rng() % 16) {
+          case 0:
+            at += sec(1) + rng() % sec(6); // skips whole seconds
+            break;
+          case 1:
+            out.push_back({at, rng() % sec(100)}); // anywhere, overflow too
+            break;
+          default:
+            out.push_back({at, msec(2) + rng() % msec(30)});
+            break;
+        }
+        at += rng() % msec(40);
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(StageLatencyTimeline, SealedWindowsEqualADenseReference)
+{
+    // Windows over sealed seconds, the open second and the boundary
+    // between them give back exactly what dense per-second slices
+    // would, including across empty seconds and multi-second gaps.
+    std::vector<Sample> samples = monotonicStream(5);
+    StageLatencyTimeline tl(64);
+    std::mt19937_64 rng(9);
+    std::size_t next = 0;
+    for (Tick now = sec(1); now <= sec(61); now += msec(700)) {
+        for (; next < samples.size() && samples[next].at < now; ++next)
+            tl.record(LatencyStage::Total, samples[next].at,
+                      samples[next].value);
+        if (next == 0)
+            continue;
+        std::vector<Sample> sofar(samples.begin(), samples.begin() + next);
+        for (int i = 0; i < 20; ++i) {
+            Tick from = rng() % (now + sec(3));
+            Tick to = from + rng() % sec(8);
+            EXPECT_TRUE(tl.window(LatencyStage::Total, from, to) ==
+                        denseWindow(sofar, from, to))
+                << "window [" << from << ", " << to << ") at " << now;
+        }
+        // The open second alone, and with the sealed second before it.
+        Tick open = sofar.back().at / sec(1) * sec(1);
+        EXPECT_TRUE(tl.window(LatencyStage::Total, open, open + 1) ==
+                    denseWindow(sofar, open, open + 1));
+        if (open > 0) {
+            EXPECT_TRUE(tl.window(LatencyStage::Total, open - 1, open + 1) ==
+                        denseWindow(sofar, open - 1, open + 1));
+        }
+    }
+    ASSERT_EQ(next, samples.size());
+    EXPECT_EQ(tl.sliceCount(), samples.back().at / sec(1) + 1);
+    EXPECT_TRUE(tl.window(LatencyStage::Total, 0, sec(100)) ==
+                tl.cumulative(LatencyStage::Total));
+}
+
+TEST(StageLatencyTimeline, RestoredCopyRecordsOnLikeTheOriginal)
+{
+    // A fork's pattern: copy mid-second, record on past it, restore
+    // the copy by assignment and record the same rest of the stream.
+    std::vector<Sample> samples = monotonicStream(11);
+    const Tick cut = sec(23) + msec(450);
+    StageLatencyTimeline whole(64), forked(64);
+    for (const Sample &x : samples)
+        whole.record(LatencyStage::Total, x.at, x.value);
+
+    StageLatencyTimeline saved;
+    std::size_t i = 0;
+    for (; samples[i].at < cut; ++i)
+        forked.record(LatencyStage::Total, samples[i].at, samples[i].value);
+    saved = forked;
+    for (std::size_t j = i; j < samples.size(); j += 3)
+        forked.record(LatencyStage::Total, samples[j].at, msec(900));
+    forked = saved;
+    for (std::size_t j = i; j < samples.size(); ++j)
+        forked.record(LatencyStage::Total, samples[j].at, samples[j].value);
+
+    EXPECT_EQ(forked.sliceCount(), whole.sliceCount());
+    EXPECT_TRUE(forked.cumulative(LatencyStage::Total) ==
+                whole.cumulative(LatencyStage::Total));
+    for (Tick from = 0; from < sec(62); from += msec(500))
+        for (Tick len : {msec(1), sec(1), sec(5), sec(30)})
+            EXPECT_TRUE(forked.window(LatencyStage::Total, from, from + len) ==
+                        whole.window(LatencyStage::Total, from, from + len))
+                << "window [" << from << ", +" << len << ")";
 }

@@ -12,8 +12,10 @@
  * warmed CPU and the warmed servers restore in place without
  * allocating, and so does a deadline FIFO. An event queue with both
  * tiers populated schedules, fires and restores without allocating. A
- * latency timeline reserves a whole run of slices in one heap block,
- * and a 4-node directory copy costs one byte per file.
+ * latency timeline reserves a whole run of slices up front, seals even
+ * a second with every bucket in use without allocating, and copies
+ * only its non-zero buckets; a 4-node directory copy costs one byte
+ * per file.
  *
  * This file must stay its own test binary: the hook is global.
  */
@@ -337,6 +339,51 @@ TEST(ZeroAlloc, TimelineReservesItsSlicesInOneBlock)
     }
     g_counting = false;
     EXPECT_LE(g_news, 2u) << "allocations to reserve 4 000 slices";
+}
+
+TEST(ZeroAlloc, TimelineSealsAFullSecondWithoutAllocating)
+{
+    // The reservation covers every second using all 705 buckets, so
+    // even the worst-case second seals into it. Steps of v/64 are at
+    // most half a bucket, so the stream hits every bucket, overflow
+    // included.
+    sim::StageLatencyTimeline tl(8);
+    g_news = 0;
+    g_counting = true;
+    for (std::uint64_t v = 0; v < sim::sec(80); v = v < 64 ? v + 1 : v + v / 64)
+        tl.record(sim::LatencyStage::Total, sim::sec(2), v);
+    tl.record(sim::LatencyStage::Total, sim::sec(3), sim::msec(1));
+    tl.record(sim::LatencyStage::Total, sim::sec(7), sim::msec(1));
+    g_counting = false;
+    EXPECT_EQ(g_news, 0u) << "allocations to seal a full second";
+    EXPECT_EQ(tl.sliceCount(), 8u);
+    sim::LatencyHistogram full =
+        tl.window(sim::LatencyStage::Total, sim::sec(2), sim::sec(3));
+    EXPECT_EQ(full.count(),
+              tl.cumulative(sim::LatencyStage::Total).count() - 2);
+    EXPECT_GE(full.maxRecorded(), sim::sec(64));
+}
+
+TEST(ZeroAlloc, TimelineCopyIsItsNonZeroBuckets)
+{
+    // A switch-down run's worth of seconds with about 40 buckets in
+    // use each: a copy (a snapshot, or the result the run hands back)
+    // holds a header per second and a pair per non-zero bucket, not
+    // 705 counts per second.
+    constexpr std::size_t kSeconds = 3900;
+    sim::StageLatencyTimeline tl(kSeconds + 2);
+    for (std::size_t s = 0; s < kSeconds; ++s)
+        for (std::uint64_t b = 0; b < 40; ++b)
+            tl.record(sim::LatencyStage::Total, sim::sec(s),
+                      sim::msec(1) + (b + s % 7) * sim::usec(40));
+    ASSERT_EQ(tl.sliceCount(), kSeconds);
+    g_bytes = 0;
+    g_counting = true;
+    sim::StageLatencyTimeline copy = tl;
+    g_counting = false;
+    EXPECT_LT(g_bytes, 1500000u) << "bytes allocated to copy the timeline";
+    EXPECT_TRUE(copy.window(sim::LatencyStage::Total, 0, sim::sec(kSeconds)) ==
+                tl.cumulative(sim::LatencyStage::Total));
 }
 
 TEST(ZeroAlloc, DirectoryCopyIsOneBytePerFile)

@@ -48,6 +48,8 @@ loadBehaviors()
     for (const campaign::JobReport &f : res.failures)
         std::printf("  FAILED %s: %s\n", f.label.c_str(),
                     f.error.c_str());
+    if (res.saveFailed)
+        std::printf("  FAILED writing cache %s\n", path.c_str());
     return db;
 }
 

@@ -527,9 +527,9 @@ BENCHMARK(BM_LatencyHistogramRecord);
 static void
 BM_SessionClientChurn(benchmark::State &state)
 {
-    // The session-client engine against a zero-delay stamp-echoing
-    // server: think timers, session churn, request/response payloads
-    // and four histogram inserts per served request. Bounds how much
+    // The session-client engine against a zero-delay echoing server:
+    // think timers, session churn, request/response payloads and one
+    // histogram insert per served request. Bounds how much
     // simulated client traffic the heavy-traffic profiles can push.
     sim::Simulation s{7};
     net::Network net{s};
@@ -550,8 +550,6 @@ BM_SessionClientChurn(benchmark::State &state)
             auto body = s.makePayload<press::ClientResponseBody>();
             body->req = req->req;
             body->sentAt = req->sentAt;
-            body->acceptedAt = s.now();
-            body->serviceStartAt = s.now();
             r.payload = std::move(body);
             net.send(std::move(r));
         });

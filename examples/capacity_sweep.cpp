@@ -65,8 +65,8 @@ main(int argc, char **argv)
         cfg.profile.sessionCount = users;
         cfg.profile.meanThink = sim::msec(50);
         exp::ExperimentResult res = exp::runExperiment(cfg);
-        const sim::LatencyHistogram &total =
-            res.latency.cumulative(sim::LatencyStage::Total);
+        sim::LatencyHistogram total = res.latency.window(
+            sim::LatencyStage::Total, 0, res.runLength + 1);
         std::printf("%10zu %7.0f/s %7.2f ms %7.2f ms\n", users,
                     res.served.meanRate(sim::sec(15), sim::sec(40)),
                     total.quantile(0.5) / 1000.0,

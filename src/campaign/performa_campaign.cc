@@ -160,13 +160,14 @@ parseSlo(const std::string &spec)
     std::string q = spec.substr(1, eq - 1);
     char *qend = nullptr;
     double pct = std::strtod(q.c_str(), &qend);
-    if (qend == q.c_str() || *qend != '\0' || pct <= 0 || pct >= 100)
+    // Negated, so a NaN quantile fails too.
+    if (qend == q.c_str() || *qend != '\0' || !(pct > 0 && pct < 100))
         return std::nullopt;
 
     std::string th = spec.substr(eq + 1);
     char *tend = nullptr;
     double val = std::strtod(th.c_str(), &tend);
-    if (tend == th.c_str() || val <= 0)
+    if (tend == th.c_str() || !std::isfinite(val) || val <= 0)
         return std::nullopt;
     std::string unit = tend;
     double us;
@@ -177,6 +178,10 @@ parseSlo(const std::string &spec)
     else if (unit == "us")
         us = val;
     else
+        return std::nullopt;
+    // At least 1 us (0 would drop the SLO), and below 2^64 us so the
+    // cast below is defined.
+    if (!(us >= 1.0 && us < 0x1p64))
         return std::nullopt;
 
     model::LatencySlo slo;
@@ -533,6 +538,8 @@ main(int argc, char **argv)
             for (const campaign::JobReport &f : res.failures)
                 std::printf("  FAILED %s: %s\n", f.label.c_str(),
                             f.error.c_str());
+            if (res.saveFailed)
+                std::printf("  FAILED writing cache %s\n", path.c_str());
             if (!res.ok())
                 anyFailed = true;
             else if (slo)

@@ -340,7 +340,7 @@ ensurePhase1(exp::BehaviorDb &db, const std::string &cache_path,
     result.workers = report.workers;
 
     if (result.measured > 0 && !cache_path.empty())
-        db.save(cache_path);
+        result.saveFailed = !db.save(cache_path);
     return result;
 }
 

@@ -128,8 +128,10 @@ struct Phase1Result
     /** NIC counters of each point measured and merged, in grid
      *  order; empty when measureFn is overridden. */
     std::vector<PointNetStats> netStats;
+    /** The measured rows could not be written to the cache. */
+    bool saveFailed = false;
 
-    bool ok() const { return failed == 0; }
+    bool ok() const { return failed == 0 && !saveFailed; }
 };
 
 /**
@@ -164,7 +166,8 @@ std::string defaultCachePath();
  * Ensure @p db holds a behaviour for every grid point: load
  * @p cache_path when it exists, measure the missing points in
  * parallel, merge them in deterministic key order, and atomically
- * rewrite the cache. An empty @p cache_path disables caching.
+ * rewrite the cache (Phase1Result::saveFailed when that fails). An
+ * empty @p cache_path disables caching.
  */
 Phase1Result ensurePhase1(exp::BehaviorDb &db,
                           const std::string &cache_path,

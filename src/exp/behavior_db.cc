@@ -182,7 +182,7 @@ BehaviorDb::load(const std::string &path)
     return true;
 }
 
-void
+bool
 BehaviorDb::save(const std::string &path) const
 {
     // Write-to-temp + rename: an interrupted run must never leave a
@@ -190,7 +190,7 @@ BehaviorDb::save(const std::string &path) const
     std::string tmp = path + ".tmp";
     std::ofstream out(tmp, std::ios::trunc);
     if (!out)
-        return;
+        return false;
     // The plain (paper) grid keeps its historical byte-identical
     // format; latency columns appear only when some row carries them.
     bool anyLatency = false;
@@ -237,11 +237,14 @@ BehaviorDb::save(const std::string &path) const
     out.flush();
     if (!out) {
         std::remove(tmp.c_str());
-        return;
+        return false;
     }
     out.close();
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
+        return false;
+    }
+    return true;
 }
 
 } // namespace performa::exp

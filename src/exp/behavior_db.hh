@@ -53,7 +53,9 @@ class BehaviorDb
     const std::string &fingerprint() const { return fingerprint_; }
 
     bool load(const std::string &path);
-    void save(const std::string &path) const;
+    /** Write the rows to @p path via a temp file and a rename.
+     *  @return false, leaving @p path as it was, when any step fails. */
+    bool save(const std::string &path) const;
 
     /** Adapter for the phase-2 scenario builders. */
     model::BehaviorLookup lookup() const;

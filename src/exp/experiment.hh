@@ -53,8 +53,8 @@ struct ExperimentResult
     sim::TimeSeries served{sim::sec(1)};
     sim::TimeSeries failed{sim::sec(1)};
     sim::TimeSeries offered{sim::sec(1)};
-    /** Whole-run per-stage latency histograms, plus one-second
-     *  slices of the total stage (what SLO rows window). */
+    /** One-second slices of the total response time (what SLO rows
+     *  window; the whole run is one window). */
     sim::StageLatencyTimeline latency;
     press::MarkerLog markers;
 

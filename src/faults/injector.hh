@@ -30,12 +30,13 @@ class Injector
     {}
 
     /**
-     * Schedule @p spec: the fault is applied at spec.injectAt and, for
-     * transient faults, removed after spec.duration.
+     * Schedule injectNow(@p spec) for spec.injectAt (tests; the
+     * experiment and the validation run inject at their own clock).
      */
     void schedule(const FaultSpec &spec);
 
-    /** Apply @p spec right now (tests). */
+    /** Apply @p spec right now; a transient fault removes itself
+     *  after spec.duration. What Experiment and validateModel call. */
     void injectNow(const FaultSpec &spec);
 
   private:

@@ -6,7 +6,7 @@
  * Successes and failures are recorded into per-second time series —
  * the raw material of the paper's throughput plots and of the
  * availability metric (fraction of requests served successfully) —
- * and every served request's stamped per-stage latency goes into a
+ * and every served request's total latency goes into a
  * StageLatencyTimeline.
  *
  * A LoadProfileSpec can modulate the offered rate (diurnal curves,

@@ -83,25 +83,9 @@ makeLoadGenerator(sim::Simulation &sim, net::Network &client_net,
 
 void
 recordResponseLatency(sim::StageLatencyTimeline &tl, sim::Tick now,
-                      const press::ClientResponseBody &body,
-                      bool record_connect)
+                      const press::ClientResponseBody &body)
 {
-    // A request legitimately sent at tick 0 still has a server-side
-    // stamp; only a body with no stamps at all is "unstamped".
-    if ((body.sentAt == 0 && body.acceptedAt == 0 &&
-         body.serviceStartAt == 0) ||
-        body.sentAt > now)
-        return; // unstamped response (raw test harness): nothing to say
-    tl.record(sim::LatencyStage::Total, now, now - body.sentAt);
-    if (body.acceptedAt >= body.sentAt && record_connect)
-        tl.record(sim::LatencyStage::Connect, now,
-                  body.acceptedAt - body.sentAt);
-    if (body.serviceStartAt >= body.acceptedAt && body.acceptedAt > 0)
-        tl.record(sim::LatencyStage::Queue, now,
-                  body.serviceStartAt - body.acceptedAt);
-    if (body.serviceStartAt > 0 && now >= body.serviceStartAt)
-        tl.record(sim::LatencyStage::Service, now,
-                  now - body.serviceStartAt);
+    tl.record(now, now - body.sentAt);
 }
 
 } // namespace performa::loadgen

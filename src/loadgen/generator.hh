@@ -4,7 +4,7 @@
  * open-loop ClientFarm or the session-based SessionFarm, picked by
  * makeLoadGenerator for a LoadProfileSpec. The base owns what both
  * record and how they hear back: the served/failed/offered series,
- * the per-stage latency timeline and the three totals, and the
+ * the latency timeline and the three totals, and the
  * response handler on every client port. Each farm times its
  * requests out through a sim::DeadlineFifo, so the paper's 2 s
  * connect and 6 s request timeouts cost one armed event per timeout
@@ -44,16 +44,10 @@ struct WorkloadConfig
     std::uint64_t requestBytes = 300;
 };
 
-/**
- * Decode the server's latency stamps from a response and record the
- * per-stage samples. @p record_connect lets session clients restrict
- * the connect sample to a connection's first request (later requests
- * reuse the connection). Responses carrying no stamps at all
- * record nothing.
- */
+/** Record a response arriving at @p now: its total latency since
+ *  the send time the server echoed back. */
 void recordResponseLatency(sim::StageLatencyTimeline &tl, sim::Tick now,
-                           const press::ClientResponseBody &body,
-                           bool record_connect = true);
+                           const press::ClientResponseBody &body);
 
 /** RNG stream salt for split-stream (profile-driven) generators. */
 inline constexpr std::uint64_t kLoadgenRngSalt = 0x10adc0de;
@@ -74,8 +68,7 @@ class LoadGenerator
     std::uint64_t totalFailed() const { return rec_.totalFailed; }
     std::uint64_t totalOffered() const { return rec_.totalOffered; }
 
-    /** Whole-run latency histograms per stage (connect/queue/
-     *  service/total), plus one-second slices of the total stage. */
+    /** One-second slices of the total response time. */
     const sim::StageLatencyTimeline &timeline() const { return rec_.timeline; }
 
     const WorkloadConfig &config() const { return cfg_; }
@@ -109,13 +102,11 @@ class LoadGenerator
     void offer(sim::RequestId id, sim::FileId file, net::PortId client,
                net::PortId server);
 
-    /** Count a request answered now, with its latency stamps. */
+    /** Count a request answered now, with its latency. */
     void
-    recordServed(const press::ClientResponseBody &body,
-                 bool record_connect = true)
+    recordServed(const press::ClientResponseBody &body)
     {
-        recordResponseLatency(rec_.timeline, sim_.now(), body,
-                              record_connect);
+        recordResponseLatency(rec_.timeline, sim_.now(), body);
         ++rec_.totalServed;
         rec_.served.record(sim_.now());
     }

@@ -135,7 +135,7 @@ SessionFarm::onResponse(const press::ClientResponseBody &body)
         return; // timed out (or from a previous session); drop
 
     sess.inFlight = false;
-    recordServed(body, sess.firstRequest);
+    recordServed(body);
     sess.firstRequest = false;
 
     if (--sess.remaining == 0) {

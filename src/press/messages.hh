@@ -64,9 +64,6 @@ struct FileDataBody : MsgBase
     sim::RequestId req = 0;
     sim::FileId file = 0;
     std::uint32_t clientPort = 0;
-    /** When the service node began fetching the file (latency stamp;
-     *  echoed to the client for the queue/service split). */
-    sim::Tick serviceStartAt = 0;
 };
 
 struct CacheUpdateBody : MsgBase
@@ -94,26 +91,22 @@ struct JoinRespBody
 };
 
 /**
- * Client network payloads. The latency stamps are measurement-only:
- * servers copy and echo them (like a request-id header) so the client
- * can split end-to-end latency into connect / queue / service stages;
- * nothing in the serving path reads them for decisions.
+ * Client network payloads. sentAt is measurement-only: the server
+ * echoes it (like a request-id header) so the client can time the
+ * whole request; nothing in the serving path reads it for decisions.
  */
 struct ClientRequestBody
 {
     sim::RequestId req = 0;
     sim::FileId file = 0;
     std::uint32_t replyPort = 0;
-    sim::Tick sentAt = 0;     ///< stamped by the client
-    sim::Tick acceptedAt = 0; ///< stamped by the accepting server
+    sim::Tick sentAt = 0; ///< stamped by the client
 };
 
 struct ClientResponseBody
 {
     sim::RequestId req = 0;
-    sim::Tick sentAt = 0;
-    sim::Tick acceptedAt = 0;
-    sim::Tick serviceStartAt = 0; ///< file fetch began (any node)
+    sim::Tick sentAt = 0; ///< echoed from the request
 };
 
 } // namespace performa::press

@@ -237,7 +237,6 @@ Server::onClientFrame(net::Frame &&f)
     ++outstanding_;
     ++stats_.accepted;
     ClientRequestBody req = *f.payload.get<ClientRequestBody>();
-    req.acceptedAt = node_.simulation().now();
     mainExec(cfg_.costs.acceptParse + cfg_.costs.clientConn,
              [this, req] { dispatch(req); });
 }
@@ -288,11 +287,10 @@ void
 Server::serveFromCache(const ClientRequestBody &req)
 {
     cache_->touch(req.file);
-    sim::Tick svc = node_.simulation().now();
     std::uint64_t resp = cfg_.sizeOf(req.file) + cfg_.fileRespOverheadBytes;
     mainExec(cfg_.costs.cacheRead + clientSendCost(cfg_.costs, resp),
-        [this, req, svc] {
-            respondToClient(req, svc);
+        [this, req] {
+            respondToClient(req);
             finishRequest();
         });
 }
@@ -301,17 +299,16 @@ void
 Server::serveFromDisk(const ClientRequestBody &req)
 {
     std::uint64_t e = epoch_;
-    sim::Tick svc = node_.simulation().now();
-    disk_->read(cfg_.sizeOf(req.file), [this, e, req, svc] {
+    disk_->read(cfg_.sizeOf(req.file), [this, e, req] {
         if (e != epoch_ || !alive_)
             return;
         std::uint64_t resp =
             cfg_.sizeOf(req.file) + cfg_.fileRespOverheadBytes;
         mainExec(cfg_.costs.diskReadCpu + cfg_.costs.cacheRead +
                  clientSendCost(cfg_.costs, resp),
-            [this, req, svc] {
+            [this, req] {
                 cacheInsert(req.file);
-                respondToClient(req, svc);
+                respondToClient(req);
                 finishRequest();
             });
     });
@@ -341,8 +338,7 @@ Server::forwardRequest(const ClientRequestBody &req, sim::NodeId target)
 }
 
 void
-Server::respondToClient(const ClientRequestBody &req,
-                        sim::Tick service_start)
+Server::respondToClient(const ClientRequestBody &req)
 {
     net::Frame f;
     f.srcPort = node_.id();
@@ -353,8 +349,6 @@ Server::respondToClient(const ClientRequestBody &req,
     auto body = node_.simulation().makePayload<ClientResponseBody>();
     body->req = req.req;
     body->sentAt = req.sentAt;
-    body->acceptedAt = req.acceptedAt;
-    body->serviceStartAt = service_start;
     f.payload = std::move(body);
     node_.clientNet().send(std::move(f));
     ++stats_.responses;
@@ -434,7 +428,6 @@ Server::onMessage(sim::NodeId peer, proto::AppMessage &&msg)
 void
 Server::handleFwdRequest(sim::NodeId peer, const FwdRequestBody &body)
 {
-    sim::Tick svc = node_.simulation().now();
     if (cache_->contains(body.file)) {
         ++stats_.fwdServed;
         cache_->touch(body.file);
@@ -442,8 +435,8 @@ Server::handleFwdRequest(sim::NodeId peer, const FwdRequestBody &body)
             cfg_.sizeOf(body.file) + cfg_.fileRespOverheadBytes;
         FwdRequestBody b = body;
         mainExec(cfg_.costs.cacheRead + comm_->sendCost(data),
-            [this, b, svc] {
-                sendFileData(b.initial, b.req, b.file, b.clientPort, svc);
+            [this, b] {
+                sendFileData(b.initial, b.req, b.file, b.clientPort);
             });
         (void)peer;
         return;
@@ -454,30 +447,28 @@ Server::handleFwdRequest(sim::NodeId peer, const FwdRequestBody &body)
     ++stats_.fwdMisses;
     std::uint64_t e = epoch_;
     FwdRequestBody b = body;
-    disk_->read(cfg_.sizeOf(body.file), [this, e, b, svc] {
+    disk_->read(cfg_.sizeOf(body.file), [this, e, b] {
         if (e != epoch_ || !alive_)
             return;
         std::uint64_t data =
             cfg_.sizeOf(b.file) + cfg_.fileRespOverheadBytes;
         mainExec(cfg_.costs.diskReadCpu + comm_->sendCost(data),
-            [this, b, svc] {
+            [this, b] {
                 cacheInsert(b.file);
-                sendFileData(b.initial, b.req, b.file, b.clientPort, svc);
+                sendFileData(b.initial, b.req, b.file, b.clientPort);
             });
     });
 }
 
 void
 Server::sendFileData(sim::NodeId initial, sim::RequestId req,
-                     sim::FileId file, std::uint32_t client_port,
-                     sim::Tick service_start)
+                     sim::FileId file, std::uint32_t client_port)
 {
     FileDataBody body;
     body.senderLoad = static_cast<std::uint32_t>(outstanding_);
     body.req = req;
     body.file = file;
     body.clientPort = client_port;
-    body.serviceStartAt = service_start;
 
     proto::AppMessage m;
     m.type = MsgFileData;
@@ -496,10 +487,9 @@ Server::handleFileData(const FileDataBody &body)
     pendingFwd_.erase(it);
 
     std::uint64_t resp = cfg_.sizeOf(req.file) + cfg_.fileRespOverheadBytes;
-    sim::Tick svc = body.serviceStartAt;
     mainExec(clientSendCost(cfg_.costs, resp),
-        [this, req, svc] {
-            respondToClient(req, svc);
+        [this, req] {
+            respondToClient(req);
             finishRequest();
         });
 }

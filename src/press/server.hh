@@ -68,7 +68,7 @@ namespace performa::press {
 struct ServerState
 {
     /** A request forwarded to @c target at @c sentAt. The client's
-     *  request (with its latency stamps) is kept whole, for the reply
+     *  request (with its send time) is kept whole, for the reply
      *  and for a re-dispatch when the target node dies. */
     struct PendingFwd
     {
@@ -222,8 +222,7 @@ class Server : public osim::Service, private FwdPool, private ServerState
     void serveFromCache(const ClientRequestBody &req);
     void serveFromDisk(const ClientRequestBody &req);
     void forwardRequest(const ClientRequestBody &req, sim::NodeId target);
-    void respondToClient(const ClientRequestBody &req,
-                         sim::Tick service_start);
+    void respondToClient(const ClientRequestBody &req);
     void finishRequest();
 
     // -- intra-cluster messages -----------------------------------------
@@ -231,8 +230,7 @@ class Server : public osim::Service, private FwdPool, private ServerState
     void handleFwdRequest(sim::NodeId peer, const FwdRequestBody &body);
     void handleFileData(const FileDataBody &body);
     void sendFileData(sim::NodeId initial, sim::RequestId req,
-                      sim::FileId file, std::uint32_t client_port,
-                      sim::Tick service_start);
+                      sim::FileId file, std::uint32_t client_port);
 
     // -- membership / reconfiguration ----------------------------------
     void onPeerConnected(sim::NodeId peer);

@@ -89,25 +89,12 @@ LatencyHistogram::merge(const LatencyHistogram &other)
         max_ = other.max_;
 }
 
-const char *
-latencyStageName(LatencyStage s)
-{
-    switch (s) {
-      case LatencyStage::Connect:
-        return "connect";
-      case LatencyStage::Queue:
-        return "queue";
-      case LatencyStage::Service:
-        return "service";
-      case LatencyStage::Total:
-        return "total";
-    }
-    return "?";
-}
-
 void
 StageLatencyTimeline::sealUntil(std::size_t second)
 {
+    if (second < sealed_.size())
+        PANIC("StageLatencyTimeline::record: a sample at second ", second,
+              " arrived after second ", sealed_.size(), " opened");
     for (std::size_t b = 0; b < LatencyHistogram::numBuckets; ++b) {
         if (open_.counts[b]) {
             bins_.push_back({static_cast<std::uint32_t>(b), open_.counts[b]});
@@ -121,11 +108,8 @@ StageLatencyTimeline::sealUntil(std::size_t second)
 }
 
 LatencyHistogram
-StageLatencyTimeline::window(LatencyStage s, Tick from, Tick to) const
+StageLatencyTimeline::window(LatencyStage, Tick from, Tick to) const
 {
-    if (s != LatencyStage::Total)
-        PANIC("StageLatencyTimeline::window: the ", latencyStageName(s),
-              " stage keeps no per-second slices");
     LatencyHistogram out;
     if (to <= from)
         return out;
@@ -152,9 +136,6 @@ StageLatencyTimeline::window(LatencyStage s, Tick from, Tick to) const
         if (open_.max > out.max_)
             out.max_ = open_.max;
     }
-    for (const Late &l : late_)
-        if (l.second >= i0 && l.second < i1)
-            out.record(l.value);
     return out;
 }
 

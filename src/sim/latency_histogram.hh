@@ -1,8 +1,8 @@
 /**
  * @file
  * Fixed-layout HDR-style latency histogram, and the latency timeline
- * a load generator records: four whole-run stage histograms plus
- * per-second slices of the total stage.
+ * a load generator records: one-second slices of the total response
+ * time.
  *
  * LatencyHistogram is log-linear bucketed: values below 2^S land in
  * width-1 buckets; each octave [2^k, 2^{k+1}) above that is split
@@ -13,18 +13,17 @@
  * generators record per-request latencies inside the allocation-free
  * message path.
  *
- * StageLatencyTimeline keeps a cumulative histogram per stage for
- * whole-run quantiles, and one slice per second for the total stage
- * only, so total response times can be sliced against the fault
- * timeline (the 7-stage windows of exp/stages.cc). Only the current
- * second is dense: 705 32-bit counts beside its sum and max. When a
- * sample lands in a later second, the open slice is sealed into a
- * packed arena as its non-zero (bucket, count) pairs behind a 24-byte
- * header; an empty second costs the header alone. The mean
- * switch-down second uses 38 of the 705 buckets, so a sealed second
- * takes about 330 bytes instead of 2 848. window() expands sealed
- * slices and the open one into an ordinary 64-bit histogram, so
- * nothing recorded changes.
+ * StageLatencyTimeline keeps one slice per second of total response
+ * times, so they can be sliced against the fault timeline (the
+ * 7-stage windows of exp/stages.cc); a window over the whole run is
+ * the whole-run histogram. Only the current second is dense: 705
+ * 32-bit counts beside its sum and max. When a sample lands in a
+ * later second, the open slice is sealed into a packed arena as its
+ * non-zero (bucket, count) pairs behind a 24-byte header; an empty
+ * second costs the header alone. The mean switch-down second uses 38
+ * of the 705 buckets, so a sealed second takes about 330 bytes
+ * instead of 2 848. window() expands sealed slices and the open one
+ * into an ordinary 64-bit histogram, so nothing recorded changes.
  */
 
 #ifndef PERFORMA_SIM_LATENCY_HISTOGRAM_HH
@@ -52,7 +51,11 @@ class LatencyHistogram
     void
     record(std::uint64_t value_us, std::uint64_t n = 1)
     {
-        recordAt(indexFor(value_us), value_us, n);
+        counts_[indexFor(value_us)] += n;
+        total_ += n;
+        sum_ += value_us * n;
+        if (value_us > max_)
+            max_ = value_us;
     }
 
     /**
@@ -97,7 +100,7 @@ class LatencyHistogram
     }
 
   private:
-    friend class StageLatencyTimeline; ///< records and expands slices
+    friend class StageLatencyTimeline; ///< buckets and expands slices
 
     static constexpr std::uint64_t linearMax = 1ull << subBucketBits;
     /** Highest octave holding a representable value (maxValue - 1). */
@@ -108,17 +111,6 @@ class LatencyHistogram
 
     static std::size_t indexFor(std::uint64_t v);
 
-    /** record() into bucket @p idx, already worked out for @p value_us. */
-    void
-    recordAt(std::size_t idx, std::uint64_t value_us, std::uint64_t n = 1)
-    {
-        counts_[idx] += n;
-        total_ += n;
-        sum_ += value_us * n;
-        if (value_us > max_)
-            max_ = value_us;
-    }
-
     /** Highest value mapping to bucket @p idx (inclusive bound). */
     static std::uint64_t bucketUpperBound(std::size_t idx);
 
@@ -128,24 +120,15 @@ class LatencyHistogram
     std::uint64_t max_ = 0;
 };
 
-/** Request-lifetime stages a client can attribute latency to. */
+/** The one latency stage: request sent -> response at the client.
+ *  window() still names it for its callers. */
 enum class LatencyStage : int
 {
-    Connect = 0, ///< request sent -> accepted by a server
-    Queue,       ///< accepted -> file fetch begins (incl. forwarding)
-    Service,     ///< fetch begins -> response at the client
-    Total,       ///< request sent -> response at the client
+    Total,
 };
 
-inline constexpr int numLatencyStages = 4;
-
-const char *latencyStageName(LatencyStage s);
-
-/**
- * Whole-run latency histograms for every stage, plus one-second
- * slices of the total stage, mirroring the per-second throughput
- * series.
- */
+/** One-second slices of the total response time, mirroring the
+ *  per-second throughput series. */
 class StageLatencyTimeline
 {
   public:
@@ -162,46 +145,30 @@ class StageLatencyTimeline
         bins_.reserve(reserve_slices * LatencyHistogram::numBuckets);
     }
 
-    /** Record a @p value_us sample completed at time @p at. */
+    /** Record a @p value_us sample completed at time @p at. Samples
+     *  arrive in time order: one into a second already sealed
+     *  PANICs. */
     void
-    record(LatencyStage s, Tick at, std::uint64_t value_us)
+    record(Tick at, std::uint64_t value_us)
     {
-        std::size_t b = LatencyHistogram::indexFor(value_us);
-        cumulative_[static_cast<int>(s)].recordAt(b, value_us);
-        if (s != LatencyStage::Total)
-            return;
         std::size_t second = static_cast<std::size_t>(at / sec(1));
-        if (second != sealed_.size()) {
-            if (second < sealed_.size()) {
-                late_.push_back({second, value_us});
-                return;
-            }
+        if (second != sealed_.size())
             sealUntil(second);
-        }
-        ++open_.counts[b];
+        ++open_.counts[LatencyHistogram::indexFor(value_us)];
         open_.sum += value_us;
         if (value_us > open_.max)
             open_.max = value_us;
+        recorded_ = true;
     }
 
-    /** Whole-run histogram for one stage. */
-    const LatencyHistogram &
-    cumulative(LatencyStage s) const
-    {
-        return cumulative_[static_cast<int>(s)];
-    }
+    /** Merged histogram over the slices overlapping [from, to). */
+    LatencyHistogram window(LatencyStage, Tick from, Tick to) const;
 
-    /** Merged histogram over the total stage's slices overlapping
-     *  [from, to). PANICs for any other stage: only Total keeps
-     *  slices. */
-    LatencyHistogram window(LatencyStage s, Tick from, Tick to) const;
-
-    /** Slices up to the last second recorded into the total stage. */
+    /** Slices up to the last second recorded. */
     std::size_t
     sliceCount() const
     {
-        return cumulative(LatencyStage::Total).empty() ? 0
-                                                       : sealed_.size() + 1;
+        return recorded_ ? sealed_.size() + 1 : 0;
     }
 
   private:
@@ -220,16 +187,8 @@ class StageLatencyTimeline
         std::uint32_t count;
     };
 
-    /** A sample recorded into a second already sealed. The simulation
-     *  records at its own clock and never takes this path. */
-    struct Late
-    {
-        std::size_t second;
-        std::uint64_t value;
-    };
-
     /** Seal the open second, then every second before @p second as
-     *  empty, leaving @p second open. */
+     *  empty, leaving @p second open. PANICs if @p second is sealed. */
     void sealUntil(std::size_t second);
 
     /** The second being recorded, in LatencyHistogram's layout. */
@@ -240,11 +199,10 @@ class StageLatencyTimeline
         std::uint64_t max = 0;
     };
 
-    std::vector<Sealed> sealed_; ///< Total, one per finished second
+    std::vector<Sealed> sealed_; ///< one per finished second
     std::vector<Bin> bins_;      ///< every sealed second's pairs
-    std::vector<Late> late_;
-    Open open_; ///< second sealed_.size()
-    std::array<LatencyHistogram, numLatencyStages> cumulative_;
+    Open open_;                  ///< second sealed_.size()
+    bool recorded_ = false;      ///< any sample yet
 };
 
 } // namespace performa::sim

@@ -46,9 +46,8 @@ class SmallFn<R(Args...)>
     /**
      * Inline storage size. 56 bytes covers every callable in the tree
      * today and keeps sizeof(SmallFn) at one cache line. The largest
-     * is exactly 56 bytes: the disk-read completion in
-     * press/server.cc, `[this, e, req, svc]`, which carries a whole
-     * ClientRequestBody.
+     * are exactly 56 bytes: the fault-arrival and watchdog lambdas of
+     * exp/long_run.cc, which capture seven variables each.
      */
     static constexpr std::size_t inlineBytes = 56;
 

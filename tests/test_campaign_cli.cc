@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests that drive the performa_campaign binary end to end, on a copy
- * of a committed behaviour DB so nothing is measured.
+ * of a committed behaviour DB (so nothing is measured) or on one
+ * quarter-load point.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "campaign/phase1.hh"
 
@@ -128,4 +131,42 @@ TEST(CampaignCli, ListPrintsOnlyTheSelectedSubset)
                       campaign::phase1Seed(42, press::Version::TcpPress)));
     EXPECT_EQ(out, "TCP-PRESS     app-crash       nodes=4 scale=1 seed=" +
                        std::string(seed) + "\n");
+}
+
+TEST(CampaignCli, MalformedSloSpecsExitTwo)
+{
+    // A NaN quantile or threshold, an infinite one, one past 2^64 us
+    // and one below 1 us are rejected before anything runs.
+    for (const char *spec : {"pnan=5ms", "p99=nanms", "p99=infms",
+                             "p99=1e30s", "p99=0.0001us"}) {
+        auto [out, status] = runCommand(
+            std::string(PERFORMA_CAMPAIGN_CLI) +
+            " --list --versions 0 --faults 6 --slo " + spec + " 2>&1");
+        ASSERT_TRUE(WIFEXITED(status)) << spec;
+        EXPECT_EQ(WEXITSTATUS(status), 2) << spec << ": " << out;
+        EXPECT_NE(out.find("bad --slo spec"), std::string::npos) << out;
+    }
+    auto [out, status] = runCommand(std::string(PERFORMA_CAMPAIGN_CLI) +
+                                    " --list --versions 0 --faults 6"
+                                    " --slo p99.9=1us");
+    EXPECT_EQ(status, 0) << out;
+}
+
+TEST(CampaignCli, UnwritableCacheFailsTheCampaign)
+{
+    // The point is measured, but its row cannot be saved: the run
+    // says so and exits 1 instead of reporting success.
+    const std::string path =
+        ::testing::TempDir() + "/no_such_dir/cli_unwritable.csv";
+    auto [out, status] = runCommand(
+        std::string(PERFORMA_CAMPAIGN_CLI) +
+        " --quiet --fresh --versions 2 --faults 6 --scale 0.25 --cache '" +
+        path + "'");
+    ASSERT_TRUE(WIFEXITED(status)) << out;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << out;
+    EXPECT_NE(out.find("1 measured, 0 cached, 0 failed"), std::string::npos)
+        << out;
+    EXPECT_NE(out.find("FAILED writing cache " + path), std::string::npos)
+        << out;
+    EXPECT_FALSE(std::filesystem::exists(path));
 }

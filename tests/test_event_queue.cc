@@ -171,27 +171,27 @@ TEST(EventQueue, RunAllLimitNotOvershotByCancelledHead)
     // delegate to runOne(), which skips cancelled entries and executes
     // the next live event even if it lies beyond the limit.
     EventQueue q;
-    bool late_ran = false;
+    bool lateRan = false;
     EventHandle head = q.schedule(10, [] {});
-    q.schedule(100, [&] { late_ran = true; });
+    q.schedule(100, [&] { lateRan = true; });
     q.cancel(head);
     q.runAll(50);
-    EXPECT_FALSE(late_ran);
+    EXPECT_FALSE(lateRan);
     EXPECT_LE(q.now(), 50u);
     q.runAll();
-    EXPECT_TRUE(late_ran);
+    EXPECT_TRUE(lateRan);
     EXPECT_EQ(q.now(), 100u);
 }
 
 TEST(EventQueue, RunUntilLimitNotOvershotByCancelledHead)
 {
     EventQueue q;
-    bool late_ran = false;
+    bool lateRan = false;
     EventHandle head = q.schedule(10, [] {});
-    q.schedule(100, [&] { late_ran = true; });
+    q.schedule(100, [&] { lateRan = true; });
     q.cancel(head);
     q.runUntil(50);
-    EXPECT_FALSE(late_ran);
+    EXPECT_FALSE(lateRan);
     EXPECT_EQ(q.now(), 50u);
 }
 
@@ -508,17 +508,17 @@ TEST(EventQueue, CancelledNearHeadIsSkippedAtTheLimit)
     // of the wheel; it counts in heapSize() until then, never fires,
     // and does not let runAll() run past its limit.
     EventQueue q;
-    bool late_ran = false;
+    bool lateRan = false;
     EventHandle head = q.schedule(5, [] {});
-    q.schedule(5 + EventQueue::wheelSize, [&] { late_ran = true; });
+    q.schedule(5 + EventQueue::wheelSize, [&] { lateRan = true; });
     q.cancel(head);
     EXPECT_EQ(q.pending(), 1u);
     EXPECT_EQ(q.heapSize(), 2u);
     q.runAll(5 + EventQueue::wheelSize - 1);
-    EXPECT_FALSE(late_ran);
+    EXPECT_FALSE(lateRan);
     EXPECT_EQ(q.heapSize(), 1u); // the cancelled record was freed
     q.runAll();
-    EXPECT_TRUE(late_ran);
+    EXPECT_TRUE(lateRan);
     EXPECT_EQ(q.heapSize(), 0u);
 }
 

@@ -1,16 +1,17 @@
 /**
  * @file
- * Unit tests for the log-linear latency histogram and the per-stage
+ * Unit tests for the log-linear latency histogram and the latency
  * timeline: empty-histogram semantics, bucket boundaries, relative
  * quantile error, merge associativity, overflow saturation at the
  * fixed 64 s bound, window slicing against wall-clock boundaries,
- * per-second slices kept for the total stage only, sealed sparse
- * seconds that expand to the same windows as dense ones, and a
+ * sealed sparse seconds that expand to the same windows as dense
+ * ones, a PANIC for a sample recorded into a sealed second, and a
  * restored copy that records on like the original.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <vector>
@@ -149,24 +150,24 @@ TEST(LatencyHistogram, ClearResetsEverything)
     EXPECT_EQ(h.maxRecorded(), 0u);
 }
 
-TEST(StageLatencyTimeline, RecordsIntoCumulativeAndSlices)
+TEST(StageLatencyTimeline, RecordsIntoSecondSlices)
 {
     StageLatencyTimeline tl;
-    tl.record(LatencyStage::Total, sec(1), msec(10));
-    tl.record(LatencyStage::Total, sec(5), msec(50));
-    tl.record(LatencyStage::Connect, sec(1), msec(1));
+    tl.record(sec(1), msec(10));
+    tl.record(sec(5), msec(50));
 
-    EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(), 2u);
-    EXPECT_EQ(tl.cumulative(LatencyStage::Connect).count(), 1u);
-    EXPECT_EQ(tl.cumulative(LatencyStage::Queue).count(), 0u);
+    EXPECT_EQ(tl.sliceCount(), 6u);
+    EXPECT_EQ(tl.window(LatencyStage::Total, 0, sec(6)).count(), 2u);
+    EXPECT_EQ(tl.window(LatencyStage::Total, sec(1), sec(2)).count(), 1u);
+    EXPECT_TRUE(tl.window(LatencyStage::Total, sec(2), sec(5)).empty());
 }
 
 TEST(StageLatencyTimeline, WindowSelectsOverlappingSlices)
 {
     StageLatencyTimeline tl;
-    tl.record(LatencyStage::Total, sec(1), msec(10));
-    tl.record(LatencyStage::Total, sec(5), msec(50));
-    tl.record(LatencyStage::Total, sec(9), msec(90));
+    tl.record(sec(1), msec(10));
+    tl.record(sec(5), msec(50));
+    tl.record(sec(9), msec(90));
 
     LatencyHistogram w = tl.window(LatencyStage::Total, sec(4), sec(6));
     EXPECT_EQ(w.count(), 1u);
@@ -187,55 +188,38 @@ TEST(StageLatencyTimeline, ReservedSlicesCoverRecording)
     // last second recorded, so a snapshot copies only the run so far.
     StageLatencyTimeline tl(20);
     EXPECT_EQ(tl.sliceCount(), 0u);
-    tl.record(LatencyStage::Total, sec(5), msec(2));
+    tl.record(sec(5), msec(2));
     EXPECT_EQ(tl.sliceCount(), 6u);
-    tl.record(LatencyStage::Total, sec(19), msec(3));
+    tl.record(sec(19), msec(3));
     EXPECT_EQ(tl.sliceCount(), 20u);
-    tl.record(LatencyStage::Total, sec(25), msec(4));
+    tl.record(sec(25), msec(4));
     EXPECT_EQ(tl.sliceCount(), 26u); // grew past the reservation
-    EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(), 3u);
     EXPECT_EQ(tl.window(LatencyStage::Total, 0, sec(100)).count(), 3u);
 }
 
-TEST(StageLatencyTimeline, OnlyTheTotalStageKeepsSlices)
+TEST(StageLatencyTimelineDeath, RecordingIntoASealedSecondPanics)
 {
-    StageLatencyTimeline tl;
-    tl.record(LatencyStage::Connect, sec(30), msec(1));
-    tl.record(LatencyStage::Queue, sec(40), msec(2));
-    tl.record(LatencyStage::Service, sec(50), msec(3));
-    EXPECT_EQ(tl.sliceCount(), 0u);
-    EXPECT_EQ(tl.cumulative(LatencyStage::Connect).count(), 1u);
-    EXPECT_EQ(tl.cumulative(LatencyStage::Queue).count(), 1u);
-    EXPECT_EQ(tl.cumulative(LatencyStage::Service).count(), 1u);
-    EXPECT_DOUBLE_EQ(tl.cumulative(LatencyStage::Service).quantile(1.0),
-                     static_cast<double>(msec(3)));
-
-    tl.record(LatencyStage::Total, sec(7), msec(4));
-    EXPECT_EQ(tl.sliceCount(), 8u);
-    EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(), 1u);
-    EXPECT_EQ(tl.window(LatencyStage::Total, sec(7), sec(8)).count(), 1u);
-}
-
-TEST(StageLatencyTimelineDeath, WindowOfAnotherStagePanics)
-{
+    // Samples arrive at the simulation's own clock, so one landing in
+    // a second already sealed is a caller bug, not a late sample.
     StageLatencyTimeline tl(10);
-    tl.record(LatencyStage::Service, sec(1), msec(3));
-    EXPECT_DEATH(tl.window(LatencyStage::Service, 0, sec(5)),
-                 "no per-second slices");
-    EXPECT_DEATH(tl.window(LatencyStage::Connect, 0, sec(5)),
-                 "connect stage");
+    tl.record(sec(1), msec(3));
+    tl.record(sec(3), msec(3));
+    tl.record(sec(3) + msec(10), msec(4)); // the open second: fine
+    EXPECT_EQ(tl.window(LatencyStage::Total, 0, sec(4)).count(), 3u);
+    EXPECT_DEATH(tl.record(sec(2) + msec(999), msec(5)),
+                 "at second 2 arrived after second 3");
 }
 
 TEST(StageLatencyTimeline, WholeRunWindowEqualsTheCumulativeHistogram)
 {
     // Slices keep 32-bit bucket counts beside 64-bit totals; merged
-    // over the whole run they must give back the cumulative histogram
-    // bucket for bucket. The stream covers the exact region (< 64 us),
-    // the overflow bucket (>= 64 s), and one second that puts more
-    // than 2^16 samples into a single bucket.
-    StageLatencyTimeline tl(40);
+    // over the whole run they must give back a dense histogram of
+    // every sample bucket for bucket. The stream covers the exact
+    // region (< 64 us), the overflow bucket (>= 64 s), and one second
+    // that puts more than 2^16 samples into a single bucket.
     std::mt19937_64 rng(17);
     const Tick end = sec(40);
+    std::vector<std::pair<Tick, std::uint64_t>> samples;
     for (int i = 0; i < 200000; ++i) {
         Tick at = rng() % end;
         std::uint64_t v;
@@ -250,12 +234,21 @@ TEST(StageLatencyTimeline, WholeRunWindowEqualsTheCumulativeHistogram)
             v = rng() % sec(8);
             break;
         }
-        tl.record(LatencyStage::Total, at, v);
+        samples.push_back({at, v});
     }
     for (int i = 0; i < 70000; ++i)
-        tl.record(LatencyStage::Total, sec(12) + i, msec(250));
+        samples.push_back({sec(12) + i, msec(250)});
+    std::stable_sort(samples.begin(), samples.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
 
-    const LatencyHistogram &whole = tl.cumulative(LatencyStage::Total);
+    StageLatencyTimeline tl(40);
+    LatencyHistogram whole;
+    for (const auto &[at, v] : samples) {
+        tl.record(at, v);
+        whole.record(v);
+    }
     LatencyHistogram merged = tl.window(LatencyStage::Total, 0, end);
     EXPECT_TRUE(merged == whole);
     EXPECT_EQ(merged.count(), 270000u);
@@ -277,7 +270,7 @@ TEST(StageLatencyTimeline, WholeRunWindowEqualsTheCumulativeHistogram)
 
 namespace {
 
-/** One recorded total-stage sample. */
+/** One recorded sample. */
 struct Sample
 {
     Tick at;
@@ -338,8 +331,7 @@ TEST(StageLatencyTimeline, SealedWindowsEqualADenseReference)
     std::size_t next = 0;
     for (Tick now = sec(1); now <= sec(61); now += msec(700)) {
         for (; next < samples.size() && samples[next].at < now; ++next)
-            tl.record(LatencyStage::Total, samples[next].at,
-                      samples[next].value);
+            tl.record(samples[next].at, samples[next].value);
         if (next == 0)
             continue;
         std::vector<Sample> sofar(samples.begin(), samples.begin() + next);
@@ -362,7 +354,7 @@ TEST(StageLatencyTimeline, SealedWindowsEqualADenseReference)
     ASSERT_EQ(next, samples.size());
     EXPECT_EQ(tl.sliceCount(), samples.back().at / sec(1) + 1);
     EXPECT_TRUE(tl.window(LatencyStage::Total, 0, sec(100)) ==
-                tl.cumulative(LatencyStage::Total));
+                denseWindow(samples, 0, sec(100)));
 }
 
 TEST(StageLatencyTimeline, RestoredCopyRecordsOnLikeTheOriginal)
@@ -373,22 +365,22 @@ TEST(StageLatencyTimeline, RestoredCopyRecordsOnLikeTheOriginal)
     const Tick cut = sec(23) + msec(450);
     StageLatencyTimeline whole(64), forked(64);
     for (const Sample &x : samples)
-        whole.record(LatencyStage::Total, x.at, x.value);
+        whole.record(x.at, x.value);
 
     StageLatencyTimeline saved;
     std::size_t i = 0;
     for (; samples[i].at < cut; ++i)
-        forked.record(LatencyStage::Total, samples[i].at, samples[i].value);
+        forked.record(samples[i].at, samples[i].value);
     saved = forked;
     for (std::size_t j = i; j < samples.size(); j += 3)
-        forked.record(LatencyStage::Total, samples[j].at, msec(900));
+        forked.record(samples[j].at, msec(900));
     forked = saved;
     for (std::size_t j = i; j < samples.size(); ++j)
-        forked.record(LatencyStage::Total, samples[j].at, samples[j].value);
+        forked.record(samples[j].at, samples[j].value);
 
     EXPECT_EQ(forked.sliceCount(), whole.sliceCount());
-    EXPECT_TRUE(forked.cumulative(LatencyStage::Total) ==
-                whole.cumulative(LatencyStage::Total));
+    EXPECT_TRUE(forked.window(LatencyStage::Total, 0, sec(100)) ==
+                whole.window(LatencyStage::Total, 0, sec(100)));
     for (Tick from = 0; from < sec(62); from += msec(500))
         for (Tick len : {msec(1), sec(1), sec(5), sec(30)})
             EXPECT_TRUE(forked.window(LatencyStage::Total, from, from + len) ==

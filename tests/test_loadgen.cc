@@ -6,7 +6,7 @@
  * accounting, same-tick expiry order, fork), the session farm
  * (closed-loop throttling, stop and abandoned-request accounting, and
  * the same deadline-FIFO checks for both of its timeout classes), and
- * latency-stamp recording.
+ * latency recording.
  */
 
 #include <gtest/gtest.h>
@@ -28,8 +28,8 @@ using namespace performa::sim;
 
 namespace {
 
-/** A bare network with scripted "server" ports that echo latency
- *  stamps like the PRESS server does. */
+/** A bare network with scripted "server" ports that echo the
+ *  request's send time like the PRESS server does. */
 struct StampWorld
 {
     Simulation s{3};
@@ -40,9 +40,8 @@ struct StampWorld
     bool respond = true;
     /** Stop answering a server after this many requests (-1 = never). */
     int answersPerServer = -1;
-    Tick serviceDelay = usec(500);
     /** The reply leaves this long after the request arrives (0 = at
-     *  once); serviceDelay only shapes the stamps. */
+     *  once). */
     Tick replyDelay = 0;
 
     StampWorld()
@@ -56,8 +55,7 @@ struct StampWorld
                     (answersPerServer >= 0 && seen > answersPerServer))
                     return;
                 auto req = f.payload.cast<press::ClientRequestBody>();
-                Tick arrived = s.now();
-                auto reply = [this, p, req, arrived] {
+                auto reply = [this, p, req] {
                     net::Frame r;
                     r.srcPort = p;
                     r.dstPort = req->replyPort;
@@ -68,8 +66,6 @@ struct StampWorld
                         s.makePayload<press::ClientResponseBody>();
                     body->req = req->req;
                     body->sentAt = req->sentAt;
-                    body->acceptedAt = arrived;
-                    body->serviceStartAt = arrived + serviceDelay;
                     r.payload = std::move(body);
                     n.send(std::move(r));
                 };
@@ -224,50 +220,19 @@ TEST(SplitRng, DistinctSaltsGiveDistinctStreams)
 }
 
 // ---------------------------------------------------------------------
-// Latency stamp decoding
+// Latency recording
 // ---------------------------------------------------------------------
 
-TEST(RecordResponseLatency, SplitsStagesFromStamps)
+TEST(RecordResponseLatency, RecordsTheTimeSinceTheEchoedSend)
 {
     StageLatencyTimeline tl;
     press::ClientResponseBody body;
     body.sentAt = msec(100);
-    body.acceptedAt = msec(102);
-    body.serviceStartAt = msec(110);
-    Tick now = msec(125);
 
-    loadgen::recordResponseLatency(tl, now, body);
-    EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(), 1u);
-    EXPECT_DOUBLE_EQ(tl.cumulative(LatencyStage::Total).quantile(1.0),
-                     static_cast<double>(msec(25)));
-    EXPECT_DOUBLE_EQ(
-        tl.cumulative(LatencyStage::Connect).quantile(1.0),
-        static_cast<double>(msec(2)));
-    EXPECT_DOUBLE_EQ(tl.cumulative(LatencyStage::Queue).quantile(1.0),
-                     static_cast<double>(msec(8)));
-    EXPECT_DOUBLE_EQ(
-        tl.cumulative(LatencyStage::Service).quantile(1.0),
-        static_cast<double>(msec(15)));
-}
-
-TEST(RecordResponseLatency, UnstampedResponsesRecordNothing)
-{
-    StageLatencyTimeline tl;
-    press::ClientResponseBody body; // sentAt == 0
-    loadgen::recordResponseLatency(tl, msec(50), body);
-    EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(), 0u);
-}
-
-TEST(RecordResponseLatency, ConnectSkippedOnReusedConnections)
-{
-    StageLatencyTimeline tl;
-    press::ClientResponseBody body;
-    body.sentAt = msec(10);
-    body.acceptedAt = msec(11);
-    loadgen::recordResponseLatency(tl, msec(20), body,
-                                   /*record_connect=*/false);
-    EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(), 1u);
-    EXPECT_EQ(tl.cumulative(LatencyStage::Connect).count(), 0u);
+    loadgen::recordResponseLatency(tl, msec(125), body);
+    LatencyHistogram all = tl.window(LatencyStage::Total, 0, sec(1));
+    EXPECT_EQ(all.count(), 1u);
+    EXPECT_DOUBLE_EQ(all.quantile(1.0), static_cast<double>(msec(25)));
 }
 
 // ---------------------------------------------------------------------
@@ -284,10 +249,7 @@ TEST(ClientFarmLatency, EveryServedRequestLandsInTheTimeline)
     w.s.runUntil(sec(12));
 
     EXPECT_GT(farm.totalServed(), 0u);
-    const auto &tl = farm.timeline();
-    EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(),
-              farm.totalServed());
-    EXPECT_EQ(tl.cumulative(LatencyStage::Connect).count(),
+    EXPECT_EQ(farm.timeline().window(LatencyStage::Total, 0, sec(13)).count(),
               farm.totalServed());
 }
 
@@ -457,14 +419,9 @@ TEST(SessionFarm, ServesAndChurnsSessions)
     EXPECT_EQ(farm.totalFailed(), 0u);
     EXPECT_GT(farm.completedSessions(), 0u);
 
-    // Each request records a total; only connection-opening requests
-    // record a connect.
-    const auto &tl = farm.timeline();
-    EXPECT_EQ(tl.cumulative(LatencyStage::Total).count(),
+    // Each served request records its total latency.
+    EXPECT_EQ(farm.timeline().window(LatencyStage::Total, 0, sec(33)).count(),
               farm.totalServed());
-    EXPECT_GT(tl.cumulative(LatencyStage::Connect).count(), 0u);
-    EXPECT_LT(tl.cumulative(LatencyStage::Connect).count(),
-              tl.cumulative(LatencyStage::Total).count());
 }
 
 TEST(SessionFarm, DeterministicForSameSeed)
@@ -630,7 +587,8 @@ TEST(SessionFarm, LatencyReflectsServiceDelay)
                               smallConfig(), sessionProfile(10, msec(20)));
     farm.start();
     w.s.runUntil(sec(10));
-    const auto &total = farm.timeline().cumulative(LatencyStage::Total);
+    LatencyHistogram total =
+        farm.timeline().window(LatencyStage::Total, 0, sec(11));
     ASSERT_EQ(total.count(), farm.totalServed());
     EXPECT_GT(total.mean(), 5000.0); // >= the 5 ms service
     EXPECT_LT(total.mean(), 8000.0);

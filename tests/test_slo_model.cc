@@ -210,13 +210,12 @@ TEST(ExtractionSlo, SlicesTheTimelineAtStageBoundaries)
     res.markers.add(sim::sec(75), press::MarkerKind::Exclude, 0, 3);
 
     // Normal operation: fast. Degraded regime: slow.
-    constexpr auto total = sim::LatencyStage::Total;
     for (std::uint64_t t = 0; t < 60; ++t)
-        res.latency.record(total, sim::sec(t), sim::msec(20));
+        res.latency.record(sim::sec(t), sim::msec(20));
     for (std::uint64_t t = 75; t < 180; ++t)
-        res.latency.record(total, sim::sec(t), sim::msec(900));
+        res.latency.record(sim::sec(t), sim::msec(900));
     for (std::uint64_t t = 180; t < 300; ++t)
-        res.latency.record(total, sim::sec(t), sim::msec(20));
+        res.latency.record(sim::sec(t), sim::msec(20));
 
     fault::FaultSpec spec;
     spec.kind = fault::FaultKind::LinkDown;
